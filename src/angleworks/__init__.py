@@ -18,7 +18,6 @@ from .exact_scalars import (
 from .angle_engine import (
     AngleTable,
     ParityError,
-    ResidueSpec,
     angle_table,
     bJ_exact,
     bJ_numeric,
@@ -27,10 +26,10 @@ from .angle_engine import (
     bJtilde_numeric,
     bJtilde_residue,
     bernoulli_fill,
+    fill_row,
     lA_residue,
     lA_tilde_residue,
     p_alpha_k_value,
-    poincare_fill,
     residue_rational,
     rm_value,
 )

@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import quadrature, series_kernel, trig_algebra
-from .exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
+from .exact_scalars import PI, DomainError, PiNumber, c_beta, c_tilde_beta, exact_scaled
 from .series_kernel import (
     LaurentSeries,
     antiderivative_from_zero,
@@ -33,20 +33,9 @@ from .series_kernel import (
     sin_power,
 )
 
-PI = PiNumber.pi_power(2)
-
 
 class ParityError(DomainError):
     """The residue formula does not apply at these parities."""
-
-
-@dataclass(frozen=True)
-class ResidueSpec:
-    """Res_{x=0} of (int_0^x sin^a y dy)^p / (sin x)^q."""
-
-    a: int  # inner sine power
-    p: int  # outer power
-    q: int  # denominator sine power
 
 
 @lru_cache(maxsize=None)
@@ -64,10 +53,6 @@ def residue_rational(a: int, p: int, q: int) -> Fraction:
         num = int_power(antiderivative_from_zero(sin_power(a, a + rel)), p)
     den = int_power(sin_power(1, 1 + rel), -q)
     return series_kernel.residue(multiply(num, den))
-
-
-def residue_of_spec(spec: ResidueSpec) -> Fraction:
-    return residue_rational(spec.a, spec.p, spec.q)
 
 
 # -- residue formulas ---------------------------------------------------------
@@ -145,9 +130,7 @@ def bernoulli_fill(z: Sequence[Optional[PiNumber]]) -> list[PiNumber]:
         acc = PiNumber.zero()
         if (n - k) % 2 == 0:
             acc = acc + known(k - 1) * Fraction(1, k)
-            r = 1
-        else:
-            r = 1
+        r = 1
         while k + r <= n:
             B = bernoulli(r + 1)
             w = Fraction(math.factorial(k + r), math.factorial(r + 1) * math.factorial(k)) * B
@@ -158,6 +141,36 @@ def bernoulli_fill(z: Sequence[Optional[PiNumber]]) -> list[PiNumber]:
         out[k] = acc * 2
     assert all(v is not None for v in out[1:])
     return [v if v is not None else PiNumber.zero() for v in out]
+
+
+def fill_row(
+    z0: PiNumber, n: int, residue_at: Callable[[int], Optional[PiNumber]]
+) -> tuple[tuple[PiNumber, str], ...]:
+    """Entries 1..n of the vector (z0, z_1, .., z_n) that satisfies the
+    relations of ``bernoulli_fill``, each with its provenance tag.
+
+    ``residue_at(k)`` returns the known entry z_k, tagged "residue", or None
+    for an entry of the class that ``bernoulli_fill`` produces, tagged "fill".
+    """
+    z = [z0] + [residue_at(k) for k in range(1, n + 1)]
+    filled = bernoulli_fill(z)
+    return tuple(
+        (filled[k], "fill" if z[k] is None else "residue") for k in range(1, n + 1)
+    )
+
+
+def relations_hold(z: Sequence[PiNumber]) -> bool:
+    """Whether (z_0, .., z_n) satisfies sum_k (-1)^k C(k,m) z_k = (-1)^n z_m
+    for every m: the Poincare relations of an angle row and the
+    Dehn-Sommerville relations of a simplicial f-vector."""
+    n = len(z) - 1
+    for m in range(n + 1):
+        total = PiNumber.zero()
+        for k in range(m, n + 1):
+            total = total + Fraction((-1) ** k * math.comb(k, m)) * z[k]
+        if total != Fraction((-1) ** n) * z[m]:
+            return False
+    return True
 
 
 # -- exact dispatchers ---------------------------------------------------------
@@ -190,16 +203,10 @@ def _bJ_row(n: int, twice_beta: int) -> tuple[tuple[PiNumber, str], ...]:
             f"alpha = 2*beta + n - 1 = {alpha} outside validity (need >= max(n-3, 0))"
         )
     if alpha % 2 == 0:
-        values: list[Optional[PiNumber]] = [PiNumber.zero()] + [None] * n
-        prov = [""] * (n + 1)
-        for k in range(1, n + 1):
-            if (n - k) % 2 == 1:
-                values[k] = bJ_residue(n, k, alpha)
-                prov[k] = "residue"
-            else:
-                prov[k] = "fill"
-        filled = bernoulli_fill(values)
-        return tuple((filled[k], prov[k]) for k in range(1, n + 1))
+        return fill_row(
+            PiNumber.zero(), n,
+            lambda k: bJ_residue(n, k, alpha) if (n - k) % 2 == 1 else None,
+        )
     if n % 2 == 1:
         return tuple((bJ_residue(n, k, alpha), "residue") for k in range(1, n + 1))
     return tuple(
@@ -228,16 +235,10 @@ def _bJtilde_row(n: int, twice_beta: int) -> tuple[tuple[PiNumber, str], ...]:
         return ((PiNumber.one(), "closed"),)
     if alpha % 2 == 0:
         return tuple((bJtilde_residue(n, k, alpha), "residue") for k in range(1, n + 1))
-    values: list[Optional[PiNumber]] = [PiNumber.zero()] + [None] * n
-    prov = [""] * (n + 1)
-    for k in range(1, n + 1):
-        if k % 2 == 0:
-            values[k] = bJtilde_residue(n, k, alpha)
-            prov[k] = "residue"
-        else:
-            prov[k] = "fill"
-    filled = bernoulli_fill(values)
-    return tuple((filled[k], prov[k]) for k in range(1, n + 1))
+    return fill_row(
+        PiNumber.zero(), n,
+        lambda k: bJtilde_residue(n, k, alpha) if k % 2 == 0 else None,
+    )
 
 
 def bJtilde_exact(n: int, k: int, twice_beta: int) -> PiNumber:
@@ -352,25 +353,13 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
     """Full table for k = 1..n; exact when beta is a half-integer Fraction."""
     if family not in ("beta", "betaprime"):
         raise DomainError(f"unknown family {family!r}")
-    exact = isinstance(beta, (Fraction, int)) and Fraction(beta).denominator in (1, 2)
-    if exact:
-        tb = int(2 * Fraction(beta))
+    if n < 1:
+        raise DomainError("n must be positive")
+    tb = exact_scaled(beta)
+    if tb is not None:
         row = _bJ_row(n, tb) if family == "beta" else _bJtilde_row(n, tb)
         return AngleTable(family, n, Fraction(beta), row)
     b = float(beta)
     fn = bJ_numeric if family == "beta" else bJtilde_numeric
     entries = tuple((fn(n, k, b), "numeric") for k in range(1, n + 1))
     return AngleTable(family, n, b, entries)
-
-
-def poincare_fill(table: AngleTable) -> AngleTable:
-    """Complete an AngleTable whose entries are None for one parity class."""
-    z: list[Optional[PiNumber]] = [PiNumber.zero()]
-    for v, _ in table.entries:
-        z.append(v if isinstance(v, PiNumber) else None)
-    filled = bernoulli_fill(z)
-    entries = tuple(
-        (filled[k], table.entries[k - 1][1] if table.entries[k - 1][0] is not None else "fill")
-        for k in range(1, table.n + 1)
-    )
-    return AngleTable(table.family, table.n, table.beta, entries)

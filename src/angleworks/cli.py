@@ -4,19 +4,16 @@ Exact values print in the canonical PiNumber text form by default;
 ``--digits N`` adds a correctly rounded decimal column.  Exit codes:
 0 success, 1 failed verification, 2 invalid parameters.  Timing goes to
 stderr so identical invocations stay bit-identical on stdout.
-ANGLEWORKS_THREADS caps the worker pool used for whole-table numeric
-commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import verify as verify_mod
@@ -24,6 +21,7 @@ from .angle_engine import angle_table
 from .exact_scalars import (
     DomainError,
     PiNumber,
+    exact_scaled,
     format_pinumber,
     pinumber_to_json,
     to_decimal,
@@ -41,50 +39,24 @@ from .polytope_engine import (
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ANGLEWORKS_THREADS", "0")) or os.cpu_count() or 1)
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    if len(items) <= 1 or _threads() == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(_threads(), len(items))) as ex:
-        return list(ex.map(fn, items))
-
-
 def _parse_parameter(text: str, what: str = "beta"):
     """P/Q stays exact; a decimal routes to the numeric path with a notice."""
-    if _FRACTION_RE.match(text):
-        q = Fraction(text)
-        if q.denominator in (1, 2):
-            return q, True
-        print(
-            f"notice: {what}={text} is not a half-integer; using numeric evaluation",
-            file=sys.stderr,
-        )
-        return float(q), False
     try:
-        v = float(text)
-    except ValueError:
-        raise DomainError(f"cannot parse {what}={text!r}")
-    print(
-        f"notice: decimal {what}={text} routes to numeric evaluation", file=sys.stderr
-    )
+        if _FRACTION_RE.match(text):
+            q = Fraction(text)
+            if exact_scaled(q) is not None:
+                return q, True
+            notice = f"{what}={text} is not a half-integer; using numeric evaluation"
+            v = float(q)
+        else:
+            notice = f"decimal {what}={text} routes to numeric evaluation"
+            v = float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"cannot parse {what}={text!r}") from None
+    if not math.isfinite(v):
+        raise DomainError(f"{what}={text} is not a finite number")
+    print(f"notice: {notice}", file=sys.stderr)
     return v, False
-
-
-def _value_text(v) -> str:
-    return format_pinumber(v) if isinstance(v, PiNumber) else repr(float(v))
-
-
-def _value_decimal(v, digits: int) -> str:
-    if isinstance(v, PiNumber):
-        return to_decimal(v, digits)
-    return f"{float(v):.{digits}f}"
 
 
 def _emit_records(args, command: str, params: dict, records: list[dict]) -> None:
@@ -104,8 +76,7 @@ def _emit_records(args, command: str, params: dict, records: list[dict]) -> None
         row.append(r["provenance"])
         rows.append(row)
     if fmt == "csv":
-        header = [c for c in cols]
-        print(",".join(header))
+        print(",".join(cols))
         for row in rows:
             print(",".join(f'"{c}"' if "," in c else c for c in row))
     elif fmt == "latex":
@@ -122,23 +93,24 @@ def _emit_records(args, command: str, params: dict, records: list[dict]) -> None
 
 
 def _record(index, value, provenance: str, digits) -> dict:
-    rec = {
-        "index": index,
-        "text": _value_text(value),
-        "provenance": provenance,
-        "exact": pinumber_to_json(value) if isinstance(value, PiNumber) else None,
-        "float": value if not isinstance(value, PiNumber) else None,
-    }
-    rec["decimal"] = _value_decimal(value, digits) if digits else None
-    return rec
+    if isinstance(value, PiNumber):
+        text, exact, num = format_pinumber(value), pinumber_to_json(value), None
+        decimal = to_decimal(value, digits) if digits else None
+    else:
+        text, exact, num = repr(float(value)), None, value
+        decimal = f"{float(value):.{digits}f}" if digits else None
+    return {"index": index, "text": text, "provenance": provenance,
+            "exact": exact, "float": num, "decimal": decimal}
 
 
 def cmd_angles(args) -> int:
+    if args.k is not None and not 1 <= args.k <= args.n:
+        raise DomainError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
     beta, exact = _parse_parameter(args.beta, "beta")
     if args.numeric and exact:
-        beta, exact = float(beta), False
+        beta = float(beta)
     table = angle_table(args.family, args.n, beta)
-    ks = [args.k] if args.k else list(range(1, args.n + 1))
+    ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
     records = [
         _record(k, table.value(k), table.provenance(k), args.digits) for k in ks
     ]
@@ -156,10 +128,8 @@ def cmd_fvector(args) -> int:
     elif model == "poisson":
         if args.alpha is None:
             raise DomainError("--alpha required for the poisson model")
-        alpha, exact = _parse_parameter(args.alpha, "alpha")
-        if exact and Fraction(alpha).denominator != 1:
-            alpha, exact = float(alpha), False
-        fv = poisson_polytope_fvector(args.d, int(alpha) if exact else alpha)
+        alpha, _ = _parse_parameter(args.alpha, "alpha")
+        fv = poisson_polytope_fvector(args.d, alpha)
     elif model in ("beta", "betaprime"):
         if args.beta is None or args.n is None:
             raise DomainError(f"--beta and --n required for the {model} model")
@@ -184,11 +154,14 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_reitzner(args) -> int:
+    if args.d < 1:
+        raise DomainError(f"need d >= 1, got d={args.d}")
     digits = args.digits or 12
     ks = [args.k] if args.k is not None else list(range(args.d))
     fn = reitzner_ball if args.surface == "ball" else reitzner_sphere
     records = []
-    for k, rc in zip(ks, _pmap(lambda k: fn(args.d, k), ks)):
+    for k in ks:
+        rc = fn(args.d, k)
         if rc.exact is not None:
             text = format_pinumber(rc.exact)
             dec = to_decimal(rc.exact, digits)
@@ -206,10 +179,8 @@ def cmd_reitzner(args) -> int:
                 "angle_factor": format_pinumber(rc.angle_factor),
             }
         )
-    params = {"surface": args.surface, "d": args.d}
-    fmt = args.format
-    if fmt == "json":
-        print(json.dumps({"command": "reitzner", "parameters": params, "records": records}, indent=2))
+    if args.format == "json":
+        _emit_records(args, "reitzner", {"surface": args.surface, "d": args.d}, records)
         return 0
     for r in records:
         print(
@@ -220,6 +191,12 @@ def cmd_reitzner(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 2:
+        raise DomainError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.trials < 2:
+        raise DomainError(f"--trials must be at least 2, got {args.trials}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     suite = verify_mod.SUITES[args.suite]
     if args.suite == "relations":
         results = suite(max_n=args.max_n)
@@ -289,6 +266,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if getattr(args, "digits", None) is not None and args.digits < 1:
+            raise DomainError(f"--digits must be positive, got {args.digits}")
         code = args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

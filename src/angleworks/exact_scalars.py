@@ -94,9 +94,6 @@ class PiNumber:
     def is_rational(self) -> bool:
         return set(self._terms) <= {0}
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DomainError(f"not a rational number: {self}")
@@ -220,6 +217,17 @@ class PiNumber:
 
 
 PI = PiNumber.pi_power(2)
+
+
+def exact_scaled(x, scale: int = 2) -> int | None:
+    """``scale * x`` as an int when ``x`` is an int or Fraction that makes
+    it one, else None: the one test that sends a parameter to the exact
+    path (half-integers for ``scale=2``) rather than to numeric evaluation."""
+    if isinstance(x, (int, Fraction)):
+        y = scale * Fraction(x)
+        if y.denominator == 1:
+            return int(y)
+    return None
 
 
 # -- Gamma at half-integer arguments ---------------------------------------

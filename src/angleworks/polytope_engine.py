@@ -19,26 +19,17 @@ import mpmath
 
 from . import quadrature, series_kernel, trig_algebra
 from .angle_engine import (
-    _bJ_row,
-    _bJtilde_row,
+    angle_table,
     bJ_exact,
-    bJ_numeric,
-    bJtilde_numeric,
-    bernoulli_fill,
+    fill_row,
+    relations_hold,
     residue_rational,
 )
-from .exact_scalars import DomainError, PiNumber, c_tilde_beta, gamma_half
+from .exact_scalars import DomainError, PiNumber, c_tilde_beta, exact_scaled, gamma_half
 from .series_kernel import int_power, shift, sin_power
 
+#: provenance of a sum of terms: the tag of its least direct term
 _PROV_RANK = {"closed": 0, "residue": 1, "tan_algebra": 2, "fill": 3, "numeric": 4}
-
-
-def _merge_prov(tags) -> str:
-    best = "closed"
-    for t in tags:
-        if _PROV_RANK[t] > _PROV_RANK[best]:
-            best = t
-    return best
 
 
 @dataclass
@@ -74,16 +65,22 @@ def poisson_weight_inf(m: int, alpha: int) -> PiNumber:
     )
 
 
-def _poisson_entry_exact(d: int, k: int, alpha: int) -> tuple[PiNumber, str]:
-    total = PiNumber.zero()
-    tags = []
-    for m in range(k, d + 1):
-        if (d - m) % 2 != 0:
-            continue
-        row = _bJtilde_row(m, alpha + m - 1)
-        total = total + poisson_weight_inf(m, alpha) * row[k - 1][0]
-        tags.append(row[k - 1][1])
-    return 2 * total, _merge_prov(tags)
+def _parity_sum(d: int, external, internal, zero) -> tuple:
+    """The entries E f_{k-1}, k = 1..d, of a simplicial f-vector:
+    2 * sum over k <= m <= d with m = d (mod 2) of external(m) * z_k, where
+    z = internal(m) is the angle row of the m-vertex simplex (entries of
+    (value, provenance)).  ``zero`` is the additive zero of the values."""
+    terms = {m: (external(m), internal(m)) for m in range(d, 0, -2)}
+    entries = []
+    for k in range(1, d + 1):
+        total, tags = zero, []
+        for m in range(k, d + 1):
+            if (d - m) % 2 == 0:
+                ext, row = terms[m]
+                total = total + ext * row[k - 1][0]
+                tags.append(row[k - 1][1])
+        entries.append((2 * total, max(tags, key=_PROV_RANK.__getitem__)))
+    return tuple(entries)
 
 
 def poisson_polytope_fvector(d: int, alpha) -> FVector:
@@ -91,18 +88,23 @@ def poisson_polytope_fvector(d: int, alpha) -> FVector:
     exact for integer alpha >= 1, numeric otherwise."""
     if d < 1:
         raise DomainError("d >= 1 required")
-    if isinstance(alpha, (int, Fraction)) and Fraction(alpha).denominator == 1:
-        a = int(alpha)
+    a = exact_scaled(alpha, 1)
+    if a is not None:
         if a < 1:
             raise DomainError("alpha >= 1 required for the exact path")
-        entries = tuple(_poisson_entry_exact(d, k, a) for k in range(1, d + 1))
+        entries = _parity_sum(
+            d,
+            lambda m: poisson_weight_inf(m, a),
+            lambda m: angle_table("betaprime", m, Fraction(a + m - 1, 2)).entries,
+            PiNumber.zero(),
+        )
         return FVector(d, "poisson", {"alpha": a}, entries)
     a = float(alpha)
     if a <= 0:
         raise DomainError("alpha > 0 required")
+    ctil = quadrature.c_tilde_beta_float((a + 1) / 2)
     entries = []
     for k in range(1, d + 1):
-        ctil = quadrature._c_tilde_beta_float((a + 1) / 2)
         val = (
             2.0
             * a ** (k - 1)
@@ -129,7 +131,7 @@ def poisson_residue_entry(d: int, k: int, alpha: int) -> PiNumber:
 
 
 @lru_cache(maxsize=None)
-def _x_over_sin_coeff(power: int, j: int) -> Fraction:
+def x_over_sin_coeff(power: int, j: int) -> Fraction:
     """[x^j] (x / sin x)^power."""
     s = int_power(sin_power(1, j + 3), -power)
     return series_kernel.coefficient(shift(s, power), j)
@@ -141,7 +143,20 @@ def zero_cell_entry_even(d: int, ell: int) -> PiNumber:
     if (d - ell) % 2 != 0:
         raise DomainError("this form needs even d - ell")
     m = d - ell
-    return PiNumber.pi_power(2 * m, math.comb(d, ell) * _x_over_sin_coeff(d + 1, m))
+    return PiNumber.pi_power(2 * m, math.comb(d, ell) * x_over_sin_coeff(d + 1, m))
+
+
+def parity_product_coeff(d: int, m: int) -> Fraction:
+    """[x^m] prod (1 + j^2 x^2) over 0 < j < d of parity opposite to d."""
+    poly = [Fraction(1)]
+    for j in range(1, d):
+        if j % 2 != d % 2:
+            # multiply by (1 + j^2 x^2)
+            nxt = poly + [Fraction(0), Fraction(0)]
+            for i, c in enumerate(poly):
+                nxt[i + 2] += c * j * j
+            poly = nxt
+    return poly[m] if m < len(poly) else Fraction(0)
 
 
 def zero_cell_entry_product(d: int, ell: int) -> PiNumber:
@@ -151,16 +166,7 @@ def zero_cell_entry_product(d: int, ell: int) -> PiNumber:
     if (d - ell) % 2 != 0:
         raise DomainError("this form needs even d - ell")
     m = d - ell
-    poly = [Fraction(1)]
-    for j in range(1, d):
-        if j % 2 != d % 2:
-            # multiply by (1 + j^2 x^2)
-            nxt = poly + [Fraction(0), Fraction(0)]
-            for i, c in enumerate(poly):
-                nxt[i + 2] += c * j * j
-            poly = nxt
-    coeff = poly[m] if m < len(poly) else Fraction(0)
-    return PiNumber.pi_power(2 * m, coeff / math.factorial(m))
+    return PiNumber.pi_power(2 * m, parity_product_coeff(d, m) / math.factorial(m))
 
 
 def zero_cell_fvector(d: int) -> FVector:
@@ -168,17 +174,11 @@ def zero_cell_fvector(d: int) -> FVector:
     if d < 1:
         raise DomainError("d >= 1 required")
     # dual (simplicial) vector z_k = E f_{d-k}, z_0 = 1
-    z: list[Optional[PiNumber]] = [PiNumber.one()] + [None] * d
-    prov = [""] * (d + 1)
-    for k in range(1, d + 1):
-        if k % 2 == 0:
-            z[k] = zero_cell_entry_even(d, d - k)
-            prov[k] = "residue"
-        else:
-            prov[k] = "fill"
-    filled = bernoulli_fill(z)
-    entries = tuple((filled[d - ell], prov[d - ell]) for ell in range(d))
-    return FVector(d, "zerocell", {}, entries)
+    row = fill_row(
+        PiNumber.one(), d,
+        lambda k: zero_cell_entry_even(d, d - k) if k % 2 == 0 else None,
+    )
+    return FVector(d, "zerocell", {}, tuple(row[d - ell - 1] for ell in range(d)))
 
 
 # -- typical Poisson-Voronoi cell ----------------------------------------------
@@ -193,12 +193,9 @@ def typical_voronoi_fvector(d: int) -> FVector:
 
 
 def voronoi_residue_entry(d: int, k: int) -> PiNumber:
-    """Direct residue form of E f_{d-k}(V_d), valid when d*k is even."""
-    if (d * k) % 2 != 0:
-        raise DomainError("residue form requires d*k even")
-    pref = (gamma_half(1) * gamma_half(d) / gamma_half(d + 1)) ** k
-    res = residue_rational(d - 1, d - k, d * d + 1)
-    return Fraction(d**d * math.comb(d, k)) * pref * res
+    """Direct residue form of E f_{d-k}(V_d), valid when d*k is even: the
+    Poisson polytope's at alpha = d, by duality."""
+    return poisson_residue_entry(d, k, d)
 
 
 def face_intensity(d: int, j: int) -> PiNumber:
@@ -220,43 +217,34 @@ def beta_polytope_fvector(n: int, d: int, beta) -> FVector:
     exact for half-integer beta >= -1, numeric for real beta."""
     if d < 1 or n < d + 1:
         raise DomainError("need d >= 1 and n >= d+1")
-    exact = isinstance(beta, (int, Fraction)) and Fraction(beta).denominator in (1, 2)
-    if exact:
+    tb = exact_scaled(beta)
+    if tb is not None:
         b = Fraction(beta)
         if b < -1:
             raise DomainError("beta >= -1 required")
-        alpha = int(2 * b) + d
+        alpha = tb + d
         if alpha < 0:
             raise DomainError(
                 "the d=1 sphere case (beta=-1) is atomic; no f-vector formula"
             )
-        entries = []
-        for k in range(1, d + 1):
-            total = PiNumber.zero()
-            tags = []
-            for m in range(k, d + 1):
-                if (d - m) % 2 != 0:
-                    continue
-                row = _bJ_row(m, alpha - m + 1)
-                total = total + trig_algebra.external_bI(n, m, alpha) * row[k - 1][0]
-                tags.append(row[k - 1][1])
-            entries.append((2 * total, _merge_prov(tags)))
-        return FVector(d, "beta", {"n": n, "beta": b}, tuple(entries))
+        entries = _parity_sum(
+            d,
+            lambda m: trig_algebra.external_bI(n, m, alpha),
+            lambda m: angle_table("beta", m, Fraction(alpha - m + 1, 2)).entries,
+            PiNumber.zero(),
+        )
+        return FVector(d, "beta", {"n": n, "beta": b}, entries)
     b = float(beta)
     if b < -1:
         raise DomainError("beta >= -1 required")
     alpha = 2.0 * b + d
-    entries = []
-    for k in range(1, d + 1):
-        total = 0.0
-        for m in range(k, d + 1):
-            if (d - m) % 2 != 0:
-                continue
-            total += quadrature.I_numeric(n, m, alpha) * bJ_numeric(
-                m, k, (alpha - m + 1) / 2
-            )
-        entries.append((2.0 * total, "numeric"))
-    return FVector(d, "beta", {"n": n, "beta": b}, tuple(entries))
+    entries = _parity_sum(
+        d,
+        lambda m: quadrature.I_numeric(n, m, alpha),
+        lambda m: angle_table("beta", m, (alpha - m + 1) / 2).entries,
+        0.0,
+    )
+    return FVector(d, "beta", {"n": n, "beta": b}, entries)
 
 
 def betaprime_polytope_fvector(n: int, d: int, beta) -> FVector:
@@ -264,77 +252,53 @@ def betaprime_polytope_fvector(n: int, d: int, beta) -> FVector:
     exact for half-integer beta with alpha = 2*beta - d a positive integer."""
     if d < 1 or n < d + 1:
         raise DomainError("need d >= 1 and n >= d+1")
-    exact = isinstance(beta, (int, Fraction)) and Fraction(beta).denominator in (1, 2)
-    if exact and int(2 * Fraction(beta)) - d >= 1:
-        alpha = int(2 * Fraction(beta)) - d
-        entries = []
-        for k in range(1, d + 1):
-            total = PiNumber.zero()
-            tags = []
-            for m in range(k, d + 1):
-                if (d - m) % 2 != 0:
-                    continue
-                row = _bJtilde_row(m, alpha + m - 1)
-                total = total + trig_algebra.external_bI_tilde(n, m, alpha) * row[k - 1][0]
-                tags.append(row[k - 1][1])
-            entries.append((2 * total, _merge_prov(tags)))
-        return FVector(d, "betaprime", {"n": n, "beta": Fraction(beta)}, tuple(entries))
+    tb = exact_scaled(beta)
+    if tb is not None and tb - d >= 1:
+        alpha = tb - d
+        entries = _parity_sum(
+            d,
+            lambda m: trig_algebra.external_bI_tilde(n, m, alpha),
+            lambda m: angle_table("betaprime", m, Fraction(alpha + m - 1, 2)).entries,
+            PiNumber.zero(),
+        )
+        return FVector(d, "betaprime", {"n": n, "beta": Fraction(beta)}, entries)
     b = float(beta)
     alpha = 2.0 * b - d
     if alpha <= 0:
         raise DomainError("beta > d/2 required")
-    entries = []
-    for k in range(1, d + 1):
-        if alpha * k <= 1:
-            raise DomainError(
-                f"numeric path needs alpha*k > 1 for every k (alpha={alpha}, k={k})"
-            )
-        total = 0.0
-        for m in range(k, d + 1):
-            if (d - m) % 2 != 0:
-                continue
-            total += quadrature.I_tilde_numeric(n, m, alpha) * bJtilde_numeric(
-                m, k, (alpha + m - 1) / 2
-            )
-        entries.append((2.0 * total, "numeric"))
-    return FVector(d, "betaprime", {"n": n, "beta": b}, tuple(entries))
+    if alpha <= 1:
+        raise DomainError(f"numeric path needs alpha = 2*beta - d > 1, got {alpha}")
+    entries = _parity_sum(
+        d,
+        lambda m: quadrature.I_tilde_numeric(n, m, alpha),
+        lambda m: angle_table("betaprime", m, (alpha + m - 1) / 2).entries,
+        0.0,
+    )
+    return FVector(d, "betaprime", {"n": n, "beta": b}, entries)
 
 
 # -- consistency relations -------------------------------------------------------
 
 
 def euler_relation_holds(fv: FVector) -> bool:
-    """Exact Euler relation sum (-1)^ell f_ell = 1 - (-1)^d."""
-    total = PiNumber.zero()
-    for ell in range(fv.d):
-        v = fv.value(ell)
-        if not isinstance(v, PiNumber):
-            return abs(
-                sum((-1) ** l * fv.value(l) for l in range(fv.d)) - (1 - (-1) ** fv.d)
-            ) < 1e-8
-        total = total + Fraction((-1) ** ell) * v
-    return total == PiNumber.from_rational(1 - (-1) ** fv.d)
-
-
-def _simplicial_z(fv: FVector) -> list[PiNumber]:
-    """The vector (z_0..z_d) of a simplicial f-vector: directly for the
-    simplicial models, through the dual for the simple ones."""
-    if fv.model in ("zerocell", "voronoi"):
-        return [PiNumber.one()] + [fv.value(fv.d - k) for k in range(1, fv.d + 1)]
-    return [PiNumber.one()] + [fv.value(k - 1) for k in range(1, fv.d + 1)]
+    """Euler relation sum (-1)^ell f_ell = 1 - (-1)^d: exact for exact
+    entries, to 1e-8 for numeric ones."""
+    want = 1 - (-1) ** fv.d
+    values = fv.values()
+    if all(isinstance(v, PiNumber) for v in values):
+        total = sum((Fraction((-1) ** l) * v for l, v in enumerate(values)), PiNumber.zero())
+        return total == PiNumber.from_rational(want)
+    return abs(sum((-1) ** l * v for l, v in enumerate(values)) - want) < 1e-8
 
 
 def dehn_sommerville_holds(fv: FVector) -> bool:
-    """All Dehn-Sommerville relations, exactly."""
-    z = _simplicial_z(fv)
-    d = fv.d
-    for m in range(d + 1):
-        total = PiNumber.zero()
-        for k in range(m, d + 1):
-            total = total + Fraction((-1) ** k * math.comb(k, m)) * z[k]
-        if total != Fraction((-1) ** d) * z[m]:
-            return False
-    return True
+    """All Dehn-Sommerville relations, exactly, on the vector (z_0..z_d) of
+    the simplicial f-vector: directly for the simplicial models, through the
+    dual for the simple ones."""
+    values = list(fv.values())
+    if fv.model in ("zerocell", "voronoi"):
+        values.reverse()
+    return relations_hold([PiNumber.one()] + values)
 
 
 # -- Reitzner constants -----------------------------------------------------------

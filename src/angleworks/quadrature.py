@@ -129,27 +129,13 @@ def cosh_kernel(P: float, E: float, c0: complex, w: complex, r: int) -> QuadResu
     return QuadResult(re, err, e1 + e2)
 
 
-def inner_cumulative(alpha: float, u: float) -> float:
-    """integral_0^u cosh(v)^alpha dv by panelwise Gauss-Legendre."""
-    if u == 0.0:
-        return 0.0
-    sign = 1.0 if u > 0 else -1.0
-    t = abs(u)
-    m = max(2, math.ceil(t / 0.5))
-    bounds = np.linspace(0.0, t, m + 1)
-    xi, wi = _nodes(32)
-    a, b = bounds[:-1], bounds[1:]
-    half = (b - a) / 2.0
-    mid = (b + a) / 2.0
-    sub = mid[:, None] + half[:, None] * xi
-    return sign * float(np.sum(half * (np.exp(alpha * _log_cosh(sub)) @ wi)))
-
-
-def _c_beta_float(beta: float) -> float:
+def c_beta_float(beta: float) -> float:
+    """c_beta as a float, for real beta > -1."""
     return math.gamma(beta + 1.5) / (math.sqrt(math.pi) * math.gamma(beta + 1.0))
 
 
-def _c_tilde_beta_float(beta: float) -> float:
+def c_tilde_beta_float(beta: float) -> float:
+    """c~_beta as a float, for real beta > 1/2."""
     return math.gamma(beta) / (math.sqrt(math.pi) * math.gamma(beta - 0.5))
 
 
@@ -165,15 +151,15 @@ def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
             raise DomainError(f"beta family needs alpha >= n-3, got {alpha}")
         P = alpha * n + 2.0
         E = alpha
-        ci = _c_beta_float((alpha - 1.0) / 2.0)
-        pref = math.comb(n, k) * _c_beta_float(alpha * n / 2.0)
+        ci = c_beta_float((alpha - 1.0) / 2.0)
+        pref = math.comb(n, k) * c_beta_float(alpha * n / 2.0)
     elif family == "betaprime":
         if alpha * n <= 1.0:
             raise DomainError(f"betaprime family needs alpha*n > 1, got {alpha * n}")
         P = alpha * n - 1.0
         E = alpha - 1.0
-        ci = _c_tilde_beta_float((alpha + 1.0) / 2.0)
-        pref = math.comb(n, k) * _c_tilde_beta_float(alpha * n / 2.0)
+        ci = c_tilde_beta_float((alpha + 1.0) / 2.0)
+        pref = math.comb(n, k) * c_tilde_beta_float(alpha * n / 2.0)
     else:
         raise DomainError(f"unknown family {family!r}")
     res = cosh_kernel(P, E, 0.5, 1j * ci, r)
@@ -242,8 +228,8 @@ def I_numeric(n: int, k: int, alpha: float) -> float:
     r = n - k
     pref = (
         math.comb(n, k)
-        * _c_beta_float((alpha * k - 1) / 2)
-        * _c_beta_float((alpha - 1) / 2) ** r
+        * c_beta_float((alpha * k - 1) / 2)
+        * c_beta_float((alpha - 1) / 2) ** r
         * math.factorial(r)
         / alpha**r
     )
@@ -255,8 +241,8 @@ def I_tilde_numeric(n: int, k: int, alpha: float) -> float:
     r = n - k
     pref = (
         math.comb(n, k)
-        * _c_tilde_beta_float((alpha * k + 1) / 2)
-        * _c_tilde_beta_float((alpha + 1) / 2) ** r
+        * c_tilde_beta_float((alpha * k + 1) / 2)
+        * c_tilde_beta_float((alpha + 1) / 2) ** r
         * math.factorial(r)
         / alpha**r
     )

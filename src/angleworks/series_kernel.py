@@ -84,7 +84,7 @@ def monomial(exp: int, coeff: Fraction | int = 1) -> LaurentSeries:
     return laurent(exp, [coeff])
 
 
-def coeff_at(s: LaurentSeries, j: int) -> Fraction:
+def coefficient(s: LaurentSeries, j: int) -> Fraction:
     """Coefficient of x^j; raises if j is beyond the known window."""
     if s.order is not None and j >= s.order:
         raise DomainError(
@@ -96,10 +96,6 @@ def coeff_at(s: LaurentSeries, j: int) -> Fraction:
     return s.coeffs[i]
 
 
-def coefficient(s: LaurentSeries, j: int) -> Fraction:
-    return coeff_at(s, j)
-
-
 def residue(s: LaurentSeries) -> Fraction:
     """Coefficient of x^{-1}; raises if the window does not reach it."""
     if s.order is not None and s.order <= -1:
@@ -107,7 +103,7 @@ def residue(s: LaurentSeries) -> Fraction:
             "residue not determined: series order must exceed -1 "
             f"(got order {s.order}); increase the truncation order"
         )
-    return coeff_at(s, -1)
+    return coefficient(s, -1)
 
 
 def add(s: LaurentSeries, t: LaurentSeries) -> LaurentSeries:

@@ -62,9 +62,7 @@ class FourierPoly:
 
     @classmethod
     def constant(cls, c: PiNumber | Fraction | int) -> "FourierPoly":
-        if not isinstance(c, PiNumber):
-            c = PiNumber.from_rational(c)
-        return cls({(0, 0, "cos"): c})
+        return cls.x_power(0, c)
 
     @classmethod
     def x_power(cls, j: int, c: PiNumber | Fraction | int = 1) -> "FourierPoly":
@@ -137,13 +135,6 @@ class FourierPoly:
             if p:
                 base = base * base
         return result
-
-    def evaluate_float(self, x: float) -> float:
-        total = 0.0
-        for (j, m, kind), c in self.terms.items():
-            w = math.cos(m * x) if kind == "cos" else math.sin(m * x)
-            total += c.to_float() * x**j * w
-        return total
 
     def __repr__(self) -> str:
         return f"FourierPoly({self.terms!r})"
@@ -252,69 +243,55 @@ def integrate_symmetric(p: FourierPoly) -> PiNumber:
 
 
 @lru_cache(maxsize=None)
-def _cumulative_cos_power(alpha: int) -> FourierPoly:
-    """F(x) = integral of cos^alpha from -pi/2 to x."""
-    return fourier_antiderivative(cos_power_fourier(alpha))
+def _F_power(cos_exponent: int, r: int) -> FourierPoly:
+    """F^r, where F(x) is the integral of cos^cos_exponent from -pi/2 to x.
 
-
-@lru_cache(maxsize=None)
-def _F_power(alpha: int, r: int) -> FourierPoly:
+    The beta' function F~ of parameter alpha is F of alpha - 1, so both
+    families share this one cache."""
     if r == 0:
         return FourierPoly.constant(1)
-    return _F_power(alpha, r - 1) * _cumulative_cos_power(alpha)
+    if r == 1:
+        return fourier_antiderivative(cos_power_fourier(cos_exponent))
+    return _F_power(cos_exponent, r - 1) * _F_power(cos_exponent, 1)
+
+
+def _cos_F_integral(cos_exponent: int, f_exponent: int, r: int) -> PiNumber:
+    """The one external-angle kernel: the integral over [-pi/2, pi/2] of
+    cos^cos_exponent * F^r, F the integral of cos^f_exponent from -pi/2."""
+    return integrate_symmetric(cos_power_fourier(cos_exponent) * _F_power(f_exponent, r))
+
+
+def _external_lB(nu, kappa, alpha: int, shift: int) -> PiNumber:
+    """alpha^r/r! times the kernel at cos^(alpha*kappa - shift), F of
+    cos^(alpha - shift), r = nu - kappa: b{nu, kappa} for shift 0,
+    b~{nu, kappa} for shift 1."""
+    nu, kappa = Fraction(nu), Fraction(kappa)
+    r = nu - kappa
+    if r.denominator != 1:
+        raise DomainError("nu - kappa must be an integer")
+    r = int(r)
+    if r < 0:
+        return PiNumber.zero()
+    ak = alpha * kappa
+    if ak.denominator != 1 or ak < shift:
+        kind = "positive" if shift else "nonnegative"
+        raise DomainError(
+            f"alpha*kappa must be a {kind} integer for the exact path, got {ak}"
+        )
+    raw = _cos_F_integral(int(ak) - shift, alpha - shift, r)
+    return raw * Fraction(alpha**r, math.factorial(r))
 
 
 def external_lB(nu: Fraction | int, kappa: Fraction | int, alpha: int) -> PiNumber:
     """The quantity b{nu, kappa} = alpha^(nu-kappa)/(nu-kappa)! *
     integral of cos^(alpha*kappa) F^(nu-kappa) over [-pi/2, pi/2]."""
-    nu, kappa = Fraction(nu), Fraction(kappa)
-    r = nu - kappa
-    if r.denominator != 1:
-        raise DomainError("nu - kappa must be an integer")
-    r = int(r)
-    if r < 0:
-        return PiNumber.zero()
-    ak = alpha * kappa
-    if ak.denominator != 1 or ak < 0:
-        raise DomainError(
-            f"alpha*kappa must be a nonnegative integer for the exact path, got {ak}"
-        )
-    integrand = cos_power_fourier(int(ak)) * _F_power(alpha, r)
-    return integrate_symmetric(integrand) * Fraction(alpha**r, math.factorial(r))
-
-
-@lru_cache(maxsize=None)
-def _cumulative_cos_power_tilde(alpha: int) -> FourierPoly:
-    """F~(x) = integral of cos^(alpha-1) from -pi/2 to x."""
-    if alpha < 1:
-        raise DomainError("betaprime external angles need alpha >= 1")
-    return fourier_antiderivative(cos_power_fourier(alpha - 1))
-
-
-@lru_cache(maxsize=None)
-def _F_tilde_power(alpha: int, r: int) -> FourierPoly:
-    if r == 0:
-        return FourierPoly.constant(1)
-    return _F_tilde_power(alpha, r - 1) * _cumulative_cos_power_tilde(alpha)
+    return _external_lB(nu, kappa, alpha, 0)
 
 
 def external_lB_tilde(nu: Fraction | int, kappa: Fraction | int, alpha: int) -> PiNumber:
     """The beta'-side quantity b~{nu, kappa} with integrand
-    cos^(alpha*kappa - 1) F~^(nu-kappa)."""
-    nu, kappa = Fraction(nu), Fraction(kappa)
-    r = nu - kappa
-    if r.denominator != 1:
-        raise DomainError("nu - kappa must be an integer")
-    r = int(r)
-    if r < 0:
-        return PiNumber.zero()
-    ak = alpha * kappa
-    if ak.denominator != 1 or ak < 1:
-        raise DomainError(
-            f"alpha*kappa must be a positive integer for the exact path, got {ak}"
-        )
-    integrand = cos_power_fourier(int(ak) - 1) * _F_tilde_power(alpha, r)
-    return integrate_symmetric(integrand) * Fraction(alpha**r, math.factorial(r))
+    cos^(alpha*kappa - 1) F~^(nu-kappa), F~ the integral of cos^(alpha-1)."""
+    return _external_lB(nu, kappa, alpha, 1)
 
 
 @lru_cache(maxsize=None)
@@ -326,11 +303,7 @@ def external_bI(n: int, k: int, alpha: int) -> PiNumber:
     if alpha < 0:
         raise DomainError("exact external angles need integer alpha >= 0")
     r = n - k
-    if alpha == 0:
-        # F degenerates to x + pi/2; integrate its powers directly
-        raw = integrate_symmetric(_F_power(0, r))
-    else:
-        raw = external_lB(n, k, alpha) * Fraction(math.factorial(r), alpha**r)
+    raw = _cos_F_integral(alpha * k, alpha, r)
     return math.comb(n, k) * c_beta(alpha * k - 1) * c_beta(alpha - 1) ** r * raw
 
 
@@ -343,13 +316,8 @@ def external_bI_tilde(n: int, k: int, alpha: int) -> PiNumber:
     if alpha < 1:
         raise DomainError("betaprime external angles need integer alpha >= 1")
     r = n - k
-    pref = (
-        math.comb(n, k)
-        * c_tilde_beta(alpha * k + 1)
-        * c_tilde_beta(alpha + 1) ** r
-        * Fraction(math.factorial(r), alpha**r if r else 1)
-    )
-    return pref * external_lB_tilde(n, k, alpha)
+    raw = _cos_F_integral(alpha * k - 1, alpha - 1, r)
+    return math.comb(n, k) * c_tilde_beta(alpha * k + 1) * c_tilde_beta(alpha + 1) ** r * raw
 
 
 # -- tangent-polynomial route (internal angles, alpha odd / n even) ----------

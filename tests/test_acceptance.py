@@ -16,10 +16,12 @@ from angleworks import montecarlo
 from angleworks.angle_engine import bJ_exact, bJ_numeric, bJtilde_exact, bJtilde_numeric
 from angleworks.exact_scalars import PiNumber
 from angleworks.polytope_engine import (
+    parity_product_coeff,
     poisson_polytope_fvector,
     reitzner_ball,
     reitzner_sphere,
     typical_voronoi_fvector,
+    x_over_sin_coeff,
     zero_cell_entry_even,
     zero_cell_entry_product,
     zero_cell_fvector,
@@ -28,8 +30,6 @@ from angleworks.series_kernel import cos_power, int_power, multiply, residue, si
 from angleworks.verify import (
     _NUMERIC_GRID,
     _NUMERIC_GRID_TILDE,
-    _parity_product_coeff,
-    _x_over_sin,
     crosscheck_suite,
     relations_suite,
 )
@@ -96,8 +96,8 @@ def test_criterion_03_zero_cell():
     assert zero_cell_fvector(2).value(0) == PiNumber.pi_power(4, F(1, 2))
     for d in range(1, 13):
         for m in range(0, d + 1, 2):
-            lhs = F(math.factorial(d), math.factorial(d - m)) * _x_over_sin(d + 1, m)
-            assert lhs == _parity_product_coeff(d, m)
+            lhs = F(math.factorial(d), math.factorial(d - m)) * x_over_sin_coeff(d + 1, m)
+            assert lhs == parity_product_coeff(d, m)
     _report(3, "both zero-cell formulas and the combinatorial identity agree, d<=12")
 
 

@@ -4,9 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from angleworks.angle_engine import (
-    AngleTable,
     ParityError,
-    ResidueSpec,
     angle_table,
     bJ_exact,
     bJ_numeric,
@@ -15,11 +13,10 @@ from angleworks.angle_engine import (
     bJtilde_numeric,
     bJtilde_residue,
     bernoulli_fill,
+    fill_row,
     lA_residue,
     lA_tilde_residue,
     p_alpha_k_value,
-    poincare_fill,
-    residue_of_spec,
     residue_rational,
     rm_value,
 )
@@ -33,7 +30,7 @@ GOLDEN_5_1_0 = PiNumber({-4: F(1692197, 846720), 0: F(-1, 6)})
 def test_residue_rational_examples():
     # the triangle value forced by J_{3,2} = 3/2: a=1, p=1, q=5
     assert residue_rational(1, 1, 5) == F(3, 8)
-    assert residue_of_spec(ResidueSpec(2, 1, 10)) == F(64, 315)
+    assert residue_rational(2, 1, 10) == F(64, 315)
     # valuation above -1 means no residue
     assert residue_rational(3, 2, 5) == 0
     # parity-inadmissible specs vanish (remark after the a-residue formula)
@@ -84,16 +81,11 @@ def test_bernoulli_fill_requires_opposite_class():
 
 
 def test_poincare_fill_table():
-    partial = AngleTable(
-        "beta",
-        5,
-        F(-1),
-        ((None, "fill"), (bJ_residue(5, 2, 2), "residue"), (None, "fill"),
-         (bJ_residue(5, 4, 2), "residue"), (None, "fill")),
-    )
-    filled = poincare_fill(partial)
-    assert filled.value(1) == GOLDEN_5_1_M1
-    assert filled.value(5) == PiNumber.one()
+    known = {2: bJ_residue(5, 2, 2), 4: bJ_residue(5, 4, 2)}
+    row = fill_row(PiNumber.zero(), 5, known.get)
+    assert row[0] == (GOLDEN_5_1_M1, "fill")
+    assert row[1] == (known[2], "residue")
+    assert row[4] == (PiNumber.one(), "fill")
 
 
 def test_bJ_exact_golden_values():

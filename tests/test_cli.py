@@ -147,3 +147,31 @@ def test_verify_relations_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "relations", "--max-n", "4")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["angles", "--family", "beta", "--n", "4", "--k", "7", "--beta", "0"],
+        ["angles", "--family", "beta", "--n", "4", "--k", "0", "--beta", "0"],
+        ["angles", "--family", "beta", "--n", "4", "--beta", "0.3", "--digits", "-1"],
+        ["angles", "--family", "beta", "--n", "4", "--beta", "0", "--digits", "0"],
+        ["angles", "--family", "beta", "--n", "4", "--beta", "1e400"],
+        ["angles", "--family", "beta", "--n", "4", "--beta", "inf"],
+        ["angles", "--family", "beta", "--n", "4", "--beta", "nan"],
+        ["angles", "--family", "beta", "--n", "4", "--beta", "1/0"],
+        ["angles", "--family", "beta", "--n", "-2", "--beta", "0.3"],
+        ["fvector", "--model", "beta", "--d", "2", "--n", "4", "--beta", "nan"],
+        ["fvector", "--model", "poisson", "--d", "2", "--alpha", "inf"],
+        ["reitzner", "--surface", "ball", "--d", "0"],
+        ["reitzner", "--surface", "ball", "--d", "3", "--digits", "-1"],
+        ["verify", "--suite", "relations", "--max-n", "0"],
+        ["verify", "--suite", "montecarlo", "--trials", "0"],
+        ["verify", "--suite", "montecarlo", "--seed", "-1"],
+    ],
+)
+def test_invalid_input_exits_two_with_message(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error: " in err
+    assert out == ""

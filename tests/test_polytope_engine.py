@@ -79,12 +79,12 @@ def test_zero_cell_product_equals_coefficient_form():
 
 
 def test_curious_combinatorial_identity():
-    from angleworks.verify import _parity_product_coeff, _x_over_sin
+    from angleworks.polytope_engine import parity_product_coeff, x_over_sin_coeff
 
     for d in range(1, 13):
         for m in range(0, d + 1, 2):
-            lhs = F(math.factorial(d), math.factorial(d - m)) * _x_over_sin(d + 1, m)
-            assert lhs == _parity_product_coeff(d, m)
+            lhs = F(math.factorial(d), math.factorial(d - m)) * x_over_sin_coeff(d + 1, m)
+            assert lhs == parity_product_coeff(d, m)
 
 
 def test_zero_cell_ugly_display_matches_fill():
