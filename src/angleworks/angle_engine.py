@@ -22,15 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from . import quadrature, series_kernel, trig_algebra
+from . import quadrature, trig_algebra
 from .exact_scalars import PI, DomainError, PiNumber, c_beta, c_tilde_beta, exact_scaled
 from .series_kernel import (
-    LaurentSeries,
-    antiderivative_from_zero,
     bernoulli,
-    int_power,
-    multiply,
-    sin_power,
+    even_product_coefficient,
+    miller_extend,
+    sin_integral_series,
+    sinc_coefficient,
+    sinc_power,
 )
 
 
@@ -40,19 +40,23 @@ class ParityError(DomainError):
 
 @lru_cache(maxsize=None)
 def residue_rational(a: int, p: int, q: int) -> Fraction:
-    """The rational residue behind every exact formula in this module."""
+    """The rational residue behind every exact formula in this module:
+    [x^-1] (int_0^x sin^a)^p / sin^q x.
+
+    The integrand is x^(p(a+1) - q) G_a^p S^-q with G_a and S even series
+    in y = x^2 (see ``series_kernel``), so the residue is the coefficient
+    [y^N] of G_a^p S^-q, N = (q - p(a+1) - 1) / 2, taken as one dot product.
+    """
     if a < 0 or p < 0 or q < 1:
         raise DomainError(f"invalid residue parameters a={a}, p={p}, q={q}")
     val = p * (a + 1) - q
-    if val > -1:
+    if val >= 0 or val % 2 == 0:
         return Fraction(0)
-    rel = (-1) - val + 2  # reach x^{-1} plus two safety terms
+    N = (-1 - val) // 2
     if p == 0:
-        num: LaurentSeries = series_kernel.ONE
-    else:
-        num = int_power(antiderivative_from_zero(sin_power(a, a + rel)), p)
-    den = int_power(sin_power(1, 1 + rel), -q)
-    return series_kernel.residue(multiply(num, den))
+        return sinc_coefficient(-q, N)
+    num = miller_extend(sin_integral_series(a, N + 1), p, [], N + 1)
+    return even_product_coefficient(num, sinc_power(-q, N + 1), N)
 
 
 # -- residue formulas ---------------------------------------------------------

@@ -194,9 +194,23 @@ class PiNumber:
     # -- evaluation and text -----------------------------------------------
 
     def to_float(self) -> float:
-        return float(
-            sum(float(c) * math.pi ** (e / 2.0) for e, c in self._terms.items())
+        """The value as a float.  Terms of opposite sign can cancel many
+        leading digits, so the working precision of ``evaluate`` grows until
+        the digits that survive the cancellation exceed float precision."""
+        if not self._terms:
+            return 0.0
+        # decimal exponent of the largest term, to within a digit
+        top = max(
+            (c.numerator.bit_length() - c.denominator.bit_length()) * math.log10(2)
+            + e / 2 * math.log10(math.pi)
+            for e, c in self._terms.items()
         )
+        dps = 30
+        while True:
+            value = self.evaluate(dps)
+            if value and dps - (top - mpmath.mag(value) * math.log10(2)) >= 20:
+                return float(value)
+            dps *= 2
 
     def evaluate(self, dps: int = 30) -> mpmath.mpf:
         """Evaluate at ``dps`` decimal digits of working precision."""
@@ -222,11 +236,14 @@ PI = PiNumber.pi_power(2)
 def exact_scaled(x, scale: int = 2) -> int | None:
     """``scale * x`` as an int when ``x`` is an int or Fraction that makes
     it one, else None: the one test that sends a parameter to the exact
-    path (half-integers for ``scale=2``) rather than to numeric evaluation."""
+    path (half-integers for ``scale=2``) rather than to numeric evaluation.
+    A NaN or infinite ``x`` fits neither path and raises ``DomainError``."""
     if isinstance(x, (int, Fraction)):
         y = scale * Fraction(x)
         if y.denominator == 1:
             return int(y)
+    elif not math.isfinite(x):
+        raise DomainError(f"parameter {x} is not a finite number")
     return None
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import mpmath
 
-from . import quadrature, series_kernel, trig_algebra
+from . import quadrature, trig_algebra
 from .angle_engine import (
     angle_table,
     bJ_exact,
@@ -26,7 +26,7 @@ from .angle_engine import (
     residue_rational,
 )
 from .exact_scalars import DomainError, PiNumber, c_tilde_beta, exact_scaled, gamma_half
-from .series_kernel import int_power, shift, sin_power
+from .series_kernel import sinc_coefficient
 
 #: provenance of a sum of terms: the tag of its least direct term
 _PROV_RANK = {"closed": 0, "residue": 1, "tan_algebra": 2, "fill": 3, "numeric": 4}
@@ -130,11 +130,11 @@ def poisson_residue_entry(d: int, k: int, alpha: int) -> PiNumber:
 # -- Poisson zero cell --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def x_over_sin_coeff(power: int, j: int) -> Fraction:
     """[x^j] (x / sin x)^power."""
-    s = int_power(sin_power(1, j + 3), -power)
-    return series_kernel.coefficient(shift(s, power), j)
+    if j < 0 or j % 2:
+        return Fraction(0)
+    return sinc_coefficient(-power, j // 2)
 
 
 def zero_cell_entry_even(d: int, ell: int) -> PiNumber:

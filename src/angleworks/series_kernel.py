@@ -1,12 +1,23 @@
-"""Truncated Laurent-series arithmetic over exact rationals.
+"""Exact power-series arithmetic over rationals.
 
-A ``LaurentSeries`` is a dense coefficient window ``[valuation, order)``;
-``order is None`` means the series is exactly known at every exponent (a
-Laurent polynomial).  Coefficients are ``Fraction``; pi-factors never
-enter the series, they are multiplied in by the callers.
+Two kernels live here.
 
-The residue extractors here are the workhorse of every exact angle and
-f-vector formula in the package.
+* The residue kernel works with even power series in y = x^2.  With
+  S = sin x / x, every power of sin x is x^a S^a, and the integral of
+  sin^a from 0 is x^(a+1) G_a with [y^j] G_a = [y^j] S^a / (a + 1 + 2j).
+  So the residue of (int_0^x sin^a)^p / sin^q x is the single coefficient
+  [y^N] of G_a^p S^-q, N = (q - p(a+1) - 1) / 2, or zero when that is not a
+  nonnegative integer.  Powers of any integer sign come from J.C.P.
+  Miller's O(N^2) recurrence, the coefficient from one dot product, and
+  the prefixes of S^alpha and G_a are kept per exponent and grown on
+  demand, so a row of residues with one denominator builds its S^-q once.
+* ``LaurentSeries`` is a dense coefficient window ``[valuation, order)``;
+  ``order is None`` means the series is exactly known at every exponent (a
+  Laurent polynomial).  It carries the bivariate ``ugly_coefficient``
+  extraction, the independent cross-check route of ``verify``.
+
+Coefficients are ``Fraction``; pi-factors never enter a series, they are
+multiplied in by the callers.
 """
 
 from __future__ import annotations
@@ -133,13 +144,6 @@ def scale(s: LaurentSeries, q: Fraction | int) -> LaurentSeries:
     if q == 0:
         return laurent(0, [], s.order)
     return laurent(s.valuation, [c * q for c in s.coeffs], s.order)
-
-
-def shift(s: LaurentSeries, k: int) -> LaurentSeries:
-    """Multiply by x^k."""
-    return laurent(
-        s.valuation + k, s.coeffs, None if s.order is None else s.order + k
-    )
 
 
 def _mul_order(s: LaurentSeries, t: LaurentSeries) -> int | None:
@@ -281,6 +285,85 @@ def cos_power(a: int, order: int) -> LaurentSeries:
     if a == 0:
         return laurent(0, [1], order)
     return int_power(_cos_series(order), a)
+
+
+# -- even power series in y = x^2 ------------------------------------------------
+#
+# An even series f(x) = sum_k f_k x^(2k) is held as the list of its even
+# derivatives at 0, F_k = (2k)! f_k.  That scaling keeps the denominators
+# small (for (x / sin x)^q a few digits where f_k has hundreds), which is
+# most of the cost of exact arithmetic on these coefficients.
+
+
+def miller_extend(
+    f: Sequence[Fraction], alpha: int, out: list[Fraction], n: int
+) -> list[Fraction]:
+    """Extend ``out``, a prefix of the series f^alpha, in place to n
+    coefficients and return it; both series in even-derivative form.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with P = f^alpha
+    and f_0 != 0, P_k = sum_{j=1..k} ((alpha+1) j - k) C(2k, 2j) f_j P_{k-j}
+    / (k f_0).  It holds for every integer alpha and needs only
+    f_0 .. f_{n-1}, so a prefix can be extended later without recomputing it.
+    """
+    if not out:
+        out.append(f[0] ** alpha)
+    inv0 = 1 / f[0]
+    a1 = alpha + 1
+    for k in range(len(out), n):
+        terms = (
+            (a1 * j - k) * math.comb(2 * k, 2 * j) * (f[j] * out[k - j]) for j in range(1, k + 1)
+        )
+        out.append(sum(terms, Fraction(0)) * inv0 / k)
+    return out
+
+
+def even_product_coefficient(f: Sequence[Fraction], g: Sequence[Fraction], n: int) -> Fraction:
+    """[x^(2n)] of f * g for f, g in even-derivative form."""
+    terms = (math.comb(2 * n, 2 * i) * (f[i] * g[n - i]) for i in range(n + 1))
+    return sum(terms, Fraction(0)) / math.factorial(2 * n)
+
+
+@lru_cache(maxsize=None)
+def _sinc_prefix(alpha: int) -> list[Fraction]:
+    return []
+
+
+def sinc_power(alpha: int, n: int) -> list[Fraction]:
+    """At least the first n even-derivative coefficients of
+    (sin x / x)^alpha, for any integer alpha.
+
+    The list is shared by every caller with this alpha and grows in place;
+    read it, never modify it.
+    """
+    out = _sinc_prefix(alpha)
+    if len(out) < n:
+        if alpha == 1:
+            out.extend(Fraction((-1) ** j, 2 * j + 1) for j in range(len(out), n))
+        else:
+            miller_extend(sinc_power(1, n), alpha, out, n)
+    return out
+
+
+def sinc_coefficient(alpha: int, k: int) -> Fraction:
+    """[x^(2k)] (sin x / x)^alpha, read from the shared prefix."""
+    return sinc_power(alpha, k + 1)[k] / math.factorial(2 * k)
+
+
+@lru_cache(maxsize=None)
+def _sin_integral_prefix(a: int) -> list[Fraction]:
+    return []
+
+
+def sin_integral_series(a: int, n: int) -> list[Fraction]:
+    """At least the first n even-derivative coefficients of G_a, a >= 0,
+    where int_0^x sin^a = x^(a+1) G_a(x); shared and grown like
+    ``sinc_power``."""
+    out = _sin_integral_prefix(a)
+    if len(out) < n:
+        s = sinc_power(a, n)
+        out.extend(s[j] / (a + 1 + 2 * j) for j in range(len(out), n))
+    return out
 
 
 # -- Bernoulli numbers -------------------------------------------------------

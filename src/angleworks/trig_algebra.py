@@ -347,15 +347,38 @@ def inner_tan_antiderivative(alpha: int) -> TanPoly:
     return TanPoly(coeffs)
 
 
-def _poly_power(p: dict[int, Fraction], j: int) -> dict[int, Fraction]:
-    out = {0: Fraction(1)}
-    for _ in range(j):
-        nxt: dict[int, Fraction] = {}
-        for e1, c1 in out.items():
-            for e2, c2 in p.items():
-                nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
-        out = nxt
-    return out
+@lru_cache(maxsize=None)
+def _tan_powers(alpha: int) -> list[dict[int, Fraction]]:
+    return [{0: Fraction(1)}]
+
+
+def _tan_power(alpha: int, j: int) -> dict[int, Fraction]:
+    """T^j as {power of tan x: coefficient}, T = inner_tan_antiderivative(alpha).
+
+    The powers of one alpha are kept in one list, each built from the one
+    before it, and shared by every k and n."""
+    powers = _tan_powers(alpha)
+    if len(powers) <= j:
+        T = inner_tan_antiderivative(alpha).as_dict()
+        while len(powers) <= j:
+            nxt: dict[int, Fraction] = {}
+            for e1, c1 in powers[-1].items():
+                for e2, c2 in T.items():
+                    nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
+            powers.append(nxt)
+    return powers[j]
+
+
+@lru_cache(maxsize=None)
+def _tan_moment(alpha: int, q: int, j: int) -> PiNumber:
+    """The integral over [-pi/2, pi/2] of (c T(tan x))^j cos^q x, with
+    c = c_beta(alpha - 1): term j of every entry of a case-iii row."""
+    acc = PiNumber.zero()
+    for p, cp in _tan_power(alpha, j).items():
+        if p > q:
+            raise DomainError("tangent power exceeds available cosine power")
+        acc = acc + cp * sin_cos_integral(p, q - p)
+    return (c_beta(alpha - 1) ** j) * acc
 
 
 @lru_cache(maxsize=None)
@@ -382,21 +405,12 @@ def bJ_exact_case_iii(n: int, k: int, alpha: int) -> PiNumber:
         raise DomainError(f"alpha >= n-3 required (alpha={alpha}, n={n})")
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
-    T = inner_tan_antiderivative(alpha).as_dict()
-    c = c_beta(alpha - 1)
     m = n - k
-    q_total = alpha * n + 1
     real = PiNumber.zero()
     imag = PiNumber.zero()
     for j in range(m + 1):
-        tj = _poly_power(T, j)
-        acc = PiNumber.zero()
-        for p, cp in tj.items():
-            if p > q_total:
-                raise DomainError("tangent power exceeds available cosine power")
-            acc = acc + cp * sin_cos_integral(p, q_total - p)
         weight = Fraction(math.comb(m, j), 2 ** (m - j))
-        contrib = (c ** j) * acc * weight
+        contrib = _tan_moment(alpha, alpha * n + 1, j) * weight
         if j % 2 == 0:
             real = real + Fraction((-1) ** (j // 2)) * contrib
         else:

@@ -30,7 +30,6 @@ from angleworks.series_kernel import cos_power, int_power, multiply, residue, si
 from angleworks.verify import (
     _NUMERIC_GRID,
     _NUMERIC_GRID_TILDE,
-    crosscheck_suite,
     relations_suite,
 )
 

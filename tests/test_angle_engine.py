@@ -2,7 +2,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from angleworks import series_kernel
 from angleworks.angle_engine import (
     ParityError,
     angle_table,
@@ -21,10 +23,41 @@ from angleworks.angle_engine import (
     rm_value,
 )
 from angleworks.exact_scalars import DomainError, PiNumber, c_tilde_beta, gamma_half
+from angleworks.series_kernel import (
+    LaurentSeries,
+    antiderivative_from_zero,
+    int_power,
+    multiply,
+    sin_power,
+)
 from angleworks.trig_algebra import external_bI, external_bI_tilde
 
 GOLDEN_5_1_M1 = PiNumber({-4: F(539, 288), 0: F(-1, 6)})
 GOLDEN_5_1_0 = PiNumber({-4: F(1692197, 846720), 0: F(-1, 6)})
+
+
+def _residue_rational_laurent(a: int, p: int, q: int) -> F:
+    """Reference: the residue from full Laurent series in x."""
+    if a < 0 or p < 0 or q < 1:
+        raise DomainError(f"invalid residue parameters a={a}, p={p}, q={q}")
+    val = p * (a + 1) - q
+    if val > -1:
+        return F(0)
+    rel = (-1) - val + 2  # reach x^{-1} plus two safety terms
+    if p == 0:
+        num: LaurentSeries = series_kernel.ONE
+    else:
+        num = int_power(antiderivative_from_zero(sin_power(a, a + rel)), p)
+    den = int_power(sin_power(1, 1 + rel), -q)
+    return series_kernel.residue(multiply(num, den))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 12), st.integers(0, 8), st.integers(1, 80))
+def test_residue_rational_matches_laurent_reference(a, p, q):
+    value = residue_rational(a, p, q)
+    assert type(value) is F
+    assert value == _residue_rational_laurent(a, p, q)
 
 
 def test_residue_rational_examples():

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from angleworks.angle_engine import angle_table, bJ_exact
 from angleworks.exact_scalars import (
     DomainError,
     PiNumber,
     c_beta,
     c_tilde_beta,
+    exact_scaled,
     format_pinumber,
     gamma_half,
     normalizing_constant,
@@ -15,6 +18,11 @@ from angleworks.exact_scalars import (
     pinumber_from_json,
     pinumber_to_json,
     to_decimal,
+)
+from angleworks.polytope_engine import (
+    beta_polytope_fvector,
+    betaprime_polytope_fvector,
+    poisson_polytope_fvector,
 )
 
 
@@ -160,3 +168,31 @@ def test_json_round_trip():
     data = pinumber_to_json(x)
     assert all(set(d) == {"half_exp", "num", "den"} for d in data)
     assert pinumber_from_json(data) == x
+
+
+def test_to_float_survives_cancellation():
+    # the terms of this value cancel about eight leading digits
+    x = bJ_exact(14, 2, -1)
+    ref = x.evaluate(60)
+    assert abs(x.to_float() - ref) <= 1e-15 * abs(ref)
+    assert PiNumber.zero().to_float() == 0.0
+    assert PiNumber.pi_power(2).to_float() == math.pi
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: exact_scaled(v),
+        lambda v: angle_table("beta", 4, v),
+        lambda v: angle_table("betaprime", 4, v),
+        lambda v: beta_polytope_fvector(5, 3, v),
+        lambda v: betaprime_polytope_fvector(5, 3, v),
+        lambda v: poisson_polytope_fvector(3, v),
+    ],
+    ids=["exact_scaled", "angle_table-beta", "angle_table-betaprime", "beta_polytope",
+         "betaprime_polytope", "poisson_polytope"],
+)
+def test_non_finite_parameter_is_a_domain_error(call, value):
+    with pytest.raises(DomainError):
+        call(value)

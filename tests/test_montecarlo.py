@@ -8,7 +8,6 @@ import scipy.stats
 from angleworks.angle_engine import bJtilde_exact
 from angleworks.exact_scalars import DomainError
 from angleworks.montecarlo import (
-    McEstimate,
     _rng,
     _sample_beta,
     _sample_betaprime,

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from angleworks.exact_scalars import DomainError, PiNumber
 from angleworks.polytope_engine import (
@@ -18,10 +19,12 @@ from angleworks.polytope_engine import (
     reitzner_sphere_residue,
     typical_voronoi_fvector,
     voronoi_residue_entry,
+    x_over_sin_coeff,
     zero_cell_entry_even,
     zero_cell_entry_product,
     zero_cell_fvector,
 )
+from angleworks.series_kernel import coefficient, int_power, sin_power
 
 PI2 = PiNumber.pi_power(4)
 
@@ -78,8 +81,16 @@ def test_zero_cell_product_equals_coefficient_form():
                 assert zero_cell_entry_even(d, ell) == zero_cell_entry_product(d, ell)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 20), st.integers(0, 30))
+def test_x_over_sin_coeff_matches_laurent_power(power, j):
+    # [x^j] (x / sin x)^power = [x^(j - power)] (sin x)^-power
+    want = coefficient(int_power(sin_power(1, j + 3), -power), j - power)
+    assert x_over_sin_coeff(power, j) == want
+
+
 def test_curious_combinatorial_identity():
-    from angleworks.polytope_engine import parity_product_coeff, x_over_sin_coeff
+    from angleworks.polytope_engine import parity_product_coeff
 
     for d in range(1, 13):
         for m in range(0, d + 1, 2):

@@ -1,13 +1,16 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from angleworks.exact_scalars import DomainError, PiNumber
 from angleworks.trig_algebra import (
     FourierPoly,
+    _tan_power,
     bJ_exact_case_iii,
     cos_power_fourier,
     external_bI,
@@ -58,12 +61,17 @@ def test_integrate_symmetric_examples():
     assert integrate_symmetric(x_sin) == PiNumber.from_rational(2)
 
 
+@functools.lru_cache(maxsize=None)
+def _float(c: PiNumber) -> float:
+    return c.to_float()
+
+
 def _evaluate_float(p: FourierPoly, x: float) -> float:
     """Float reference evaluation of a FourierPoly, term by term."""
     total = 0.0
     for (j, m, kind), c in p.terms.items():
         w = math.cos(m * x) if kind == "cos" else math.sin(m * x)
-        total += c.to_float() * x**j * w
+        total += _float(c) * x**j * w
     return total
 
 
@@ -129,7 +137,6 @@ def test_external_lB_closed_forms():
 def test_external_lB_non_integer_power_rejected():
     # non-integer alpha*kappa falls outside the Fourier algebra; the
     # quadrature module owns that case
-    from fractions import Fraction
     import angleworks.quadrature as Q
 
     with pytest.raises(DomainError):
@@ -181,6 +188,26 @@ def test_inner_tan_antiderivative():
     assert inner_tan_antiderivative(5).as_dict() == {1: F(1), 3: F(2, 3), 5: F(1, 5)}
     with pytest.raises(DomainError):
         inner_tan_antiderivative(2)
+
+
+def _poly_power(p: dict[int, F], j: int) -> dict[int, F]:
+    """Reference: p^j by j products from scratch."""
+    out = {0: F(1)}
+    for _ in range(j):
+        nxt: dict[int, F] = {}
+        for e1, c1 in out.items():
+            for e2, c2 in p.items():
+                nxt[e1 + e2] = nxt.get(e1 + e2, F(0)) + c1 * c2
+        out = nxt
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 8).map(lambda i: 2 * i + 1), st.integers(0, 12))
+def test_cached_tan_powers_match_naive_product(alpha, j):
+    # the cache of one alpha is read and grown in whatever order the examples come
+    T = inner_tan_antiderivative(alpha).as_dict()
+    assert _tan_power(alpha, j) == _poly_power(T, j)
 
 
 def test_sin_cos_integral():
