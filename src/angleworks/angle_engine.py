@@ -255,18 +255,24 @@ def bJtilde_exact(n: int, k: int, twice_beta: int) -> PiNumber:
 # -- numeric paths -------------------------------------------------------------
 
 
+def _check_numeric_beta(family: str, n: int, beta: float) -> None:
+    exact_scaled(beta)  # a NaN or infinite beta raises DomainError
+    if family == "beta" and beta < -1:
+        raise DomainError("beta >= -1 required")
+    if family == "betaprime" and beta <= (n - 1) / 2:
+        raise DomainError("beta > (n-1)/2 required")
+
+
 def bJ_numeric(n: int, k: int, beta: float) -> float:
     """Quadrature evaluation of bold-J_{n,k}(beta) for real beta >= -1."""
-    if beta < -1:
-        raise DomainError("beta >= -1 required")
+    _check_numeric_beta("beta", n, beta)
     alpha = 2.0 * beta + n - 1
     return quadrature.outer_integral(n, k, alpha, "beta").value
 
 
 def bJtilde_numeric(n: int, k: int, beta: float) -> float:
     """Quadrature evaluation of bold-J~_{n,k}(beta) for real beta > (n-1)/2."""
-    if beta <= (n - 1) / 2:
-        raise DomainError("beta > (n-1)/2 required")
+    _check_numeric_beta("betaprime", n, beta)
     alpha = 2.0 * beta - n + 1
     return quadrature.outer_integral(n, k, alpha, "betaprime").value
 
@@ -364,6 +370,12 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
         row = _bJ_row(n, tb) if family == "beta" else _bJtilde_row(n, tb)
         return AngleTable(family, n, Fraction(beta), row)
     b = float(beta)
+    _check_numeric_beta(family, n, b)
     fn = bJ_numeric if family == "beta" else bJtilde_numeric
-    entries = tuple((fn(n, k, b), "numeric") for k in range(1, n + 1))
+    # every simplex has J_{n,n} = 1 (itself) and J_{n,n-1} = n/2 (n facets,
+    # each of internal angle 1/2), so these two entries need no quadrature
+    closed = {n - 1: n / 2, n: 1.0}
+    entries = tuple(
+        (closed[k] if k in closed else fn(n, k, b), "numeric") for k in range(1, n + 1)
+    )
     return AngleTable(family, n, b, entries)

@@ -1,264 +1,173 @@
-"""Exact closed-form integration over [-pi/2, pi/2].
+"""Exact closed-form integration of trigonometric polynomials.
 
-``FourierPoly`` is the algebra of finite sums q * x^j * cos(mx) (or sin);
-product-to-sum identities keep it closed under multiplication.  The
-coefficients live in Q[pi^(1/2), pi^(-1/2)] so that the constant of the
-cumulative antiderivative (which picks up powers of pi/2) stays inside
-the same object.
+Every expected external angle sum of a beta or beta' simplex with an
+integer concentration parameter is a kernel integral over [-pi/2, pi/2] of
+cos^c x * F(x)^r, F(x) the integral of cos^f from -pi/2 to x.  The
+substitution u = x + pi/2 turns cos x into sin u and F into
+G(u) = integral_0^u sin^f, so the kernel is the integral over [0, pi] of
+sin^c(u) G(u)^r.  In u every term q * u^j * cos(mu) (or sin) has a
+rational q: sin^f u is linearised by the binomial formula and G is c0 u
+plus a sine polynomial (even f) or a constant minus a cosine polynomial
+(odd f).  Products stay rational by the product-to-sum identities, and
+they run on integer numerators over one common denominator.  pi enters
+only at the end, through the moments integral_0^pi u^j cos(mu) du and
+integral_0^pi u^j sin(mu) du, which are polynomials in pi.
 
-On top of that algebra this module evaluates the expected external angle
-sums of beta and beta' simplices exactly for integer concentration
-parameters, and the tangent-polynomial route for the one parity case
+The module also holds the tangent-polynomial route for the one parity case
 whose internal angles are not reachable by residues.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact_scalars import (
     DomainError,
     PiNumber,
-    Rational,
     c_beta,
     c_tilde_beta,
     gamma_half,
 )
 
-Key = tuple[int, int, str]  # (x-power j, frequency m, "cos" | "sin")
+Key = tuple[int, int, str]  # (u-power j, frequency m, "cos" | "sin")
+Terms = dict[Key, int]  # numerators of coeff * u^j * cos(mu) or sin(mu)
+Scaled = tuple[Terms, int]  # (numerators, their one common denominator)
 
 
-class FourierPoly:
-    """Finite sum of terms  coeff * x^j * cos(mx)/sin(mx)."""
+def _product(a: Terms, b: Terms) -> Terms:
+    """The numerators of 2 a b by the product-to-sum rules (doubled so that
+    they stay integers), frequencies kept nonnegative."""
+    out: Terms = {}
+    get = out.get
+    for (j1, m1, k1), c1 in a.items():
+        for (j2, m2, k2), c2 in b.items():
+            j = j1 + j2
+            c = c1 * c2
+            if k1 == k2:
+                if k1 == "cos" and (m1 == 0 or m2 == 0):
+                    key = (j, m1 + m2, "cos")
+                    out[key] = get(key, 0) + 2 * c
+                    continue
+                key = (j, abs(m1 - m2), "cos")
+                out[key] = get(key, 0) + c
+                key = (j, m1 + m2, "cos")
+                out[key] = get(key, 0) + (c if k1 == "cos" else -c)
+                continue
+            ms, mc = (m1, m2) if k1 == "sin" else (m2, m1)
+            if mc == 0:
+                key = (j, ms, "sin")
+                out[key] = get(key, 0) + 2 * c
+                continue
+            key = (j, ms + mc, "sin")
+            out[key] = get(key, 0) + c
+            if ms != mc:
+                key = (j, abs(ms - mc), "sin")
+                out[key] = get(key, 0) + (c if ms > mc else -c)
+    return {key: c for key, c in out.items() if c}
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Key, PiNumber] | None = None):
-        self.terms: dict[Key, PiNumber] = {}
-        if terms:
-            for key, c in terms.items():
-                self._accumulate(key, c)
+def _reduced(terms: Terms, den: int) -> Scaled:
+    g = math.gcd(den, *terms.values())
+    return {key: c // g for key, c in terms.items()}, den // g
 
-    def _accumulate(self, key: Key, coeff: PiNumber) -> None:
-        j, m, kind = key
-        if coeff.is_zero():
-            return
-        if m < 0:
-            m = -m
-            if kind == "sin":
-                coeff = -coeff
-        if m == 0 and kind == "sin":
-            return
-        key = (j, m, "cos" if m == 0 else kind)
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(key, None)
+
+@lru_cache(maxsize=None)
+def _sin_power(f: int) -> Scaled:
+    """sin^f u linearised by the binomial formula over the denominator 2^f:
+    cosines at frequencies f, f - 2, ..., 0 for even f, sines for odd f."""
+    if f < 0:
+        raise DomainError("sin power must be nonnegative")
+    kind = "cos" if f % 2 == 0 else "sin"
+    terms = {
+        (0, f - 2 * i, kind): (-1) ** (f // 2 + i) * 2 * math.comb(f, i)
+        for i in range((f + 1) // 2)
+    }
+    if f % 2 == 0:
+        terms[(0, 0, "cos")] = math.comb(f, f // 2)
+    return terms, 2**f
+
+
+def _G(f: int) -> Scaled:
+    """G(u), the integral of sin^f from 0 to u: c0 u plus a sine polynomial
+    for even f, a constant minus a cosine polynomial for odd f."""
+    sin_f, den = _sin_power(f)
+    L = math.lcm(*range(1, f + 1))
+    G: Terms = {}
+    for (_, m, kind), c in sin_f.items():
+        if m == 0:
+            G[(1, 0, "cos")] = c * L
+        elif kind == "cos":
+            G[(0, m, "sin")] = c * L // m
         else:
-            self.terms[key] = new
-
-    @classmethod
-    def constant(cls, c: PiNumber | Fraction | int) -> "FourierPoly":
-        return cls.x_power(0, c)
-
-    @classmethod
-    def x_power(cls, j: int, c: PiNumber | Fraction | int = 1) -> "FourierPoly":
-        if not isinstance(c, PiNumber):
-            c = PiNumber.from_rational(c)
-        return cls({(j, 0, "cos"): c})
-
-    @classmethod
-    def wave(cls, m: int, kind: str, c: PiNumber | Fraction | int = 1) -> "FourierPoly":
-        if not isinstance(c, PiNumber):
-            c = PiNumber.from_rational(c)
-        return cls({(0, m, kind): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FourierPoly") -> "FourierPoly":
-        out = FourierPoly(self.terms)
-        for key, c in other.terms.items():
-            out._accumulate(key, c)
-        return out
-
-    def __neg__(self) -> "FourierPoly":
-        return FourierPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "FourierPoly") -> "FourierPoly":
-        return self + (-other)
-
-    def scaled(self, c: PiNumber | Fraction | int) -> "FourierPoly":
-        if not isinstance(c, PiNumber):
-            c = PiNumber.from_rational(c)
-        return FourierPoly({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "FourierPoly") -> "FourierPoly":
-        half = Fraction(1, 2)
-        out = FourierPoly()
-        for (j1, m1, k1), c1 in self.terms.items():
-            for (j2, m2, k2), c2 in other.terms.items():
-                j = j1 + j2
-                c = c1 * c2
-                ch = c * half
-                if k1 == "cos" and k2 == "cos":
-                    if m1 == 0 or m2 == 0:
-                        out._accumulate((j, m1 + m2, "cos"), c)
-                    else:
-                        out._accumulate((j, m1 - m2, "cos"), ch)
-                        out._accumulate((j, m1 + m2, "cos"), ch)
-                elif k1 == "sin" and k2 == "sin":
-                    out._accumulate((j, m1 - m2, "cos"), ch)
-                    out._accumulate((j, m1 + m2, "cos"), -ch)
-                else:
-                    # one sin, one cos; let (ms, mc) be their frequencies
-                    ms, mc = (m1, m2) if k1 == "sin" else (m2, m1)
-                    if mc == 0:
-                        out._accumulate((j, ms, "sin"), c)
-                    else:
-                        out._accumulate((j, ms + mc, "sin"), ch)
-                        out._accumulate((j, ms - mc, "sin"), ch)
-        return out
-
-    def __pow__(self, p: int) -> "FourierPoly":
-        if p < 0:
-            raise DomainError("FourierPoly powers must be nonnegative")
-        result = FourierPoly.constant(1)
-        base = self
-        while p:
-            if p & 1:
-                result = result * base
-            p >>= 1
-            if p:
-                base = base * base
-        return result
-
-    def __repr__(self) -> str:
-        return f"FourierPoly({self.terms!r})"
-
-
-def _half_pi_power(j: int) -> PiNumber:
-    """(pi/2)^j as an exact PiNumber."""
-    return PiNumber.pi_power(2 * j, Fraction(1, 2**j))
-
-
-def _cos_sin_at_minus_half_pi(m: int, kind: str) -> Fraction:
-    """cos(-m pi/2) or sin(-m pi/2), in {0, +-1}."""
-    r = m % 4
-    if kind == "cos":
-        return Fraction([1, 0, -1, 0][r])
-    return Fraction([0, -1, 0, 1][r])
-
-
-def evaluate_at_minus_half_pi(p: FourierPoly) -> PiNumber:
-    """Exact value of p at x = -pi/2."""
-    total = PiNumber.zero()
-    for (j, m, kind), c in p.terms.items():
-        w = _cos_sin_at_minus_half_pi(m, kind)
-        if w == 0:
-            continue
-        sign = Fraction((-1) ** (j % 2))
-        total = total + c * _half_pi_power(j) * (w * sign)
-    return total
+            G[(0, m, "cos")] = -c * L // m
+            G[(0, 0, "cos")] = G.get((0, 0, "cos"), 0) + c * L // m
+    return _reduced(G, den * L)
 
 
 @lru_cache(maxsize=None)
-def cos_power_fourier(a: int) -> FourierPoly:
-    """cos^a x linearized as a cosine polynomial with frequencies <= a."""
-    if a < 0:
-        raise DomainError("cos power must be nonnegative")
-    p = FourierPoly.constant(1)
-    cosx = FourierPoly.wave(1, "cos")
-    for _ in range(a):
-        p = p * cosx
-    return p
+def _G_powers(f: int) -> list[Scaled]:
+    return [({(0, 0, "cos"): 1}, 1)]
 
 
-def _raw_antiderivative(key: Key) -> FourierPoly:
-    """Antiderivative of x^j cos(mx) / x^j sin(mx), no constant of integration."""
-    j, m, kind = key
-    if m == 0:
-        return FourierPoly.x_power(j + 1, Fraction(1, j + 1))
-    inv_m = Fraction(1, m)
-    if kind == "cos":
-        out = FourierPoly({(j, m, "sin"): PiNumber.from_rational(inv_m)})
-        if j > 0:
-            out = out - _raw_antiderivative((j - 1, m, "sin")).scaled(j * inv_m)
-    else:
-        out = FourierPoly({(j, m, "cos"): PiNumber.from_rational(-inv_m)})
-        if j > 0:
-            out = out + _raw_antiderivative((j - 1, m, "cos")).scaled(j * inv_m)
-    return out
-
-
-def fourier_antiderivative(p: FourierPoly) -> FourierPoly:
-    """Antiderivative of p vanishing at x = -pi/2.
-
-    The constant of integration (a polynomial in pi/2) is carried as the
-    constant term of the returned FourierPoly.
-    """
-    raw = FourierPoly()
-    for key, c in p.terms.items():
-        raw = raw + _raw_antiderivative(key).scaled(c)
-    const = evaluate_at_minus_half_pi(raw)
-    return raw + FourierPoly.constant(-const)
+def _G_power(f: int, r: int) -> Scaled:
+    """G^r for G = ``_G(f)``.  The powers of one f are kept in one list,
+    each built from the one before it; the beta' F~ of alpha is G of
+    alpha - 1, so both families share it."""
+    powers = _G_powers(f)
+    if len(powers) <= r:
+        b, db = _G(f)
+        while len(powers) <= r:
+            a, da = powers[-1]
+            powers.append(_reduced(_product(a, b), 2 * da * db))
+    return powers[r]
 
 
 @lru_cache(maxsize=None)
-def _base_integral(j: int, m: int, kind: str) -> PiNumber:
-    """Exact integral of x^j cos(mx) / x^j sin(mx) over [-pi/2, pi/2]."""
-    if m == 0:
-        if kind == "sin" or j % 2 == 1:
-            return PiNumber.zero()
-        return _half_pi_power(j + 1) * Fraction(2, j + 1)
-    if kind == "cos":
-        if j % 2 == 1:
-            return PiNumber.zero()
-        # [x^j sin(mx)/m] at +-pi/2: even j gives 2 (pi/2)^j sin(m pi/2)/m
-        boundary = _half_pi_power(j) * Fraction(2, m) * (-_cos_sin_at_minus_half_pi(m, "sin"))
+def _moment(j: int, m: int, kind: str) -> dict[int, int]:
+    """m^(j+1) times the integral of u^j cos(mu) or u^j sin(mu) over
+    [0, pi] (m >= 1), as {power of pi: integer}, by integration by parts."""
+    if kind == "cos":  # [u^j sin(mu) / m] vanishes at 0 and pi
         if j == 0:
-            return boundary
-        return boundary - _base_integral(j - 1, m, "sin") * Fraction(j, m)
-    # kind == "sin"
-    if j % 2 == 0:
-        return PiNumber.zero()
-    boundary = _half_pi_power(j) * Fraction(-2, m) * _cos_sin_at_minus_half_pi(m, "cos")
-    return boundary + _base_integral(j - 1, m, "cos") * Fraction(j, m)
-
-
-def integrate_symmetric(p: FourierPoly) -> PiNumber:
-    """Exact integral of p over [-pi/2, pi/2]."""
-    total = PiNumber.zero()
-    for (j, m, kind), c in p.terms.items():
-        base = _base_integral(j, m, kind)
-        if not base.is_zero():
-            total = total + c * base
-    return total
-
-
-# -- external-angle quantities ----------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _F_power(cos_exponent: int, r: int) -> FourierPoly:
-    """F^r, where F(x) is the integral of cos^cos_exponent from -pi/2 to x.
-
-    The beta' function F~ of parameter alpha is F of alpha - 1, so both
-    families share this one cache."""
-    if r == 0:
-        return FourierPoly.constant(1)
-    if r == 1:
-        return fourier_antiderivative(cos_power_fourier(cos_exponent))
-    return _F_power(cos_exponent, r - 1) * _F_power(cos_exponent, 1)
+            return {}
+        return {p: -j * q for p, q in _moment(j - 1, m, "sin").items()}
+    sign = (-1) ** m
+    if j == 0:
+        return {0: 1 - sign} if sign < 0 else {}
+    out = {p: j * q for p, q in _moment(j - 1, m, "cos").items()}
+    out[j] = out.get(j, 0) - sign * m**j
+    return {p: q for p, q in out.items() if q}
 
 
 def _cos_F_integral(cos_exponent: int, f_exponent: int, r: int) -> PiNumber:
     """The one external-angle kernel: the integral over [-pi/2, pi/2] of
-    cos^cos_exponent * F^r, F the integral of cos^f_exponent from -pi/2."""
-    return integrate_symmetric(cos_power_fourier(cos_exponent) * _F_power(f_exponent, r))
+    cos^cos_exponent * F^r, F the integral of cos^f_exponent from -pi/2.
+
+    In u = x + pi/2 it is the integral over [0, pi] of sin^cos_exponent * G^r.
+    The terms of each frequency m are summed as integers over m^(J+1), J the
+    highest power of u, so a Fraction is formed once per (m, power of pi)."""
+    (s, ds), (g, dg) = _sin_power(cos_exponent), _G_power(f_exponent, r)
+    terms = _product(s, g)
+    J = max(j for j, _, _ in terms)
+    total: dict[int, Fraction] = {}  # power of pi -> coefficient
+    by_m: dict[int, dict[int, int]] = {}
+    for (j, m, kind), c in terms.items():
+        if m == 0:  # only cosines have frequency 0
+            total[j + 1] = total.get(j + 1, 0) + Fraction(c, j + 1)
+            continue
+        acc = by_m.setdefault(m, {})
+        c *= m ** (J - j)
+        for p, q in _moment(j, m, kind).items():
+            acc[p] = acc.get(p, 0) + c * q
+    for m, acc in by_m.items():
+        for p, q in acc.items():
+            total[p] = total.get(p, 0) + Fraction(q, m ** (J + 1))
+    den = 2 * ds * dg
+    return PiNumber({2 * p: q / den for p, q in total.items()})
+
+
+# -- external-angle quantities ----------------------------------------------
 
 
 def _external_lB(nu, kappa, alpha: int, shift: int) -> PiNumber:
@@ -323,28 +232,16 @@ def external_bI_tilde(n: int, k: int, alpha: int) -> PiNumber:
 # -- tangent-polynomial route (internal angles, alpha odd / n even) ----------
 
 
-@dataclass(frozen=True)
-class TanPoly:
-    """Odd polynomial in t = tan x with rational coefficients."""
-
-    coeffs: tuple[tuple[int, Rational], ...]  # (power, coefficient), powers odd
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
-
-def inner_tan_antiderivative(alpha: int) -> TanPoly:
+def inner_tan_antiderivative(alpha: int) -> dict[int, Fraction]:
     """The odd polynomial T with  integral_0^x (cos y)^(-alpha-1) dy = T(tan x),
-    for odd alpha (so the integrand is an even power of sec)."""
+    for odd alpha (so the integrand is an even power of sec), as
+    {power of tan x: coefficient}."""
     if alpha < 1 or alpha % 2 == 0:
         raise DomainError(
             "inner tangent antiderivative needs odd alpha (even alpha is logarithmic)"
         )
     s = (alpha + 1) // 2  # integrand = sec^{2s} = (1+t^2)^{s-1} dt
-    coeffs = tuple(
-        (2 * i + 1, Fraction(math.comb(s - 1, i), 2 * i + 1)) for i in range(s)
-    )
-    return TanPoly(coeffs)
+    return {2 * i + 1: Fraction(math.comb(s - 1, i), 2 * i + 1) for i in range(s)}
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +256,7 @@ def _tan_power(alpha: int, j: int) -> dict[int, Fraction]:
     before it, and shared by every k and n."""
     powers = _tan_powers(alpha)
     if len(powers) <= j:
-        T = inner_tan_antiderivative(alpha).as_dict()
+        T = inner_tan_antiderivative(alpha)
         while len(powers) <= j:
             nxt: dict[int, Fraction] = {}
             for e1, c1 in powers[-1].items():

@@ -208,6 +208,34 @@ def test_bJ_numeric_examples():
         bJtilde_numeric(4, 1, 1.5)
 
 
+@pytest.mark.parametrize("fn, n, k, beta", [
+    (bJ_numeric, 4, 1, math.nan),
+    (bJ_numeric, 4, 1, math.inf),
+    (bJtilde_numeric, 4, 2, math.inf),
+    (bJtilde_numeric, 4, 2, math.nan),
+])
+def test_numeric_non_finite_beta_is_a_domain_error(fn, n, k, beta):
+    with pytest.raises(DomainError):
+        fn(n, k, beta)
+
+
+@pytest.mark.parametrize("family, beta", [
+    ("beta", 0.3), ("beta", -0.9), ("beta", 2.7), ("betaprime", 0.2), ("betaprime", 1.3),
+])
+def test_numeric_rows_use_closed_last_entries(family, beta):
+    # J_{n,n} = 1 and J_{n,n-1} = n/2 exactly, not to quadrature accuracy
+    for n in range(2, 9):
+        b = beta + (n - 1) / 2 if family == "betaprime" else beta
+        t = angle_table(family, n, b)
+        assert t.value(n) == 1.0
+        assert t.value(n - 1) == n / 2
+        assert {t.provenance(k) for k in range(1, n + 1)} == {"numeric"}
+    with pytest.raises(DomainError):
+        angle_table("beta", 2, -1.5)
+    with pytest.raises(DomainError):
+        angle_table("betaprime", 2, 0.5)
+
+
 def test_lA_residue_diagonals():
     for alpha in (1, 2, 3, 4, 5):
         for knum in range(1, 7):

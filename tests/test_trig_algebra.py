@@ -1,30 +1,261 @@
-import functools
 import math
 import random
-from fractions import Fraction as F
+from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from angleworks.exact_scalars import DomainError, PiNumber
+from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from angleworks.trig_algebra import (
-    FourierPoly,
+    _cos_F_integral,
+    _moment,
     _tan_power,
     bJ_exact_case_iii,
-    cos_power_fourier,
     external_bI,
     external_bI_tilde,
     external_lB,
     external_lB_tilde,
-    fourier_antiderivative,
     inner_tan_antiderivative,
-    integrate_symmetric,
     sin_cos_integral,
 )
 
+F = Fraction
 PI = PiNumber.pi_power(2)
 HALF_PI = PiNumber.pi_power(2, F(1, 2))
+
+
+# -- reference: the Fourier algebra over [-pi/2, pi/2] with PiNumber
+# coefficients that computed the external-angle kernel before the rational
+# kernel in u = x + pi/2 replaced it ---------------------------------------
+
+Key = tuple[int, int, str]  # (x-power j, frequency m, "cos" | "sin")
+
+
+class FourierPoly:
+    """Finite sum of terms  coeff * x^j * cos(mx)/sin(mx)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Key, PiNumber] | None = None):
+        self.terms: dict[Key, PiNumber] = {}
+        if terms:
+            for key, c in terms.items():
+                self._accumulate(key, c)
+
+    def _accumulate(self, key: Key, coeff: PiNumber) -> None:
+        j, m, kind = key
+        if coeff.is_zero():
+            return
+        if m < 0:
+            m = -m
+            if kind == "sin":
+                coeff = -coeff
+        if m == 0 and kind == "sin":
+            return
+        key = (j, m, "cos" if m == 0 else kind)
+        cur = self.terms.get(key)
+        new = coeff if cur is None else cur + coeff
+        if new.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = new
+
+    @classmethod
+    def constant(cls, c: PiNumber | Fraction | int) -> "FourierPoly":
+        return cls.x_power(0, c)
+
+    @classmethod
+    def x_power(cls, j: int, c: PiNumber | Fraction | int = 1) -> "FourierPoly":
+        if not isinstance(c, PiNumber):
+            c = PiNumber.from_rational(c)
+        return cls({(j, 0, "cos"): c})
+
+    @classmethod
+    def wave(cls, m: int, kind: str, c: PiNumber | Fraction | int = 1) -> "FourierPoly":
+        if not isinstance(c, PiNumber):
+            c = PiNumber.from_rational(c)
+        return cls({(0, m, kind): c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "FourierPoly") -> "FourierPoly":
+        out = FourierPoly(self.terms)
+        for key, c in other.terms.items():
+            out._accumulate(key, c)
+        return out
+
+    def __neg__(self) -> "FourierPoly":
+        return FourierPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "FourierPoly") -> "FourierPoly":
+        return self + (-other)
+
+    def scaled(self, c: PiNumber | Fraction | int) -> "FourierPoly":
+        if not isinstance(c, PiNumber):
+            c = PiNumber.from_rational(c)
+        return FourierPoly({k: v * c for k, v in self.terms.items()})
+
+    def __mul__(self, other: "FourierPoly") -> "FourierPoly":
+        half = Fraction(1, 2)
+        out = FourierPoly()
+        for (j1, m1, k1), c1 in self.terms.items():
+            for (j2, m2, k2), c2 in other.terms.items():
+                j = j1 + j2
+                c = c1 * c2
+                ch = c * half
+                if k1 == "cos" and k2 == "cos":
+                    if m1 == 0 or m2 == 0:
+                        out._accumulate((j, m1 + m2, "cos"), c)
+                    else:
+                        out._accumulate((j, m1 - m2, "cos"), ch)
+                        out._accumulate((j, m1 + m2, "cos"), ch)
+                elif k1 == "sin" and k2 == "sin":
+                    out._accumulate((j, m1 - m2, "cos"), ch)
+                    out._accumulate((j, m1 + m2, "cos"), -ch)
+                else:
+                    # one sin, one cos; let (ms, mc) be their frequencies
+                    ms, mc = (m1, m2) if k1 == "sin" else (m2, m1)
+                    if mc == 0:
+                        out._accumulate((j, ms, "sin"), c)
+                    else:
+                        out._accumulate((j, ms + mc, "sin"), ch)
+                        out._accumulate((j, ms - mc, "sin"), ch)
+        return out
+
+    def __pow__(self, p: int) -> "FourierPoly":
+        if p < 0:
+            raise DomainError("FourierPoly powers must be nonnegative")
+        result = FourierPoly.constant(1)
+        base = self
+        while p:
+            if p & 1:
+                result = result * base
+            p >>= 1
+            if p:
+                base = base * base
+        return result
+
+    def __repr__(self) -> str:
+        return f"FourierPoly({self.terms!r})"
+
+
+def _half_pi_power(j: int) -> PiNumber:
+    """(pi/2)^j as an exact PiNumber."""
+    return PiNumber.pi_power(2 * j, Fraction(1, 2**j))
+
+
+def _cos_sin_at_minus_half_pi(m: int, kind: str) -> Fraction:
+    """cos(-m pi/2) or sin(-m pi/2), in {0, +-1}."""
+    r = m % 4
+    if kind == "cos":
+        return Fraction([1, 0, -1, 0][r])
+    return Fraction([0, -1, 0, 1][r])
+
+
+def evaluate_at_minus_half_pi(p: FourierPoly) -> PiNumber:
+    """Exact value of p at x = -pi/2."""
+    total = PiNumber.zero()
+    for (j, m, kind), c in p.terms.items():
+        w = _cos_sin_at_minus_half_pi(m, kind)
+        if w == 0:
+            continue
+        sign = Fraction((-1) ** (j % 2))
+        total = total + c * _half_pi_power(j) * (w * sign)
+    return total
+
+
+@lru_cache(maxsize=None)
+def cos_power_fourier(a: int) -> FourierPoly:
+    """cos^a x linearized as a cosine polynomial with frequencies <= a."""
+    if a < 0:
+        raise DomainError("cos power must be nonnegative")
+    p = FourierPoly.constant(1)
+    cosx = FourierPoly.wave(1, "cos")
+    for _ in range(a):
+        p = p * cosx
+    return p
+
+
+def _raw_antiderivative(key: Key) -> FourierPoly:
+    """Antiderivative of x^j cos(mx) / x^j sin(mx), no constant of integration."""
+    j, m, kind = key
+    if m == 0:
+        return FourierPoly.x_power(j + 1, Fraction(1, j + 1))
+    inv_m = Fraction(1, m)
+    if kind == "cos":
+        out = FourierPoly({(j, m, "sin"): PiNumber.from_rational(inv_m)})
+        if j > 0:
+            out = out - _raw_antiderivative((j - 1, m, "sin")).scaled(j * inv_m)
+    else:
+        out = FourierPoly({(j, m, "cos"): PiNumber.from_rational(-inv_m)})
+        if j > 0:
+            out = out + _raw_antiderivative((j - 1, m, "cos")).scaled(j * inv_m)
+    return out
+
+
+def fourier_antiderivative(p: FourierPoly) -> FourierPoly:
+    """Antiderivative of p vanishing at x = -pi/2.
+
+    The constant of integration (a polynomial in pi/2) is carried as the
+    constant term of the returned FourierPoly.
+    """
+    raw = FourierPoly()
+    for key, c in p.terms.items():
+        raw = raw + _raw_antiderivative(key).scaled(c)
+    const = evaluate_at_minus_half_pi(raw)
+    return raw + FourierPoly.constant(-const)
+
+
+@lru_cache(maxsize=None)
+def _base_integral(j: int, m: int, kind: str) -> PiNumber:
+    """Exact integral of x^j cos(mx) / x^j sin(mx) over [-pi/2, pi/2]."""
+    if m == 0:
+        if kind == "sin" or j % 2 == 1:
+            return PiNumber.zero()
+        return _half_pi_power(j + 1) * Fraction(2, j + 1)
+    if kind == "cos":
+        if j % 2 == 1:
+            return PiNumber.zero()
+        # [x^j sin(mx)/m] at +-pi/2: even j gives 2 (pi/2)^j sin(m pi/2)/m
+        boundary = _half_pi_power(j) * Fraction(2, m) * (-_cos_sin_at_minus_half_pi(m, "sin"))
+        if j == 0:
+            return boundary
+        return boundary - _base_integral(j - 1, m, "sin") * Fraction(j, m)
+    # kind == "sin"
+    if j % 2 == 0:
+        return PiNumber.zero()
+    boundary = _half_pi_power(j) * Fraction(-2, m) * _cos_sin_at_minus_half_pi(m, "cos")
+    return boundary + _base_integral(j - 1, m, "cos") * Fraction(j, m)
+
+
+def integrate_symmetric(p: FourierPoly) -> PiNumber:
+    """Exact integral of p over [-pi/2, pi/2]."""
+    total = PiNumber.zero()
+    for (j, m, kind), c in p.terms.items():
+        base = _base_integral(j, m, kind)
+        if not base.is_zero():
+            total = total + c * base
+    return total
+
+
+@lru_cache(maxsize=None)
+def _F_power(cos_exponent: int, r: int) -> FourierPoly:
+    """F^r, where F(x) is the integral of cos^cos_exponent from -pi/2 to x.
+
+    The beta' function F~ of parameter alpha is F of alpha - 1, so both
+    families share this one cache."""
+    if r == 0:
+        return FourierPoly.constant(1)
+    if r == 1:
+        return fourier_antiderivative(cos_power_fourier(cos_exponent))
+    return _F_power(cos_exponent, r - 1) * _F_power(cos_exponent, 1)
+
+
+def _cos_F_integral_reference(cos_exponent: int, f_exponent: int, r: int) -> PiNumber:
+    return integrate_symmetric(cos_power_fourier(cos_exponent) * _F_power(f_exponent, r))
 
 
 def test_cos_power_examples():
@@ -61,7 +292,7 @@ def test_integrate_symmetric_examples():
     assert integrate_symmetric(x_sin) == PiNumber.from_rational(2)
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def _float(c: PiNumber) -> float:
     return c.to_float()
 
@@ -118,6 +349,38 @@ def test_odd_fourier_integrates_to_zero():
                     F(rng.randint(-5, 5), rng.randint(1, 4))
                 )
         assert integrate_symmetric(FourierPoly(terms)).is_zero()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 14), st.integers(0, 8), st.integers(0, 6))
+def test_rational_kernel_matches_fourier_reference(c, f, r):
+    assert _cos_F_integral(c, f, r) == _cos_F_integral_reference(c, f, r)
+
+
+def test_external_sums_match_fourier_reference():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            r = n - k
+            for alpha in range(0, 9):
+                want = (math.comb(n, k) * c_beta(alpha * k - 1) * c_beta(alpha - 1) ** r
+                        * _cos_F_integral_reference(alpha * k, alpha, r))
+                assert external_bI(n, k, alpha) == want, (n, k, alpha)
+            for alpha in range(1, 9):
+                want = (math.comb(n, k) * c_tilde_beta(alpha * k + 1) * c_tilde_beta(alpha + 1) ** r
+                        * _cos_F_integral_reference(alpha * k - 1, alpha - 1, r))
+                assert external_bI_tilde(n, k, alpha) == want, (n, k, alpha)
+
+
+@pytest.mark.parametrize("j, m, kind", [
+    (0, 1, "sin"), (0, 2, "sin"), (1, 1, "cos"), (1, 4, "sin"), (2, 3, "sin"),
+    (3, 2, "cos"), (4, 5, "sin"), (5, 4, "cos"), (6, 7, "cos"), (7, 6, "sin"),
+])
+def test_moments_against_quadrature(j, m, kind):
+    trig = mpmath.cos if kind == "cos" else mpmath.sin
+    with mpmath.workdps(40):
+        want = mpmath.quad(lambda u: u**j * trig(m * u), mpmath.linspace(0, mpmath.pi, m + 2))
+        got = sum(q * mpmath.pi**p for p, q in _moment(j, m, kind).items()) / mpmath.mpf(m) ** (j + 1)
+        assert abs(got - want) < mpmath.mpf(10) ** -30 * max(1, abs(want))
 
 
 def test_external_lB_closed_forms():
@@ -183,9 +446,9 @@ def test_lB_tilde_alpha2_closed_form():
 
 
 def test_inner_tan_antiderivative():
-    assert inner_tan_antiderivative(1).as_dict() == {1: F(1)}
-    assert inner_tan_antiderivative(3).as_dict() == {1: F(1), 3: F(1, 3)}
-    assert inner_tan_antiderivative(5).as_dict() == {1: F(1), 3: F(2, 3), 5: F(1, 5)}
+    assert inner_tan_antiderivative(1) == {1: F(1)}
+    assert inner_tan_antiderivative(3) == {1: F(1), 3: F(1, 3)}
+    assert inner_tan_antiderivative(5) == {1: F(1), 3: F(2, 3), 5: F(1, 5)}
     with pytest.raises(DomainError):
         inner_tan_antiderivative(2)
 
@@ -206,7 +469,7 @@ def _poly_power(p: dict[int, F], j: int) -> dict[int, F]:
 @given(st.integers(0, 8).map(lambda i: 2 * i + 1), st.integers(0, 12))
 def test_cached_tan_powers_match_naive_product(alpha, j):
     # the cache of one alpha is read and grown in whatever order the examples come
-    T = inner_tan_antiderivative(alpha).as_dict()
+    T = inner_tan_antiderivative(alpha)
     assert _tan_power(alpha, j) == _poly_power(T, j)
 
 
