@@ -261,6 +261,12 @@ def _check_numeric_beta(family: str, n: int, beta: float) -> None:
         raise DomainError("beta >= -1 required")
     if family == "betaprime" and beta <= (n - 1) / 2:
         raise DomainError("beta > (n-1)/2 required")
+    # the quadrature needs alpha*n > 1; rows with n <= 3 are all closed forms
+    if family == "betaprime" and n >= 4 and (2.0 * beta - n + 1) * n <= 1.0:
+        raise DomainError(
+            f"the numeric betaprime path needs beta > (n-1)/2 + 1/(2n) = "
+            f"{Fraction(n * n - n + 1, 2 * n)} for n = {n}"
+        )
 
 
 def bJ_numeric(n: int, k: int, beta: float) -> float:
@@ -373,8 +379,11 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
     _check_numeric_beta(family, n, b)
     fn = bJ_numeric if family == "beta" else bJtilde_numeric
     # every simplex has J_{n,n} = 1 (itself) and J_{n,n-1} = n/2 (n facets,
-    # each of internal angle 1/2), so these two entries need no quadrature
+    # each of internal angle 1/2), and a triangle's angles sum to pi, so
+    # J_{3,1} = 1/2: these entries need no quadrature
     closed = {n - 1: n / 2, n: 1.0}
+    if n == 3:
+        closed[1] = 0.5
     entries = tuple(
         (closed[k] if k in closed else fn(n, k, b), "numeric") for k in range(1, n + 1)
     )

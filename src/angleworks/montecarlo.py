@@ -7,9 +7,14 @@ trials in a fixed order, so results are bit-reproducible from
 The internal-angle estimator samples directions on the sphere and tests
 membership in the tangent cone at a face centroid.  After projecting out
 the face's tangent space the cone is simplicial (its generators are the
-projected non-face vertices), so membership is a single small linear
-solve with a nonnegativity check -- the closed-form resolution of the
-feasibility LP.
+projected non-face vertices), so membership is a nonnegativity check on the
+least-squares coordinates of a direction in those generators -- the
+closed-form resolution of the feasibility LP.  The simplices are drawn one
+at a time, in the order the seed fixes, and tested in blocks: per face
+subset, one stacked SVD gives the face bases of the whole block and one
+stacked solve (G^T G)^-1 G^T turns every direction of every simplex into
+its coordinates.  The planar estimators work on Python floats, whose
+arithmetic does not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -86,29 +91,30 @@ def _sample_betaprime(
 
 # -- internal angle sums -------------------------------------------------------
 
+_BLOCK = 64  # simplices per batched solve; bounds the (block, directions, d) arrays
 
-def _cone_fractions(pts: np.ndarray, k: int, dirs: np.ndarray) -> float:
-    """Sum over k-subsets of the fraction of directions inside the tangent
-    cone at the subset's centroid."""
-    n, d = pts.shape
-    if k == n:
-        return 1.0
-    total = 0.0
+
+def _cone_fraction_sums(pts: np.ndarray, k: int, dirs: np.ndarray) -> np.ndarray:
+    """For each simplex, the sum over k-subsets of its vertices (k < n) of the
+    fraction of its directions inside the tangent cone at the subset's
+    centroid.  ``pts`` is (S, n, d) and ``dirs`` is (S, directions, d)."""
+    n = pts.shape[1]
+    total = np.zeros(len(pts))
     for subset in itertools.combinations(range(n), k):
+        face = list(subset)
         rest = [i for i in range(n) if i not in subset]
-        z = pts[list(subset)].mean(axis=0)
-        G = (pts[rest] - z).T  # (d, n-k)
+        z = pts[:, face].mean(axis=1, keepdims=True)
+        G = pts[:, rest] - z  # (S, n-k, d): the generators, one per row
         if k > 1:
-            V = (pts[list(subset)] - z).T  # (d, k), rank k-1
+            V = (pts[:, face] - z).transpose(0, 2, 1)  # (S, d, k), rank k-1
             u, s, _ = np.linalg.svd(V, full_matrices=False)
-            basis = u[:, s > 1e-12 * max(s[0], 1e-300)]
-            G = G - basis @ (basis.T @ G)
-            U = dirs.T - basis @ (basis.T @ dirs.T)
-        else:
-            U = dirs.T
-        lam = np.linalg.solve(G.T @ G, G.T @ U)  # (n-k, ndirs)
-        feasible = np.all(lam >= -_FEAS_EPS, axis=0)
-        total += float(np.mean(feasible))
+            # zero the columns of negligible singular values instead of
+            # dropping them, so every simplex of the block keeps one shape
+            basis = u * (s > 1e-12 * np.maximum(s[:, :1], 1e-300))[:, None, :]
+            G = G - (G @ basis) @ basis.transpose(0, 2, 1)
+        # G is now orthogonal to the face, so the directions need no projection
+        lam = np.linalg.solve(G @ G.transpose(0, 2, 1), G) @ dirs.transpose(0, 2, 1)
+        total += np.mean(np.all(lam >= -_FEAS_EPS, axis=1), axis=1)
     return total
 
 
@@ -131,21 +137,29 @@ def mc_angle_sum(
         raise DomainError(f"unknown family {family!r}")
     rng = _rng(seed)
     d = n - 1
+    sample = _sample_beta if family == "beta" else _sample_betaprime
+    if k == n:
+        # a simplex is its own only n-face, so every sample is 1; the empty
+        # draw only checks beta against the family's range
+        sample(d, beta, 0, rng)
+        return _summarize(np.ones(simplices), seed)
     samples = np.empty(simplices)
-    for t in range(simplices):
-        for attempt in range(64):
-            if family == "beta":
-                pts = _sample_beta(d, beta, n, rng)
+    pts = np.empty((_BLOCK, n, d))
+    dirs = np.empty((_BLOCK, directions, d))
+    for start in range(0, simplices, _BLOCK):
+        size = min(_BLOCK, simplices - start)
+        for b in range(size):
+            for _ in range(64):
+                p = sample(d, beta, n, rng)
+                if abs(np.linalg.det(p[1:] - p[0])) > 1e-12:
+                    break
             else:
-                pts = _sample_betaprime(d, beta, n, rng)
-            edges = pts[1:] - pts[0]
-            if abs(np.linalg.det(edges)) > 1e-12:
-                break
-        else:
-            raise RuntimeError("could not sample a nondegenerate simplex")
-        dirs = rng.standard_normal((directions, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        samples[t] = _cone_fractions(pts, k, dirs)
+                raise RuntimeError("could not sample a nondegenerate simplex")
+            pts[b] = p
+            dirs[b] = rng.standard_normal((directions, d))
+        u = dirs[:size]
+        u /= np.linalg.norm(u, axis=2, keepdims=True)
+        samples[start : start + size] = _cone_fraction_sums(pts[:size], k, u)
     return _summarize(samples, seed)
 
 
@@ -155,7 +169,7 @@ def mc_angle_sum(
 def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
     """Vertices of the convex hull, counterclockwise (monotone chain)."""
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order]
+    p = pts[order].tolist()
 
     def build(points) -> list:
         chain: list = []
@@ -191,12 +205,25 @@ def mc_beta_hull_2d(
 # -- typical planar Voronoi cell -------------------------------------------------
 
 
-def _clip_halfplane(poly: list, p: np.ndarray) -> list:
-    """Clip a convex polygon by { x : <x, p> <= |p|^2 / 2 }."""
-    c = 0.5 * float(p @ p)
+def _norm(v: tuple) -> float:
+    return math.sqrt(v[0] * v[0] + v[1] * v[1])
+
+
+def _radius(poly: list) -> float:
+    """The largest vertex norm (sqrt is monotone, so one sqrt suffices)."""
+    return math.sqrt(max(x * x + y * y for x, y in poly))
+
+
+def _clip_halfplane(poly: list, p: tuple) -> list:
+    """Clip a convex polygon, a list of (x, y) pairs, by
+    { x : <x, p> <= |p|^2 / 2 }."""
+    px, py = p
+    c = 0.5 * (px * px + py * py)
     out: list = []
     m = len(poly)
-    vals = [float(v @ p) - c for v in poly]
+    vals = [x * px + y * py - c for x, y in poly]
+    if max(vals) <= 0:
+        return poly
     for i in range(m):
         j = (i + 1) % m
         vi, vj = vals[i], vals[j]
@@ -204,12 +231,13 @@ def _clip_halfplane(poly: list, p: np.ndarray) -> list:
             out.append(poly[i])
         if (vi < 0 < vj) or (vj < 0 < vi):
             t = vi / (vi - vj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
+            (xi, yi), (xj, yj) = poly[i], poly[j]
+            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
     return out
 
 
 def _voronoi_cell_vertices(rng: np.random.Generator, radius: float) -> int:
-    R = radius
+    R = float(radius)
     for _ in range(8):
         area = math.pi * R * R
         N = rng.poisson(area)
@@ -217,23 +245,15 @@ def _voronoi_cell_vertices(rng: np.random.Generator, radius: float) -> int:
         th = 2.0 * math.pi * rng.random(N)
         pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
         pts = pts[np.argsort(np.linalg.norm(pts, axis=1))]
-        poly = [
-            np.array([-R, -R]),
-            np.array([R, -R]),
-            np.array([R, R]),
-            np.array([-R, R]),
-        ]
-        for p in pts:
-            maxnorm = max(float(np.linalg.norm(v)) for v in poly)
-            if float(np.linalg.norm(p)) / 2.0 > maxnorm:
+        poly = [(-R, -R), (R, -R), (R, R), (-R, R)]
+        for p in pts.tolist():
+            if _norm(p) / 2.0 > _radius(poly):
                 break
             poly = _clip_halfplane(poly, p)
-        maxnorm = max(float(np.linalg.norm(v)) for v in poly)
-        if maxnorm <= R / 2.0:
+        if _radius(poly) <= R / 2.0:
             # drop duplicate vertices created by grazing clips
-            verts = [v for i, v in enumerate(poly)
-                     if np.linalg.norm(v - poly[(i + 1) % len(poly)]) > 1e-9]
-            return len(verts)
+            nxt = poly[1:] + poly[:1]
+            return sum(_norm((v[0] - w[0], v[1] - w[1])) > 1e-9 for v, w in zip(poly, nxt))
         R *= 2.0
     raise RuntimeError("window-overflow retries exhausted")
 

@@ -236,6 +236,27 @@ def test_numeric_rows_use_closed_last_entries(family, beta):
         angle_table("betaprime", 2, 0.5)
 
 
+
+@pytest.mark.parametrize("family, beta", [
+    ("beta", -1.0), ("beta", 0.3), ("beta", 4.1),
+    ("betaprime", 1.01), ("betaprime", 1.1), ("betaprime", 1.17), ("betaprime", 2.6),
+])
+def test_numeric_triangle_row_is_closed(family, beta):
+    # a triangle's angles sum to pi, so J_{3,1} = 1/2 for every parameter,
+    # also at betaprime beta in (1, 7/6], where alpha*n <= 1 and the
+    # quadrature does not apply
+    t = angle_table(family, 3, beta)
+    assert [t.value(k) for k in (1, 2, 3)] == [0.5, 1.5, 1.0]
+    assert {t.provenance(k) for k in (1, 2, 3)} == {"numeric"}
+
+
+@pytest.mark.parametrize("n, beta", [(4, 1.55), (4, 1.625), (5, 2.05), (7, 3.05)])
+def test_numeric_betaprime_domain_is_named(n, beta):
+    # admissible (beta > (n-1)/2) but alpha*n <= 1, outside the quadrature
+    with pytest.raises(DomainError, match=r"beta > \(n-1\)/2 \+ 1/\(2n\)"):
+        angle_table("betaprime", n, beta)
+
+
 def test_lA_residue_diagonals():
     for alpha in (1, 2, 3, 4, 5):
         for knum in range(1, 7):

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from angleworks.angle_engine import angle_table
 from angleworks.cli import main
+from angleworks.exact_scalars import parse_pinumber, pinumber_from_json
 
 
 def run_cli(capsys, *argv):
@@ -175,3 +180,106 @@ def test_invalid_input_exits_two_with_message(capsys, argv):
     assert code == 2
     assert "error: " in err
     assert out == ""
+
+
+def _run_captured(argv):
+    """main() with stdout and stderr captured, for Hypothesis tests, which
+    cannot share pytest's function-scoped capsys between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _exact_angles_query(draw):
+    family = draw(st.sampled_from(["beta", "betaprime"]))
+    n = draw(st.integers(1, 8))
+    low = -2 if family == "beta" else n  # twice beta: beta >= -1, beta > (n-1)/2
+    return family, n, Fraction(draw(st.integers(low, low + 8)), 2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_exact_angles_query())
+def test_json_round_trip_of_exact_rows(query):
+    family, n, beta = query
+    code, out, _ = _run_captured(
+        ["angles", "--family", family, "--n", str(n), f"--beta={beta}", "--format", "json"]
+    )
+    assert code == 0
+    table = angle_table(family, n, beta)
+    records = json.loads(out)["records"]
+    assert [r["index"] for r in records] == list(range(1, n + 1))
+    for r in records:
+        assert pinumber_from_json(r["exact"]) == table.value(r["index"])
+        assert parse_pinumber(r["text"]) == table.value(r["index"])
+        assert r["provenance"] == table.provenance(r["index"])
+
+
+_NON_FINITE = st.one_of(
+    st.sampled_from(["inf", "-inf", "+inf", "INF", "Infinity", "-Infinity",
+                     "nan", "-nan", "NaN"]),
+    st.builds("{}e{}".format, st.integers(-9, 9).filter(bool), st.integers(309, 10**5)),
+    st.builds("{}/0".format, st.integers(-50, 50)),
+)
+_FAMILY = st.sampled_from(["beta", "betaprime"])
+
+
+@st.composite
+def _invalid_argv(draw):
+    """One command with exactly one out-of-range or non-finite value."""
+    nonpositive = st.integers(-10**6, 0)
+    kind = draw(st.sampled_from(
+        ["n", "fvector-n", "k", "reitzner-k", "d", "reitzner-d", "digits",
+         "trials", "seed", "max-n", "beta", "fvector-beta", "alpha"]
+    ))
+    if kind == "n":
+        return ["angles", "--family", draw(_FAMILY), "--n", str(draw(nonpositive)), "--beta=3"]
+    if kind == "fvector-n":  # a beta polytope needs n >= d + 1 points
+        d = draw(st.integers(1, 4))
+        n = draw(st.integers(-10**6, d))
+        return ["fvector", "--model", draw(_FAMILY), "--d", str(d), "--n", str(n), "--beta=3"]
+    if kind == "k":
+        n = draw(st.integers(1, 8))
+        k = draw(st.one_of(nonpositive, st.integers(n + 1, 10**6)))
+        return ["angles", "--family", "beta", "--n", str(n), "--k", str(k), "--beta=0"]
+    if kind == "reitzner-k":
+        d = draw(st.integers(1, 6))
+        k = draw(st.one_of(st.integers(-10**6, -1), st.integers(d, 10**6)))
+        return ["reitzner", "--surface", "ball", "--d", str(d), "--k", str(k)]
+    if kind == "d":
+        model = draw(st.sampled_from(["voronoi", "zerocell", "poisson"]))
+        return ["fvector", "--model", model, "--d", str(draw(nonpositive)), "--alpha", "2"]
+    if kind == "reitzner-d":
+        surface = draw(st.sampled_from(["ball", "sphere"]))
+        return ["reitzner", "--surface", surface, "--d", str(draw(nonpositive))]
+    if kind == "digits":
+        command = draw(st.sampled_from([
+            ["angles", "--family", "beta", "--n", "4", "--beta=0"],
+            ["angles", "--family", "beta", "--n", "4", "--beta=0.3"],
+            ["fvector", "--model", "voronoi", "--d", "3"],
+            ["reitzner", "--surface", "sphere", "--d", "3"],
+        ]))
+        return command + ["--digits", str(draw(nonpositive))]
+    if kind == "trials":
+        return ["verify", "--suite", "montecarlo", "--trials", str(draw(st.integers(-10**6, 1)))]
+    if kind == "seed":
+        return ["verify", "--suite", "montecarlo", "--seed", str(draw(st.integers(-10**6, -1)))]
+    if kind == "max-n":
+        return ["verify", "--suite", "relations", "--max-n", str(draw(st.integers(-10**6, 1)))]
+    if kind == "beta":
+        return ["angles", "--family", draw(_FAMILY), "--n", "4", f"--beta={draw(_NON_FINITE)}"]
+    if kind == "fvector-beta":
+        return ["fvector", "--model", draw(_FAMILY), "--d", "2", "--n", "4",
+                f"--beta={draw(_NON_FINITE)}"]
+    return ["fvector", "--model", "poisson", "--d", "2", f"--alpha={draw(_NON_FINITE)}"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_invalid_argv())
+def test_random_invalid_input_exits_two_with_message(argv):
+    code, out, err = _run_captured(argv)
+    assert code == 2
+    assert "error: " in err
+    assert out == ""
+

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from angleworks.angle_engine import angle_table, bJ_exact
 from angleworks.exact_scalars import (
@@ -161,6 +162,17 @@ def test_text_round_trip():
     ] + [_random_pinumber(rng) for _ in range(50)]
     for x in samples:
         assert parse_pinumber(format_pinumber(x)) == x
+
+
+_COEFFICIENTS = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**20))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.integers(-16, 16), _COEFFICIENTS, max_size=7))
+def test_text_and_json_round_trip_property(terms):
+    x = PiNumber(terms)
+    assert parse_pinumber(format_pinumber(x)) == x
+    assert pinumber_from_json(pinumber_to_json(x)) == x
 
 
 def test_json_round_trip():

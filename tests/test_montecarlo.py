@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -8,9 +9,12 @@ import scipy.stats
 from angleworks.angle_engine import bJtilde_exact
 from angleworks.exact_scalars import DomainError
 from angleworks.montecarlo import (
+    _FEAS_EPS,
+    McEstimate,
     _rng,
     _sample_beta,
     _sample_betaprime,
+    _summarize,
     convex_hull_2d,
     mc_angle_sum,
     mc_beta_hull_2d,
@@ -112,6 +116,11 @@ def test_mc_angle_validation():
         mc_angle_sum("beta", 8, 1, 0.0)
     with pytest.raises(DomainError):
         mc_angle_sum("gauss", 4, 1, 0.0)
+    # k = n needs no draws, but beta is still checked against the family
+    with pytest.raises(DomainError):
+        mc_angle_sum("betaprime", 4, 4, 1.5)
+    with pytest.raises(DomainError):
+        mc_angle_sum("beta", 3, 3, -2.0)
 
 
 def test_convex_hull_square_and_collinear():
@@ -151,3 +160,204 @@ def test_mc_voronoi_window_invariance():
     b = mc_voronoi_2d(8.0, trials=2500, seed=77)
     joint = math.hypot(a.stderr, b.stderr)
     assert abs(a.mean - b.mean) <= 4 * joint
+
+
+# -- reference: the per-simplex estimators the batched module replaced -----------
+#
+# Moved here verbatim (bar the names of the public entry points) as the
+# reference of the batched angle kernel and the scalar planar code: on the
+# same seed both must give equal estimates.
+
+
+def _cone_fractions(pts: np.ndarray, k: int, dirs: np.ndarray) -> float:
+    """Sum over k-subsets of the fraction of directions inside the tangent
+    cone at the subset's centroid."""
+    n, d = pts.shape
+    if k == n:
+        return 1.0
+    total = 0.0
+    for subset in itertools.combinations(range(n), k):
+        rest = [i for i in range(n) if i not in subset]
+        z = pts[list(subset)].mean(axis=0)
+        G = (pts[rest] - z).T  # (d, n-k)
+        if k > 1:
+            V = (pts[list(subset)] - z).T  # (d, k), rank k-1
+            u, s, _ = np.linalg.svd(V, full_matrices=False)
+            basis = u[:, s > 1e-12 * max(s[0], 1e-300)]
+            G = G - basis @ (basis.T @ G)
+            U = dirs.T - basis @ (basis.T @ dirs.T)
+        else:
+            U = dirs.T
+        lam = np.linalg.solve(G.T @ G, G.T @ U)  # (n-k, ndirs)
+        feasible = np.all(lam >= -_FEAS_EPS, axis=0)
+        total += float(np.mean(feasible))
+    return total
+
+
+def _mc_angle_sum_reference(
+    family: str,
+    n: int,
+    k: int,
+    beta: float,
+    simplices: int = 400,
+    directions: int = 256,
+    seed: int = 0,
+) -> McEstimate:
+    """Estimate the expected internal angle sum bold-J_{n,k}(beta) (or the
+    beta' analogue) by direction sampling against tangent cones."""
+    if n > 7:
+        raise DomainError("angle Monte Carlo is capped at n <= 7")
+    if not 1 <= k <= n:
+        raise DomainError("need 1 <= k <= n")
+    if family not in ("beta", "betaprime"):
+        raise DomainError(f"unknown family {family!r}")
+    rng = _rng(seed)
+    d = n - 1
+    samples = np.empty(simplices)
+    for t in range(simplices):
+        for attempt in range(64):
+            if family == "beta":
+                pts = _sample_beta(d, beta, n, rng)
+            else:
+                pts = _sample_betaprime(d, beta, n, rng)
+            edges = pts[1:] - pts[0]
+            if abs(np.linalg.det(edges)) > 1e-12:
+                break
+        else:
+            raise RuntimeError("could not sample a nondegenerate simplex")
+        dirs = rng.standard_normal((directions, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        samples[t] = _cone_fractions(pts, k, dirs)
+    return _summarize(samples, seed)
+
+
+def _convex_hull_2d_reference(pts: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull, counterclockwise (monotone chain)."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    p = pts[order]
+
+    def build(points) -> list:
+        chain: list = []
+        for q in points:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                if (a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0]) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(q)
+        return chain
+
+    lower = build(p)
+    upper = build(p[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _mc_beta_hull_2d_reference(
+    n: int, beta: float, trials: int = 10000, seed: int = 0
+) -> McEstimate:
+    """Empirical expected vertex count of the planar beta polytope."""
+    if n < 3:
+        raise DomainError("need n >= 3")
+    rng = _rng(seed)
+    samples = np.empty(trials)
+    for t in range(trials):
+        pts = _sample_beta(2, beta, n, rng)
+        samples[t] = len(_convex_hull_2d_reference(pts))
+    return _summarize(samples, seed)
+
+
+def _clip_halfplane(poly: list, p: np.ndarray) -> list:
+    """Clip a convex polygon by { x : <x, p> <= |p|^2 / 2 }."""
+    c = 0.5 * float(p @ p)
+    out: list = []
+    m = len(poly)
+    vals = [float(v @ p) - c for v in poly]
+    for i in range(m):
+        j = (i + 1) % m
+        vi, vj = vals[i], vals[j]
+        if vi <= 0:
+            out.append(poly[i])
+        if (vi < 0 < vj) or (vj < 0 < vi):
+            t = vi / (vi - vj)
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    return out
+
+
+def _voronoi_cell_vertices(rng: np.random.Generator, radius: float) -> int:
+    R = radius
+    for _ in range(8):
+        area = math.pi * R * R
+        N = rng.poisson(area)
+        r = R * np.sqrt(rng.random(N))
+        th = 2.0 * math.pi * rng.random(N)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        pts = pts[np.argsort(np.linalg.norm(pts, axis=1))]
+        poly = [
+            np.array([-R, -R]),
+            np.array([R, -R]),
+            np.array([R, R]),
+            np.array([-R, R]),
+        ]
+        for p in pts:
+            maxnorm = max(float(np.linalg.norm(v)) for v in poly)
+            if float(np.linalg.norm(p)) / 2.0 > maxnorm:
+                break
+            poly = _clip_halfplane(poly, p)
+        maxnorm = max(float(np.linalg.norm(v)) for v in poly)
+        if maxnorm <= R / 2.0:
+            # drop duplicate vertices created by grazing clips
+            verts = [v for i, v in enumerate(poly)
+                     if np.linalg.norm(v - poly[(i + 1) % len(poly)]) > 1e-9]
+            return len(verts)
+        R *= 2.0
+    raise RuntimeError("window-overflow retries exhausted")
+
+
+def _mc_voronoi_2d_reference(
+    window_radius: float = 6.0, trials: int = 5000, seed: int = 0
+) -> McEstimate:
+    """Empirical expected vertex count of the typical planar Poisson-Voronoi
+    cell (exact mean is 6)."""
+    rng = _rng(seed)
+    samples = np.empty(trials)
+    for t in range(trials):
+        samples[t] = _voronoi_cell_vertices(rng, window_radius)
+    return _summarize(samples, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("family", ["beta", "betaprime"])
+def test_batched_angle_sum_equals_reference(family, n):
+    betas = (-1.0, 0.0, 1.5) if family == "beta" else ((n - 1) / 2 + 0.25, n / 2 + 1.0)
+    simplices = 12 if n >= 6 else 24
+    for k in range(1, n + 1):
+        for seed in range(3):
+            args = (family, n, k, betas[seed % len(betas)])
+            kw = dict(simplices=simplices, directions=32, seed=100 * n + 10 * k + seed)
+            assert mc_angle_sum(*args, **kw) == _mc_angle_sum_reference(*args, **kw), (args, kw)
+
+
+@pytest.mark.parametrize("simplices", [1, 63, 64, 65, 129])
+def test_batched_angle_sum_block_edges(simplices):
+    for args in (("beta", 4, 2, 0.0), ("betaprime", 3, 1, 2.0), ("beta", 5, 3, -1.0)):
+        kw = dict(simplices=simplices, directions=16, seed=simplices)
+        assert mc_angle_sum(*args, **kw) == _mc_angle_sum_reference(*args, **kw), (args, kw)
+
+
+@pytest.mark.parametrize(
+    "n, beta, seed", [(3, 0.0, 0), (4, -1.0, 1), (5, 0.5, 2), (6, 2.0, 3), (8, -0.5, 4)]
+)
+def test_scalar_hull_equals_reference(n, beta, seed):
+    kw = dict(trials=300, seed=seed)
+    assert mc_beta_hull_2d(n, beta, **kw) == _mc_beta_hull_2d_reference(n, beta, **kw)
+    pts = _sample_beta(2, beta, 20, _rng(seed))
+    assert np.array_equal(convex_hull_2d(pts), _convex_hull_2d_reference(pts))
+
+
+# window 1 is too small for most cells, so it exercises the window doubling;
+# an int window exercises the float conversion of the starting square
+@pytest.mark.parametrize("window, seed", [(1.0, 0), (2, 1), (6.0, 2), (8.0, 3)])
+def test_scalar_voronoi_equals_reference(window, seed):
+    kw = dict(trials=100, seed=seed)
+    assert mc_voronoi_2d(window, **kw) == _mc_voronoi_2d_reference(window, **kw)
