@@ -24,14 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from . import quadrature, trig_algebra
 from .exact_scalars import PI, DomainError, PiNumber, c_beta, c_tilde_beta, exact_scaled
-from .series_kernel import (
-    bernoulli,
-    even_product_coefficient,
-    miller_extend,
-    sin_integral_series,
-    sinc_coefficient,
-    sinc_power,
-)
+from .series_kernel import bernoulli, residue_coefficient
 
 
 class ParityError(DomainError):
@@ -52,11 +45,7 @@ def residue_rational(a: int, p: int, q: int) -> Fraction:
     val = p * (a + 1) - q
     if val >= 0 or val % 2 == 0:
         return Fraction(0)
-    N = (-1 - val) // 2
-    if p == 0:
-        return sinc_coefficient(-q, N)
-    num = miller_extend(sin_integral_series(a, N + 1), p, [], N + 1)
-    return even_product_coefficient(num, sinc_power(-q, N + 1), N)
+    return residue_coefficient(a, p, q, (-1 - val) // 2)
 
 
 # -- residue formulas ---------------------------------------------------------

@@ -199,18 +199,21 @@ class PiNumber:
         the digits that survive the cancellation exceed float precision."""
         if not self._terms:
             return 0.0
-        # decimal exponent of the largest term, to within a digit
-        top = max(
-            (c.numerator.bit_length() - c.denominator.bit_length()) * math.log10(2)
-            + e / 2 * math.log10(math.pi)
-            for e, c in self._terms.items()
-        )
+        top = self._top_exponent()
         dps = 30
         while True:
             value = self.evaluate(dps)
             if value and dps - (top - mpmath.mag(value) * math.log10(2)) >= 20:
                 return float(value)
             dps *= 2
+
+    def _top_exponent(self) -> float:
+        """The decimal exponent of the largest term, to within a digit."""
+        return max(
+            (c.numerator.bit_length() - c.denominator.bit_length()) * math.log10(2)
+            + e / 2 * math.log10(math.pi)
+            for e, c in self._terms.items()
+        )
 
     def evaluate(self, dps: int = 30) -> mpmath.mpf:
         """Evaluate at ``dps`` decimal digits of working precision."""
@@ -322,7 +325,8 @@ def to_decimal(x: PiNumber, digits: int) -> str:
         q = x.rational_value() * scale
         scaled = round(q)  # Fraction rounds ties to even
     else:
-        dps = digits + _GUARD_DIGITS + 5
+        # dps counts significant digits: those before the point come first
+        dps = digits + _GUARD_DIGITS + 5 + max(0, math.ceil(x._top_exponent()))
         with mpmath.workdps(dps):
             val = x.evaluate(dps) * scale
             nearest = mpmath.nint(val)

@@ -45,6 +45,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _check_count(name: str, value: int) -> None:
+    # an empty sample has no mean, and NumPy would return nan with a warning
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1, got {value}")
+
+
 def _summarize(samples: np.ndarray, seed: int) -> McEstimate:
     n = len(samples)
     mean = float(np.mean(samples))
@@ -135,6 +141,8 @@ def mc_angle_sum(
         raise DomainError("need 1 <= k <= n")
     if family not in ("beta", "betaprime"):
         raise DomainError(f"unknown family {family!r}")
+    _check_count("simplices", simplices)
+    _check_count("directions", directions)
     rng = _rng(seed)
     d = n - 1
     sample = _sample_beta if family == "beta" else _sample_betaprime
@@ -194,6 +202,7 @@ def mc_beta_hull_2d(
     """Empirical expected vertex count of the planar beta polytope."""
     if n < 3:
         raise DomainError("need n >= 3")
+    _check_count("trials", trials)
     rng = _rng(seed)
     samples = np.empty(trials)
     for t in range(trials):
@@ -263,6 +272,9 @@ def mc_voronoi_2d(
 ) -> McEstimate:
     """Empirical expected vertex count of the typical planar Poisson-Voronoi
     cell (exact mean is 6)."""
+    if not (math.isfinite(window_radius) and window_radius > 0):
+        raise DomainError(f"window radius must be positive and finite, got {window_radius}")
+    _check_count("trials", trials)
     rng = _rng(seed)
     samples = np.empty(trials)
     for t in range(trials):

@@ -14,7 +14,11 @@ only at the end, through the moments integral_0^pi u^j cos(mu) du and
 integral_0^pi u^j sin(mu) du, which are polynomials in pi.
 
 The module also holds the tangent-polynomial route for the one parity case
-whose internal angles are not reachable by residues.
+whose internal angles are not reachable by residues.  There the powers of
+the tangent polynomial T are integer numerators over L^j, L = lcm(1, 3,
+..., alpha), and each moment is one integer dot product against the
+ratios I(p + 2) / I(p) = (p + 1) / (q - p - 1) of the integrals of
+sin^p cos^(q-p), so a ``PiNumber`` is formed once per moment.
 """
 
 from __future__ import annotations
@@ -245,23 +249,27 @@ def inner_tan_antiderivative(alpha: int) -> dict[int, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _tan_powers(alpha: int) -> list[dict[int, Fraction]]:
-    return [{0: Fraction(1)}]
+def _tan_powers(alpha: int) -> list[list[int]]:
+    return [[1]]
 
 
-def _tan_power(alpha: int, j: int) -> dict[int, Fraction]:
-    """T^j as {power of tan x: coefficient}, T = inner_tan_antiderivative(alpha).
+def _tan_power(alpha: int, j: int) -> list[int]:
+    """T^j, T = inner_tan_antiderivative(alpha), as integer numerators over
+    L^j, L = lcm(1, 3, ..., alpha): entry i is the coefficient of
+    tan^(j + 2i) x (T is odd, so T^j has only powers of the parity of j).
 
     The powers of one alpha are kept in one list, each built from the one
     before it, and shared by every k and n."""
     powers = _tan_powers(alpha)
     if len(powers) <= j:
-        T = inner_tan_antiderivative(alpha)
+        L = math.lcm(*range(1, alpha + 1, 2))
+        T = [int(c * L) for c in inner_tan_antiderivative(alpha).values()]
         while len(powers) <= j:
-            nxt: dict[int, Fraction] = {}
-            for e1, c1 in powers[-1].items():
-                for e2, c2 in T.items():
-                    nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
+            prev = powers[-1]
+            nxt = [0] * (len(prev) + len(T) - 1)
+            for i, c in enumerate(prev):
+                for l, t in enumerate(T):
+                    nxt[i + l] += c * t
             powers.append(nxt)
     return powers[j]
 
@@ -269,13 +277,29 @@ def _tan_power(alpha: int, j: int) -> dict[int, Fraction]:
 @lru_cache(maxsize=None)
 def _tan_moment(alpha: int, q: int, j: int) -> PiNumber:
     """The integral over [-pi/2, pi/2] of (c T(tan x))^j cos^q x, with
-    c = c_beta(alpha - 1): term j of every entry of a case-iii row."""
-    acc = PiNumber.zero()
-    for p, cp in _tan_power(alpha, j).items():
-        if p > q:
-            raise DomainError("tangent power exceeds available cosine power")
-        acc = acc + cp * sin_cos_integral(p, q - p)
-    return (c_beta(alpha - 1) ** j) * acc
+    c = c_beta(alpha - 1): term j of every entry of a case-iii row.
+
+    With I(p) the integral of sin^p cos^(q-p), it is c^j sum_p t_p I(p) over
+    the coefficients t_p of T^j.  I(p) vanishes for odd p, and for even p
+    I(p + 2) = I(p) (p + 1) / (q - p - 1), so I(p) = I(0) w_p / W with
+    integers w_p and W = (q - 1)(q - 3)...: the sum is one integer dot
+    product times I(0)."""
+    nums = _tan_power(alpha, j)
+    top = j + 2 * (len(nums) - 1)  # the highest power of tan
+    if top > q:
+        raise DomainError("tangent power exceeds available cosine power")
+    if j % 2:  # only odd powers of tan
+        return PiNumber.zero()
+    # w[i] = (1 * 3 * ... * (2i - 1)) * ((q - 2i - 1) * ... * (q - top + 1))
+    heads, tails = [1], [1]
+    for e in range(0, top, 2):
+        heads.append(heads[-1] * (e + 1))
+        tails.append(tails[-1] * (q - top + e + 1))
+    tails.reverse()
+    dot = sum(c * heads[j // 2 + i] * tails[j // 2 + i] for i, c in enumerate(nums))
+    L = math.lcm(*range(1, alpha + 1, 2))
+    ratio = Fraction(dot, L**j * tails[0])
+    return (c_beta(alpha - 1) ** j) * (sin_cos_integral(0, q) * ratio)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from angleworks.angle_engine import (
     lA_residue,
     lA_tilde_residue,
     p_alpha_k_value,
+    relations_hold,
     residue_rational,
     rm_value,
 )
@@ -196,6 +197,36 @@ def test_inversion_relations_sample():
                     m, k, alpha + m - 1
                 )
             assert acc.is_zero()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["beta", "betaprime"]), st.integers(2, 14), st.integers(0, 6))
+def test_relations_hold_on_random_exact_rows(family, n, step):
+    # every admissible half-integer: beta >= -1 with alpha = 2 beta + n - 1
+    # >= n - 3, or beta' with alpha = 2 beta - n + 1 >= 1
+    twice_beta = (-2 if family == "beta" else n) + step
+    row = angle_table(family, n, F(twice_beta, 2))
+    assert relations_hold([PiNumber.zero()] + [v for v, _ in row.entries])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["beta", "betaprime"]), st.integers(2, 9), st.integers(0, 4), st.data())
+def test_inversion_identity_on_random_parameters(family, n, step, data):
+    # sum_m (-1)^m I_{n,m}(alpha) J_{m,k} = 0 for k < n
+    k = data.draw(st.integers(1, n - 1))
+    if family == "beta":
+        alpha = max(n - 3, 0) + step
+        terms = (external_bI(n, m, alpha) * bJ_exact(m, k, alpha - m + 1) for m in range(k, n + 1))
+    else:
+        alpha = 1 + step
+        terms = (
+            external_bI_tilde(n, m, alpha) * bJtilde_exact(m, k, alpha + m - 1)
+            for m in range(k, n + 1)
+        )
+    acc = PiNumber.zero()
+    for m, term in zip(range(k, n + 1), terms):
+        acc = acc + F((-1) ** m) * term
+    assert acc.is_zero()
 
 
 def test_bJ_numeric_examples():

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,6 +132,8 @@ def test_to_decimal_examples():
 
 def test_to_decimal_negative_and_cap():
     assert to_decimal(PiNumber.from_rational(F(-1, 8)), 3) == "-0.125"
+    # the digits before the point count against the working precision too
+    assert to_decimal(PiNumber.pi_power(1, 10**25), 3) == "17724538509055160272981674.833"
     with pytest.raises(DomainError):
         to_decimal(PiNumber.one(), 201)
 
@@ -173,6 +176,23 @@ def test_text_and_json_round_trip_property(terms):
     x = PiNumber(terms)
     assert parse_pinumber(format_pinumber(x)) == x
     assert pinumber_from_json(pinumber_to_json(x)) == x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.integers(-16, 16), _COEFFICIENTS, min_size=1, max_size=5),
+       st.integers(1, 80))
+def test_to_decimal_against_mpmath(terms, digits):
+    # the printed value is within half a unit of the last place of the value
+    # evaluated by mpmath with more digits than any cancellation can take
+    x = PiNumber(terms)
+    text = to_decimal(x, digits)
+    assert len(text.split(".")[1]) == digits
+    with mpmath.workdps(digits + 200):
+        value = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.pi ** (mpmath.mpf(e) / 2)
+            for e, c in x.terms.items()
+        )
+        assert abs(mpmath.mpf(text) - value) <= mpmath.mpf(10) ** -digits / 2
 
 
 def test_json_round_trip():

@@ -123,6 +123,37 @@ def test_mc_angle_validation():
         mc_angle_sum("beta", 3, 3, -2.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mc_angle_sum("beta", 3, 1, 0.0, simplices=0),
+        lambda: mc_angle_sum("beta", 3, 1, 0.0, simplices=-5),
+        lambda: mc_angle_sum("beta", 3, 3, 0.0, simplices=0),
+        lambda: mc_angle_sum("betaprime", 4, 2, 3.0, directions=0),
+        lambda: mc_angle_sum("beta", 4, 2, 0.0, directions=-1),
+        lambda: mc_beta_hull_2d(4, 0.0, trials=0),
+        lambda: mc_beta_hull_2d(4, 0.0, trials=-3),
+        lambda: mc_voronoi_2d(trials=0),
+        lambda: mc_voronoi_2d(trials=-2),
+        lambda: mc_voronoi_2d(0.0),
+        lambda: mc_voronoi_2d(-6.0),
+        lambda: mc_voronoi_2d(math.inf),
+        lambda: mc_voronoi_2d(math.nan),
+    ],
+    ids=[
+        "angle-simplices-0", "angle-simplices-neg", "angle-k=n-simplices-0",
+        "angle-directions-0", "angle-directions-neg", "hull-trials-0", "hull-trials-neg",
+        "voronoi-trials-0", "voronoi-trials-neg", "voronoi-window-0", "voronoi-window-neg",
+        "voronoi-window-inf", "voronoi-window-nan",
+    ],
+)
+def test_empty_or_invalid_sample_sizes_are_domain_errors(call):
+    # an empty sample has no mean: before these guards it returned nan (with
+    # a RuntimeWarning), a NumPy ValueError, or a mean of 0 for an empty window
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_convex_hull_square_and_collinear():
     sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
     assert len(convex_hull_2d(sq)) == 4

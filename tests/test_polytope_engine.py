@@ -229,6 +229,29 @@ def test_euler_and_dehn_sommerville_all_models():
         assert euler_relation_holds(fv) and dehn_sommerville_holds(fv)
 
 
+@st.composite
+def _exact_fvectors(draw):
+    model = draw(st.sampled_from(["voronoi", "zerocell", "poisson", "beta", "betaprime"]))
+    if model == "voronoi":
+        return typical_voronoi_fvector(draw(st.integers(1, 12)))
+    if model == "zerocell":
+        return zero_cell_fvector(draw(st.integers(1, 14)))
+    if model == "poisson":
+        return poisson_polytope_fvector(draw(st.integers(1, 10)), draw(st.integers(1, 6)))
+    d = draw(st.integers(1, 8))
+    n = d + draw(st.integers(1, 4))
+    if model == "beta":
+        return beta_polytope_fvector(n, d, F(draw(st.integers(-2 if d > 1 else 0, 3)), 2))
+    return betaprime_polytope_fvector(n, d, F(d + draw(st.integers(1, 5)), 2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_exact_fvectors())
+def test_dehn_sommerville_on_random_exact_fvectors(fv):
+    assert dehn_sommerville_holds(fv)
+    assert euler_relation_holds(fv)
+
+
 def test_all_entries_positive():
     for d in range(1, 9):
         for fv in (typical_voronoi_fvector(d), zero_cell_fvector(d),

@@ -1,11 +1,16 @@
 import math
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from functools import lru_cache
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from angleworks import series_kernel
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
-from angleworks.angle_engine import bJ_exact, bJtilde_exact
+from angleworks.angle_engine import bJ_exact, bJtilde_exact, residue_rational
 from angleworks.series_kernel import (
     ONE,
     antiderivative_from_zero,
@@ -19,6 +24,7 @@ from angleworks.series_kernel import (
     multiply,
     residue,
     sin_power,
+    sinc_coefficient,
     ugly_coefficient,
 )
 
@@ -199,3 +205,131 @@ def test_zero_series_propagates():
     assert multiply(z, sin_power(1, 6)).is_zero()
     assert int_power(z, 3).is_zero()
     assert antiderivative_from_zero(z).is_zero()
+
+
+# -- reference: the y = x^2 kernel on Fraction coefficients, as it was before
+# the series moved to integer numerators over one common denominator -------
+
+
+def _miller_extend_reference(
+    f: Sequence[Fraction], alpha: int, out: list[Fraction], n: int
+) -> list[Fraction]:
+    """Extend ``out``, a prefix of the series f^alpha, in place to n
+    coefficients and return it; both series in even-derivative form.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with P = f^alpha
+    and f_0 != 0, P_k = sum_{j=1..k} ((alpha+1) j - k) C(2k, 2j) f_j P_{k-j}
+    / (k f_0).  It holds for every integer alpha and needs only
+    f_0 .. f_{n-1}, so a prefix can be extended later without recomputing it.
+    """
+    if not out:
+        out.append(f[0] ** alpha)
+    inv0 = 1 / f[0]
+    a1 = alpha + 1
+    for k in range(len(out), n):
+        terms = (
+            (a1 * j - k) * math.comb(2 * k, 2 * j) * (f[j] * out[k - j]) for j in range(1, k + 1)
+        )
+        out.append(sum(terms, Fraction(0)) * inv0 / k)
+    return out
+
+
+def _even_product_coefficient_reference(f: Sequence[Fraction], g: Sequence[Fraction], n: int) -> Fraction:
+    """[x^(2n)] of f * g for f, g in even-derivative form."""
+    terms = (math.comb(2 * n, 2 * i) * (f[i] * g[n - i]) for i in range(n + 1))
+    return sum(terms, Fraction(0)) / math.factorial(2 * n)
+
+
+@lru_cache(maxsize=None)
+def _sinc_prefix_reference(alpha: int) -> list[Fraction]:
+    return []
+
+
+def _sinc_power_reference(alpha: int, n: int) -> list[Fraction]:
+    """At least the first n even-derivative coefficients of
+    (sin x / x)^alpha, for any integer alpha.
+
+    The list is shared by every caller with this alpha and grows in place;
+    read it, never modify it.
+    """
+    out = _sinc_prefix_reference(alpha)
+    if len(out) < n:
+        if alpha == 1:
+            out.extend(Fraction((-1) ** j, 2 * j + 1) for j in range(len(out), n))
+        else:
+            _miller_extend_reference(_sinc_power_reference(1, n), alpha, out, n)
+    return out
+
+
+def _sinc_coefficient_reference(alpha: int, k: int) -> Fraction:
+    """[x^(2k)] (sin x / x)^alpha, read from the shared prefix."""
+    return _sinc_power_reference(alpha, k + 1)[k] / math.factorial(2 * k)
+
+
+@lru_cache(maxsize=None)
+def _sin_integral_prefix_reference(a: int) -> list[Fraction]:
+    return []
+
+
+def _sin_integral_series_reference(a: int, n: int) -> list[Fraction]:
+    """At least the first n even-derivative coefficients of G_a, a >= 0,
+    where int_0^x sin^a = x^(a+1) G_a(x); shared and grown like
+    ``sinc_power``."""
+    out = _sin_integral_prefix_reference(a)
+    if len(out) < n:
+        s = _sinc_power_reference(a, n)
+        out.extend(s[j] / (a + 1 + 2 * j) for j in range(len(out), n))
+    return out
+
+
+def _residue_rational_reference(a: int, p: int, q: int) -> Fraction:
+    """[x^-1] (int_0^x sin^a)^p / sin^q x, the body of ``residue_rational``
+    on the Fraction kernel."""
+    val = p * (a + 1) - q
+    if val >= 0 or val % 2 == 0:
+        return Fraction(0)
+    N = (-1 - val) // 2
+    if p == 0:
+        return _sinc_coefficient_reference(-q, N)
+    num = _miller_extend_reference(_sin_integral_series_reference(a, N + 1), p, [], N + 1)
+    return _even_product_coefficient_reference(num, _sinc_power_reference(-q, N + 1), N)
+
+
+@st.composite
+def _residue_specs(draw):
+    """(a, p, q) with a <= 15, q <= 240, mostly with a nonzero residue:
+    q = p (a + 1) + 2N + 1 for a drawn N, and now and then any q."""
+    a = draw(st.integers(0, 15))
+    p = draw(st.integers(0, min(12, 239 // (a + 1))))
+    if draw(st.integers(0, 5)) == 0:
+        return a, p, draw(st.integers(1, 240))
+    N = draw(st.integers(0, (239 - p * (a + 1)) // 2))
+    return a, p, p * (a + 1) + 2 * N + 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_residue_specs())
+def test_residue_matches_fraction_reference(spec):
+    # rows far past the reach of the Laurent reference of test_angle_engine;
+    # the shared prefixes grow in whatever order the examples come
+    value = residue_rational(*spec)
+    assert type(value) is F
+    assert value == _residue_rational_reference(*spec)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(-240, 240), st.integers(0, 60))
+def test_sinc_coefficient_matches_fraction_reference(alpha, k):
+    assert sinc_coefficient(alpha, k) == _sinc_coefficient_reference(alpha, k)
+
+
+def test_prefixes_grown_in_steps_match_reference():
+    # the base S = sin x / x is held over lcm(1, 3, ..., 2n - 1), so growing
+    # it rescales every numerator, and a power of S or G_a built before must
+    # stay valid over the new denominators
+    series_kernel._sinc_prefix.cache_clear()
+    series_kernel._sin_integral_prefix.cache_clear()
+    for n in (1, 2, 3, 7, 8, 20, 45):
+        for alpha in (-31, -5, 0, 1, 2, 9):
+            assert sinc_coefficient(alpha, n - 1) == _sinc_coefficient_reference(alpha, n - 1)
+        assert residue_rational(3, 2, 8 + 2 * n + 1) == _residue_rational_reference(3, 2, 8 + 2 * n + 1)

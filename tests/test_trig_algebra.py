@@ -11,6 +11,7 @@ from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from angleworks.trig_algebra import (
     _cos_F_integral,
     _moment,
+    _tan_moment,
     _tan_power,
     bJ_exact_case_iii,
     external_bI,
@@ -465,12 +466,79 @@ def _poly_power(p: dict[int, F], j: int) -> dict[int, F]:
     return out
 
 
+def _as_dict(alpha: int, j: int) -> dict[int, F]:
+    """``_tan_power(alpha, j)``, integer numerators over L^j, as
+    {power of tan x: coefficient}."""
+    L = math.lcm(*range(1, alpha + 1, 2))
+    return {j + 2 * i: F(c, L**j) for i, c in enumerate(_tan_power(alpha, j))}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 8).map(lambda i: 2 * i + 1), st.integers(0, 12))
 def test_cached_tan_powers_match_naive_product(alpha, j):
     # the cache of one alpha is read and grown in whatever order the examples come
     T = inner_tan_antiderivative(alpha)
-    assert _tan_power(alpha, j) == _poly_power(T, j)
+    assert _as_dict(alpha, j) == _poly_power(T, j)
+
+
+# -- reference: the tangent route on Fraction dicts, as it was before T^j
+# moved to integer numerators over L^j and the moments to one dot product ----
+
+
+@lru_cache(maxsize=None)
+def _tan_powers_reference(alpha: int) -> list[dict[int, Fraction]]:
+    return [{0: Fraction(1)}]
+
+
+def _tan_power_reference(alpha: int, j: int) -> dict[int, Fraction]:
+    """T^j as {power of tan x: coefficient}, T = inner_tan_antiderivative(alpha).
+
+    The powers of one alpha are kept in one list, each built from the one
+    before it, and shared by every k and n."""
+    powers = _tan_powers_reference(alpha)
+    if len(powers) <= j:
+        T = inner_tan_antiderivative(alpha)
+        while len(powers) <= j:
+            nxt: dict[int, Fraction] = {}
+            for e1, c1 in powers[-1].items():
+                for e2, c2 in T.items():
+                    nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
+            powers.append(nxt)
+    return powers[j]
+
+
+@lru_cache(maxsize=None)
+def _tan_moment_reference(alpha: int, q: int, j: int) -> PiNumber:
+    """The integral over [-pi/2, pi/2] of (c T(tan x))^j cos^q x, with
+    c = c_beta(alpha - 1): term j of every entry of a case-iii row."""
+    acc = PiNumber.zero()
+    for p, cp in _tan_power_reference(alpha, j).items():
+        if p > q:
+            raise DomainError("tangent power exceeds available cosine power")
+        acc = acc + cp * sin_cos_integral(p, q - p)
+    return (c_beta(alpha - 1) ** j) * acc
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8).map(lambda h: 2 * h), st.integers(0, 3), st.data())
+def test_tan_moments_match_reference(n, step, data):
+    # every moment of one case-iii row: n even up to 16, alpha odd from
+    # max(n - 3, 1), q = alpha n + 1
+    alpha = max(n - 3, 1) + 2 * step
+    q = alpha * n + 1
+    for j in data.draw(st.permutations(range(n))):
+        assert _as_dict(alpha, j) == _tan_power_reference(alpha, j)
+        assert _tan_moment(alpha, q, j) == _tan_moment_reference(alpha, q, j)
+
+
+def test_tan_moment_rejects_power_above_cosine():
+    # T^1 = tan + tan^3 / 3 for alpha = 3 needs q >= 3
+    for moment in (_tan_moment, _tan_moment_reference):
+        with pytest.raises(DomainError):
+            moment(3, 2, 1)
+        with pytest.raises(DomainError):
+            moment(3, 5, 2)
+    assert _tan_moment(3, 6, 2) == _tan_moment_reference(3, 6, 2)
 
 
 def test_sin_cos_integral():
