@@ -384,6 +384,8 @@ _TERM_RE = re.compile(
 def parse_pinumber(text: str) -> PiNumber:
     """Parse the canonical text form back into a PiNumber."""
     s = text.strip()
+    if not s:
+        raise ValueError(f"cannot parse PiNumber {text!r}")
     if s == "0":
         return PiNumber.zero()
     # split into signed chunks; leading sign optional
@@ -398,6 +400,8 @@ def parse_pinumber(text: str) -> PiNumber:
             raise ValueError(f"cannot parse PiNumber term {chunk!r}")
         num = int(m.group("num"))
         den = int(m.group("den") or 1)
+        if den == 0:
+            raise ValueError(f"cannot parse PiNumber {text!r}: zero denominator")
         exp_txt = m.group("exp")
         if "pi" not in body:
             e = 0

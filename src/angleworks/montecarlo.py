@@ -66,7 +66,15 @@ def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarr
     return _sample_beta(d, beta, 1, rng)[0]
 
 
+def _check_finite(beta: float) -> None:
+    # NaN passes every range test and an infinite beta reaches NumPy, so both
+    # are refused before the first draw
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be a finite number, got {beta}")
+
+
 def _sample_beta(d: int, beta: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    _check_finite(beta)
     if beta < -1:
         raise DomainError("beta >= -1 required")
     g = rng.standard_normal((size, d))
@@ -86,6 +94,7 @@ def sample_betaprime_point(d: int, beta: float, rng: np.random.Generator) -> np.
 def _sample_betaprime(
     d: int, beta: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
+    _check_finite(beta)
     if beta <= d / 2.0:
         raise DomainError("beta > d/2 required")
     g = rng.standard_normal((size, d))

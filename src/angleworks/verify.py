@@ -3,8 +3,9 @@
 Each check returns a ``CheckResult``; a suite is a list of them.  The
 relations suite replays the linear identities every exact table must
 satisfy, the crosscheck suite pits independent computation routes against
-each other, and the montecarlo suite compares seeded stochastic estimates
-with the exact engine.
+each other (among them the bivariate extraction ``ugly_coefficient``
+against the Bernoulli fill), and the montecarlo suite compares seeded
+stochastic estimates with the exact engine.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .angle_engine import (
     lA_tilde_residue,
     p_alpha_k_value,
     relations_hold,
+    residue_rational,
     rm_value,
 )
-from .exact_scalars import PiNumber, c_beta, c_tilde_beta
+from .exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from .polytope_engine import (
     FVector,
     beta_polytope_fvector,
@@ -47,16 +49,7 @@ from .polytope_engine import (
     zero_cell_entry_product,
     zero_cell_fvector,
 )
-from .series_kernel import (
-    antiderivative_from_zero,
-    cos_power,
-    int_power,
-    laurent,
-    multiply,
-    residue,
-    sin_power,
-    ugly_coefficient,
-)
+from .series_kernel import bernoulli, sin_cos_residue
 from .trig_algebra import external_bI, external_bI_tilde, external_lB, external_lB_tilde
 
 
@@ -194,12 +187,58 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
 # -- crosscheck suite ------------------------------------------------------------
 
 
-def _signed_ugly(G, c: PiNumber, q: int, a: int, odd: bool) -> PiNumber:
+def ugly_coefficient(s: int, c: PiNumber, M: int, a: int, variant: str) -> PiNumber:
+    """[u^a x^{-1}] of sin(u*c*G(x)) / (tan(u/2) (sin x)^M)  (sin_over_tan)
+    or of cos(u*c*G(x)) / (cot(u/2) (sin x)^M)  (cos_over_cot), with
+    G = int_0^x sin^s (G = x at s = 0).
+
+    The u-side is closed form: expanding the sine/cosine as a finite sum of
+    powers of u*c*G and the co/tangent through the Bernoulli generating
+    functions, the u^a coefficient is a Bernoulli-weighted sum over the
+    power j, each term carrying the rational residue of G^j (sin x)^{-M},
+    ``residue_rational(s, j, M)``, which rejects s < 0 and M < 1.
+    """
+    if variant == "sin_over_tan":
+        if a % 2 != 0:
+            raise DomainError("sin_over_tan variant requires even a")
+        js = range(1, a + 2, 2)
+    elif variant == "cos_over_cot":
+        if a % 2 != 1:
+            raise DomainError("cos_over_cot variant requires odd a")
+        js = range(0, a, 2)
+    else:
+        raise DomainError(f"unknown variant {variant!r}")
+
+    total = PiNumber.zero()
+    for j in js:
+        two_n = a + 1 - j
+        B = bernoulli(two_n)
+        if variant == "sin_over_tan":
+            # sin(uw) -> (-1)^((j-1)/2) w^j/j!; cot(u/2) -> 2 (-1)^n B_{2n} u^{2n-1}/(2n)!
+            sign = (-1) ** ((j - 1) // 2) * (-1) ** (two_n // 2)
+            weight = Fraction(2 * sign, math.factorial(two_n) * math.factorial(j)) * B
+        else:
+            # cos(uw) -> (-1)^(j/2) w^j/j!; tan(u/2) -> 2 (-1)^(n-1) (2^{2n}-1) B_{2n} u^{2n-1}/(2n)!
+            sign = (-1) ** (j // 2) * (-1) ** (two_n // 2 - 1)
+            weight = (
+                Fraction(2 * sign * (2 ** two_n - 1), math.factorial(two_n) * math.factorial(j))
+                * B
+            )
+        if weight == 0:
+            continue
+        res = residue_rational(s, j, M)
+        if res == 0:
+            continue
+        total = total + (c ** j) * (weight * res)
+    return total
+
+
+def _signed_ugly(s: int, c: PiNumber, q: int, a: int, odd: bool) -> PiNumber:
     """The bivariate coefficient of ``ugly_coefficient`` with the sign of its
     parity variant: sin/tan when ``odd``, cos/cot otherwise."""
     if odd:
-        return (-1) ** (a // 2) * ugly_coefficient(G, c, q, a, "sin_over_tan")
-    return (-1) ** ((a - 1) // 2) * ugly_coefficient(G, c, q, a, "cos_over_cot")
+        return (-1) ** (a // 2) * ugly_coefficient(s, c, q, a, "sin_over_tan")
+    return (-1) ** ((a - 1) // 2) * ugly_coefficient(s, c, q, a, "cos_over_cot")
 
 
 GOLDEN = (
@@ -238,12 +277,7 @@ def crosscheck_suite() -> list[CheckResult]:
             ok = ok and fv.value(k - 1) == Fraction(math.comb(d, k) * math.comb(d + k, k))
     for d in range(0, 11):
         for k in range(0, d + 1):
-            res = residue(
-                multiply(
-                    int_power(sin_power(1, 2 * k + 4), -(2 * k + 1)),
-                    int_power(cos_power(1, 2 * d + 2 * k + 5), -(2 * d + 1)),
-                )
-            )
+            res = sin_cos_residue(2 * k + 1, 2 * d + 1)
             ok = ok and res == Fraction(math.comb(d + k, k))
     out.append(_check("alpha-2-family", ok, "A063007 f-vectors and sin/cos residue identity, d <= 10"))
 
@@ -264,7 +298,7 @@ def crosscheck_suite() -> list[CheckResult]:
     ok = True
     for n in range(3, 9):
         zc_n = zero_cell_fvector(n)
-        zc_m = zero_cell_fvector(n - 2) if n >= 3 else None
+        zc_m = zero_cell_fvector(n - 2)
         denom = (PiNumber.pi_power(2 * n) * c_tilde_beta(n + 1)) * 2
         for k in range(1, n - 1):
             f_n = zc_n.value(n - k)
@@ -291,8 +325,7 @@ def crosscheck_suite() -> list[CheckResult]:
             for k in range(1, n + 1):
                 if (n - k) % 2 != 0:
                     continue
-                G = antiderivative_from_zero(sin_power(alpha, alpha * n + 6))
-                val = _signed_ugly(G, c_beta(alpha - 1), alpha * n + 2, n - k, True)
+                val = _signed_ugly(alpha, c_beta(alpha - 1), alpha * n + 2, n - k, True)
                 full = (
                     Fraction(math.factorial(n), math.factorial(k))
                     * PiNumber.pi_power(2)
@@ -308,11 +341,9 @@ def crosscheck_suite() -> list[CheckResult]:
             for k in range(1, n + 1):
                 if (alpha * k) % 2 == 0:
                     continue
-                if alpha == 1:
-                    G = laurent(1, [1])  # integral of sin^0 = x
-                else:
-                    G = antiderivative_from_zero(sin_power(alpha - 1, alpha * n + 6))
-                val = _signed_ugly(G, c_tilde_beta(alpha + 1), alpha * n - 1, n - k, n % 2 == 1)
+                val = _signed_ugly(
+                    alpha - 1, c_tilde_beta(alpha + 1), alpha * n - 1, n - k, n % 2 == 1
+                )
                 full = (
                     Fraction(math.factorial(n), math.factorial(k))
                     * PiNumber.pi_power(2)
@@ -329,7 +360,7 @@ def crosscheck_suite() -> list[CheckResult]:
         for ell in range(d):
             if (d - ell) % 2 == 0:
                 continue
-            val = _signed_ugly(laurent(1, [1]), inv_pi, d + 1, ell, d % 2 == 1)
+            val = _signed_ugly(0, inv_pi, d + 1, ell, d % 2 == 1)
             pref = Fraction(math.factorial(d), math.factorial(d - ell))
             ok = ok and pref * PiNumber.pi_power(2 * d) * val == fv.value(ell)
     out.append(_check("zero-cell-ugly-display", ok, "bivariate route matches filled entries, d <= 10"))

@@ -26,7 +26,7 @@ from angleworks.polytope_engine import (
     zero_cell_entry_product,
     zero_cell_fvector,
 )
-from angleworks.series_kernel import cos_power, int_power, multiply, residue, sin_power
+from angleworks.series_kernel import sin_cos_residue
 from angleworks.verify import (
     _NUMERIC_GRID,
     _NUMERIC_GRID_TILDE,
@@ -109,12 +109,7 @@ def test_criterion_04_alpha_two_family():
             )
     for d in range(0, 11):
         for k in range(0, d + 1):
-            res = residue(
-                multiply(
-                    int_power(sin_power(1, 2 * k + 4), -(2 * k + 1)),
-                    int_power(cos_power(1, 2 * d + 2 * k + 5), -(2 * d + 1)),
-                )
-            )
+            res = sin_cos_residue(2 * k + 1, 2 * d + 1)
             assert res == F(math.comb(d + k, k)), (d, k)
     _report(4, "alpha=2 f-vectors are A063007 and the residue identity holds, d<=10")
 

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from angleworks import series_kernel
 from angleworks.angle_engine import (
     ParityError,
     angle_table,
@@ -24,14 +23,16 @@ from angleworks.angle_engine import (
     rm_value,
 )
 from angleworks.exact_scalars import DomainError, PiNumber, c_tilde_beta, gamma_half
-from angleworks.series_kernel import (
+from angleworks.trig_algebra import external_bI, external_bI_tilde
+from laurent_reference import (
+    ONE,
     LaurentSeries,
     antiderivative_from_zero,
     int_power,
     multiply,
+    residue,
     sin_power,
 )
-from angleworks.trig_algebra import external_bI, external_bI_tilde
 
 GOLDEN_5_1_M1 = PiNumber({-4: F(539, 288), 0: F(-1, 6)})
 GOLDEN_5_1_0 = PiNumber({-4: F(1692197, 846720), 0: F(-1, 6)})
@@ -46,11 +47,11 @@ def _residue_rational_laurent(a: int, p: int, q: int) -> F:
         return F(0)
     rel = (-1) - val + 2  # reach x^{-1} plus two safety terms
     if p == 0:
-        num: LaurentSeries = series_kernel.ONE
+        num: LaurentSeries = ONE
     else:
         num = int_power(antiderivative_from_zero(sin_power(a, a + rel)), p)
     den = int_power(sin_power(1, 1 + rel), -q)
-    return series_kernel.residue(multiply(num, den))
+    return residue(multiply(num, den))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -167,6 +167,12 @@ def test_text_round_trip():
         assert parse_pinumber(format_pinumber(x)) == x
 
 
+@pytest.mark.parametrize("text", ["", "   ", "1/0", "1/2 - 3/0 * pi"])
+def test_parse_pinumber_rejects_empty_text_and_zero_denominators(text):
+    with pytest.raises(ValueError, match="cannot parse PiNumber"):
+        parse_pinumber(text)
+
+
 _COEFFICIENTS = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**20))
 
 

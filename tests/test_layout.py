@@ -1,5 +1,6 @@
-"""Module boundaries: no module reaches into another's private names, and
-no file of the package or its tests imports a name it never reads."""
+"""Module boundaries: no module reaches into another's private names, no
+file of the package or its tests imports a name it never reads, and every
+public name of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,65 @@ def test_checker_flags_unused_imports(tmp_path):
         "    return np.zeros(1), pi\n"
     )
     assert _unused_imports(bad) == ["line 2: os", "line 4: tau", "line 6: dumps"]
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The public top-level functions, classes and constants of a module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if not name.startswith("_")]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read under ``node``: loads, attributes and ``from`` imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(a.name for a in sub.names)
+    return out
+
+
+def _unused_public_names(paths: list[Path]) -> list[str]:
+    """``module.name`` for each public definition that no module reads
+    outside that definition itself; a re-export by ``__init__`` is a read."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    unused = []
+    for stem, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            elsewhere = set()
+            for other_stem, other in trees.items():
+                body = other.body if other_stem != stem else [n for n in other.body if n is not node]
+                for top in body:
+                    elsewhere |= _reads(top)
+            if name not in elsewhere:
+                unused.append(f"{stem}.{name}")
+    return sorted(unused)
+
+
+def test_every_public_name_is_read():
+    assert _unused_public_names(MODULES) == []
+
+
+def test_checker_flags_unused_public_names(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "def exported(): return LIMIT\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "def called(): return 1\n"
+        "def _private(): return 2\n"
+        "class Dead: pass\n"
+    )
+    (tmp_path / "b.py").write_text("from . import a\nprint(a.called())\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _unused_public_names(paths) == ["a.Dead", "a.UNUSED", "a.recursive"]

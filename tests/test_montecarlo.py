@@ -154,6 +154,27 @@ def test_empty_or_invalid_sample_sizes_are_domain_errors(call):
         call()
 
 
+_BETA_ENTRY_POINTS = {
+    "sample_beta_point": lambda beta, rng: sample_beta_point(2, beta, rng),
+    "sample_betaprime_point": lambda beta, rng: sample_betaprime_point(2, beta, rng),
+    "mc_beta_hull_2d": lambda beta, rng: mc_beta_hull_2d(4, beta, trials=10),
+    "mc_angle_sum-beta": lambda beta, rng: mc_angle_sum("beta", 3, 1, beta, simplices=4),
+    "mc_angle_sum-betaprime": lambda beta, rng: mc_angle_sum("betaprime", 3, 1, beta, simplices=4),
+}
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(_BETA_ENTRY_POINTS))
+def test_non_finite_beta_is_a_domain_error(entry, beta):
+    # NaN passes every range check; the finiteness check comes before any
+    # draw, so the stream is untouched
+    rng = _rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        _BETA_ENTRY_POINTS[entry](beta, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_convex_hull_square_and_collinear():
     sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
     assert len(convex_hull_2d(sq)) == 4

@@ -24,7 +24,8 @@ from angleworks.polytope_engine import (
     zero_cell_entry_product,
     zero_cell_fvector,
 )
-from angleworks.series_kernel import coefficient, int_power, sin_power
+from angleworks.verify import ugly_coefficient
+from laurent_reference import coefficient, int_power, sin_power
 
 PI2 = PiNumber.pi_power(4)
 
@@ -99,24 +100,21 @@ def test_curious_combinatorial_identity():
 
 
 def test_zero_cell_ugly_display_matches_fill():
-    # the odd-codimension entries by the bivariate coefficient route
-    from angleworks.series_kernel import laurent, ugly_coefficient
-    import math as _m
-
+    # the odd-codimension entries by the bivariate coefficient route, with
+    # G = x (s = 0)
     inv_pi = PiNumber.pi_power(-2)
     for d in (3, 4, 5, 6):
         fv = zero_cell_fvector(d)
         for ell in range(d):
             if (d - ell) % 2 == 0:
                 continue
-            G = laurent(1, [1])
             if d % 2 == 1:
-                val = ugly_coefficient(G, inv_pi, d + 1, ell, "sin_over_tan")
+                val = ugly_coefficient(0, inv_pi, d + 1, ell, "sin_over_tan")
                 sign = (-1) ** (ell // 2)
             else:
-                val = ugly_coefficient(G, inv_pi, d + 1, ell, "cos_over_cot")
+                val = ugly_coefficient(0, inv_pi, d + 1, ell, "cos_over_cot")
                 sign = (-1) ** ((ell - 1) // 2)
-            pref = F(sign * _m.factorial(d), _m.factorial(d - ell))
+            pref = F(sign * math.factorial(d), math.factorial(d - ell))
             assert pref * PiNumber.pi_power(2 * d) * val == fv.value(ell)
 
 

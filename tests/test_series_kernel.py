@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from angleworks import series_kernel
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from angleworks.angle_engine import bJ_exact, bJtilde_exact, residue_rational
-from angleworks.series_kernel import (
+from angleworks.series_kernel import bernoulli, sin_cos_residue, sinc_coefficient
+from angleworks.verify import ugly_coefficient
+from laurent_reference import (
     ONE,
     antiderivative_from_zero,
-    bernoulli,
     coefficient,
     cos_power,
     derivative,
@@ -24,8 +25,7 @@ from angleworks.series_kernel import (
     multiply,
     residue,
     sin_power,
-    sinc_coefficient,
-    ugly_coefficient,
+    ugly_coefficient_reference,
 )
 
 
@@ -166,38 +166,86 @@ def test_bernoulli_values():
 def test_ugly_coefficient_a0_odd_m_vanishes():
     # a = 0 keeps only j=1, n=0: 2*c*Res[G / sin^M]; odd M with even inner
     # power makes the integrand even, so the residue is 0
-    G = antiderivative_from_zero(sin_power(2, 14))
-    assert ugly_coefficient(G, PiNumber.one(), 11, 0, "sin_over_tan").is_zero()
+    assert ugly_coefficient(2, PiNumber.one(), 11, 0, "sin_over_tan").is_zero()
 
 
 def test_ugly_coefficient_reproduces_golden_value():
     # n=5, k=1, alpha=2 route of the even/even parity formula
-    G = antiderivative_from_zero(sin_power(2, 18))
-    val = ugly_coefficient(G, c_beta(1), 12, 4, "sin_over_tan")
+    val = ugly_coefficient(2, c_beta(1), 12, 4, "sin_over_tan")
     full = F(math.factorial(5)) * PiNumber.pi_power(2) * c_beta(10) * val
     assert full == bJ_exact(5, 1, -2)
     assert full == PiNumber({-4: F(539, 288), 0: F(-1, 6)})
 
 
 def test_ugly_coefficient_tilde_cross_method():
-    # alpha=1, n=3, k=1: odd-n sin/tan variant vs the Bernoulli-fill value
-    G = laurent(1, [1])  # integral of sin^0 = x, exact
-    val = ugly_coefficient(G, c_tilde_beta(2), 2, 2, "sin_over_tan")
+    # alpha=1, n=3, k=1: odd-n sin/tan variant vs the Bernoulli-fill value;
+    # s = 0 is G = x, the integral of sin^0
+    val = ugly_coefficient(0, c_tilde_beta(2), 2, 2, "sin_over_tan")
     full = -F(math.factorial(3)) * PiNumber.pi_power(2) * c_tilde_beta(3) * val
     assert full == bJtilde_exact(3, 1, 3)
 
 
 def test_ugly_coefficient_validation():
-    G = antiderivative_from_zero(sin_power(2, 12))
+    for s, M, a, variant in [
+        (2, 8, 3, "sin_over_tan"),  # odd a
+        (2, 8, 2, "cos_over_cot"),  # even a
+        (2, 8, 2, "tan_over_sin"),  # unknown variant
+        (2, 0, 2, "sin_over_tan"),  # M < 1
+        (-1, 8, 2, "sin_over_tan"),  # s < 0
+    ]:
+        with pytest.raises(DomainError):
+            ugly_coefficient(s, PiNumber.one(), M, a, variant)
+
+
+def test_ugly_coefficient_reference_validation():
+    # what only a truncated Laurent G can get wrong: a valuation below 1,
+    # and too few known terms to resolve a residue
     with pytest.raises(DomainError):
-        ugly_coefficient(G, PiNumber.one(), 8, 3, "sin_over_tan")  # odd a
+        ugly_coefficient_reference(laurent(0, [1], 4), PiNumber.one(), 8, 2, "sin_over_tan")
     with pytest.raises(DomainError):
-        ugly_coefficient(G, PiNumber.one(), 8, 2, "cos_over_cot")  # even a
+        G = antiderivative_from_zero(sin_power(2, 6))
+        ugly_coefficient_reference(G, PiNumber.one(), 30, 2, "sin_over_tan")
+
+
+@st.composite
+def _ugly_specs(draw):
+    """(s, M, a, variant) with s <= 6, M <= 30, a <= 8 and a of the
+    variant's parity."""
+    variant = draw(st.sampled_from(["sin_over_tan", "cos_over_cot"]))
+    odd = variant == "cos_over_cot"
+    a = 2 * draw(st.integers(0, 4 - odd)) + odd
+    return draw(st.integers(0, 6)), draw(st.integers(1, 30)), a, variant
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_ugly_specs())
+def test_ugly_coefficient_matches_laurent_reference(spec):
+    s, M, a, variant = spec
+    if s == 0:
+        G = laurent(1, [1])
+    else:
+        # M + 3 known terms of G past its valuation resolve every residue
+        G = antiderivative_from_zero(sin_power(s, s + M + 3))
+    c = PiNumber({-1: F(2, 3), 2: F(-5)})
+    assert ugly_coefficient(s, c, M, a, variant) == ugly_coefficient_reference(G, c, M, a, variant)
+
+
+def _sin_cos_residue_reference(p: int, q: int) -> F:
+    num = int_power(sin_power(1, p + 2), -p)
+    return residue(multiply(num, int_power(cos_power(1, p + 1), -q)))
+
+
+def test_sin_cos_residue_matches_laurent_reference():
+    cases = [(2 * k + 1, 2 * d + 1) for d in range(11) for k in range(d + 1)]
+    cases += [(p, q) for p in (1, 3, 7, 13, 21) for q in (-4, -1, 0, 2, 6, 17)]
+    for p, q in cases:
+        assert sin_cos_residue(p, q) == _sin_cos_residue_reference(p, q), (p, q)
+
+
+@pytest.mark.parametrize("p", [0, 2, -1, -3])
+def test_sin_cos_residue_needs_odd_positive_p(p):
     with pytest.raises(DomainError):
-        ugly_coefficient(laurent(0, [1], 4), PiNumber.one(), 8, 2, "sin_over_tan")
-    # insufficient order to resolve the residue
-    with pytest.raises(DomainError):
-        ugly_coefficient(antiderivative_from_zero(sin_power(2, 6)), PiNumber.one(), 30, 2, "sin_over_tan")
+        sin_cos_residue(p, 3)
 
 
 def test_zero_series_propagates():
