@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import quadrature, trig_algebra
-from .exact_scalars import PI, DomainError, PiNumber, c_beta, c_tilde_beta, exact_scaled
+from .exact_scalars import PI, DomainError, PiNumber, c_beta, exact_scaled
 from .series_kernel import bernoulli, residue_coefficient
 
 
@@ -65,14 +65,7 @@ def bJ_residue(n: int, k: int, alpha: int) -> PiNumber:
             f"residue route needs (alpha even, n-k odd) or (alpha, n odd); "
             f"got n={n}, k={k}, alpha={alpha}"
         )
-    res = residue_rational(alpha, n - k, alpha * n + 2)
-    return (
-        math.comb(n, k)
-        * c_beta(alpha * n)
-        * c_beta(alpha - 1) ** (n - k)
-        * PI
-        * res
-    )
+    return _bJ_residue(n, k, alpha, 0)
 
 
 def bJtilde_residue(n: int, k: int, alpha: int) -> PiNumber:
@@ -85,11 +78,17 @@ def bJtilde_residue(n: int, k: int, alpha: int) -> PiNumber:
         raise ParityError(f"residue route needs alpha*k even; got {alpha}*{k}")
     if k == n:
         return PiNumber.one()
-    res = residue_rational(alpha - 1, n - k, alpha * n - 1)
+    return _bJ_residue(n, k, alpha, 1)
+
+
+def _bJ_residue(n: int, k: int, alpha: int, shift: int) -> PiNumber:
+    """The residue formula of bold-J (shift 0) and bold-J~ (shift 1): the
+    beta' one is the beta one at alpha - 1 with c~_beta = c_(beta - 3/2)."""
+    res = residue_rational(alpha - shift, n - k, alpha * n + 2 - 3 * shift)
     return (
         math.comb(n, k)
-        * c_tilde_beta(alpha * n)
-        * c_tilde_beta(alpha + 1) ** (n - k)
+        * c_beta(alpha * n - 3 * shift)
+        * c_beta(alpha - 1 - shift) ** (n - k)
         * PI
         * res
     )
@@ -278,25 +277,17 @@ def bJtilde_numeric(n: int, k: int, beta: float) -> float:
 def lA_residue(nu_num: int, kappa_num: int, alpha: int) -> PiNumber:
     """a[nu, kappa] with nu = nu_num/alpha, kappa = kappa_num/alpha, via the
     rational residue; requires alpha*kappa + nu - kappa odd."""
-    if alpha < 1:
-        raise DomainError("alpha must be a positive integer")
-    if (nu_num - kappa_num) % alpha != 0:
-        raise DomainError("nu - kappa must be a nonnegative integer")
-    r = (nu_num - kappa_num) // alpha
-    if r < 0:
-        return PiNumber.zero()
-    if (kappa_num + r) % 2 == 0:
-        raise ParityError(
-            "a[nu, kappa] residue form needs alpha*kappa + (nu - kappa) odd"
-        )
-    res = residue_rational(alpha, r, nu_num)
-    return PiNumber.from_rational(
-        Fraction(alpha ** (r + 1), 2 * math.factorial(r)) * res
-    )
+    return _lA_residue(nu_num, kappa_num, alpha, 0)
 
 
 def lA_tilde_residue(nu_num: int, kappa_num: int, alpha: int) -> PiNumber:
     """a~[nu, kappa] via the rational residue; requires alpha*kappa even."""
+    return _lA_residue(nu_num, kappa_num, alpha, 1)
+
+
+def _lA_residue(nu_num: int, kappa_num: int, alpha: int, shift: int) -> PiNumber:
+    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1): alpha^(r+1)/(2 r!)
+    times the residue at sin^(alpha - shift) and q = nu_num + shift."""
     if alpha < 1:
         raise DomainError("alpha must be a positive integer")
     if (nu_num - kappa_num) % alpha != 0:
@@ -304,9 +295,13 @@ def lA_tilde_residue(nu_num: int, kappa_num: int, alpha: int) -> PiNumber:
     r = (nu_num - kappa_num) // alpha
     if r < 0:
         return PiNumber.zero()
-    if kappa_num % 2 != 0:
+    if shift == 0 and (kappa_num + r) % 2 == 0:
+        raise ParityError(
+            "a[nu, kappa] residue form needs alpha*kappa + (nu - kappa) odd"
+        )
+    if shift == 1 and kappa_num % 2 != 0:
         raise ParityError("a~[nu, kappa] residue form needs alpha*kappa even")
-    res = residue_rational(alpha - 1, r, nu_num + 1)
+    res = residue_rational(alpha - shift, r, nu_num + shift)
     return PiNumber.from_rational(
         Fraction(alpha ** (r + 1), 2 * math.factorial(r)) * res
     )

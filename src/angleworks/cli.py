@@ -39,14 +39,17 @@ from .polytope_engine import (
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def _parse_parameter(text: str, what: str = "beta"):
-    """P/Q stays exact; a decimal routes to the numeric path with a notice."""
+def _parse_parameter(text: str, what: str = "beta", scale: int = 2):
+    """P/Q stays exact when ``scale`` times it is an integer (half-integers
+    for scale 2, integers for scale 1); anything else routes to the numeric
+    path with a notice."""
     try:
         if _FRACTION_RE.match(text):
             q = Fraction(text)
-            if exact_scaled(q) is not None:
+            if exact_scaled(q, scale) is not None:
                 return q, True
-            notice = f"{what}={text} is not a half-integer; using numeric evaluation"
+            kind = "a half-integer" if scale == 2 else "an integer"
+            notice = f"{what}={text} is not {kind}; using numeric evaluation"
             v = float(q)
         else:
             notice = f"decimal {what}={text} routes to numeric evaluation"
@@ -128,7 +131,7 @@ def cmd_fvector(args) -> int:
     elif model == "poisson":
         if args.alpha is None:
             raise DomainError("--alpha required for the poisson model")
-        alpha, _ = _parse_parameter(args.alpha, "alpha")
+        alpha, _ = _parse_parameter(args.alpha, "alpha", 1)
         fv = poisson_polytope_fvector(args.d, alpha)
     elif model in ("beta", "betaprime"):
         if args.beta is None or args.n is None:

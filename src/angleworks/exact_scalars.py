@@ -46,14 +46,10 @@ class PiNumber:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(e)] = clean.get(int(e), Fraction(0)) + c
-            clean = {e: c for e, c in clean.items() if c != 0}
-        self._terms = clean
+        self._terms: dict[int, Fraction] = {
+            int(e): c if isinstance(c, Fraction) else Fraction(c)
+            for e, c in (terms or {}).items() if c
+        }
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -278,12 +274,13 @@ def c_beta(twice_beta: int) -> PiNumber:
 
 
 def c_tilde_beta(twice_beta: int) -> PiNumber:
-    """c~_beta = Gamma(beta) / (sqrt(pi) Gamma(beta - 1/2)), beta > 1/2."""
+    """c~_beta = Gamma(beta) / (sqrt(pi) Gamma(beta - 1/2)) = c_(beta - 3/2),
+    beta > 1/2."""
     if twice_beta <= 1:
         raise DomainError(
             f"c_tilde_beta requires beta > 1/2, got 2*beta={twice_beta}"
         )
-    return gamma_half(twice_beta) / (gamma_half(1) * gamma_half(twice_beta - 1))
+    return c_beta(twice_beta - 3)
 
 
 def normalizing_constant(d: int, twice_beta: int, family: str) -> PiNumber:

@@ -25,7 +25,7 @@ from .angle_engine import (
     relations_hold,
     residue_rational,
 )
-from .exact_scalars import DomainError, PiNumber, c_tilde_beta, exact_scaled, gamma_half
+from .exact_scalars import DomainError, PiNumber, c_beta, exact_scaled, gamma_half
 from .series_kernel import sinc_coefficient
 
 #: provenance of a sum of terms: the tag of its least direct term
@@ -57,12 +57,8 @@ class FVector:
 @lru_cache(maxsize=None)
 def poisson_weight_inf(m: int, alpha: int) -> PiNumber:
     """The limiting external weight: c~_{(alpha m+1)/2} / c~_{(alpha+1)/2}^m
-    * alpha^{m-1} / m."""
-    return (
-        c_tilde_beta(alpha * m + 1)
-        / c_tilde_beta(alpha + 1) ** m
-        * Fraction(alpha ** (m - 1), m)
-    )
+    * alpha^{m-1} / m, with c~_beta = c_(beta - 3/2)."""
+    return c_beta(alpha * m - 2) / c_beta(alpha - 2) ** m * Fraction(alpha ** (m - 1), m)
 
 
 def _parity_sum(d: int, external, internal, zero) -> tuple:
@@ -102,7 +98,7 @@ def poisson_polytope_fvector(d: int, alpha) -> FVector:
     a = float(alpha)
     if a <= 0:
         raise DomainError("alpha > 0 required")
-    ctil = quadrature.c_tilde_beta_float((a + 1) / 2)
+    ctil = quadrature.c_beta_float((a - 2) / 2)
     entries = []
     for k in range(1, d + 1):
         val = (
@@ -190,12 +186,6 @@ def typical_voronoi_fvector(d: int) -> FVector:
     pp = poisson_polytope_fvector(d, d)
     entries = tuple(pp.entries[d - ell - 1] for ell in range(d))
     return FVector(d, "voronoi", {}, entries)
-
-
-def voronoi_residue_entry(d: int, k: int) -> PiNumber:
-    """Direct residue form of E f_{d-k}(V_d), valid when d*k is even: the
-    Poisson polytope's at alpha = d, by duality."""
-    return poisson_residue_entry(d, k, d)
 
 
 def face_intensity(d: int, j: int) -> PiNumber:

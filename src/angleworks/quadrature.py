@@ -7,7 +7,9 @@ Everything here reduces to one kernel:
 
 with ``w`` purely imaginary for the angle formulas and real for the
 external-angle quantities (whose finite-interval integrals are mapped to
-the line by x = arcsin tanh u).  Panels of Gauss-Legendre nodes resolve
+the line by x = arcsin tanh u).  Each beta' quantity is the beta one with
+the inner cosine exponent lowered by s = 1 and c~_beta = c_(beta - 3/2), so
+one body per pair takes the shift s.  Panels of Gauss-Legendre nodes resolve
 the cosh^(-P) peak at the origin; the inner cumulative integral is
 evaluated once per node against memoized panel-boundary anchors; the
 truncation horizon is solved from the integrand's exponential decay.
@@ -134,116 +136,80 @@ def c_beta_float(beta: float) -> float:
     return math.gamma(beta + 1.5) / (math.sqrt(math.pi) * math.gamma(beta + 1.0))
 
 
-def c_tilde_beta_float(beta: float) -> float:
-    """c~_beta as a float, for real beta > 1/2."""
-    return math.gamma(beta) / (math.sqrt(math.pi) * math.gamma(beta - 0.5))
-
-
 def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
     """bold-J_{n,k} (beta family) or bold-J~_{n,k} (betaprime family) by
     quadrature of the cosh-form integral, real part with checked imaginary
     cancellation."""
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
-    r = n - k
-    if family == "beta":
-        if alpha < n - 3 - 1e-12:
-            raise DomainError(f"beta family needs alpha >= n-3, got {alpha}")
-        P = alpha * n + 2.0
-        E = alpha
-        ci = c_beta_float((alpha - 1.0) / 2.0)
-        pref = math.comb(n, k) * c_beta_float(alpha * n / 2.0)
-    elif family == "betaprime":
-        if alpha * n <= 1.0:
-            raise DomainError(f"betaprime family needs alpha*n > 1, got {alpha * n}")
-        P = alpha * n - 1.0
-        E = alpha - 1.0
-        ci = c_tilde_beta_float((alpha + 1.0) / 2.0)
-        pref = math.comb(n, k) * c_tilde_beta_float(alpha * n / 2.0)
-    else:
+    if family not in ("beta", "betaprime"):
         raise DomainError(f"unknown family {family!r}")
-    res = cosh_kernel(P, E, 0.5, 1j * ci, r)
+    s = 0 if family == "beta" else 1
+    if s == 0 and alpha < n - 3 - 1e-12:
+        raise DomainError(f"beta family needs alpha >= n-3, got {alpha}")
+    if s == 1 and alpha * n <= 1.0:
+        raise DomainError(f"betaprime family needs alpha*n > 1, got {alpha * n}")
+    ci = c_beta_float((alpha - 1.0 - s) / 2.0)
+    res = cosh_kernel(alpha * n + (2.0 - 3 * s), alpha - s, 0.5, 1j * ci, n - k)
+    pref = math.comb(n, k) * c_beta_float((alpha * n - 3 * s) / 2.0)
     return QuadResult(pref * res.value, pref * res.abs_error_estimate, res.evaluations)
 
 
 # -- numeric external/internal quantities for non-integer parameters ----------
 
 
-def a_numeric(nu: float, kappa: float, alpha: float) -> float:
-    """a[nu, kappa] by quadrature; needs alpha*kappa > 0 and nu-kappa in N0."""
+def _half_cos_integral(p: float) -> float:
+    """Half the integral of cos^p over [-pi/2, pi/2], F(0) for F of cos^p."""
+    return math.sqrt(math.pi) * math.gamma((p + 1) / 2) / (2 * math.gamma(p / 2 + 1))
+
+
+def _lA_numeric(nu: float, kappa: float, alpha: float, shift: int) -> float:
+    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) by quadrature."""
     r_f = nu - kappa
     r = round(r_f)
     if abs(r_f - r) > 1e-9 or r < 0:
         raise DomainError("nu - kappa must be a nonnegative integer")
-    if alpha * kappa <= 0:
+    if shift == 0 and alpha * kappa <= 0:
         raise DomainError("a[nu, kappa] requires alpha*kappa > 0")
-    F0 = math.sqrt(math.pi) * math.gamma((alpha + 1) / 2) / (alpha * math.gamma(alpha / 2))
-    res = cosh_kernel(alpha * nu, alpha, F0, 1j, r)
+    F0 = _half_cos_integral(alpha - shift)
+    res = cosh_kernel(alpha * nu + shift, alpha - shift, F0, 1j, r)
     return alpha ** (r + 1) / math.factorial(r) / (2 * math.pi) * res.value
+
+
+def a_numeric(nu: float, kappa: float, alpha: float) -> float:
+    """a[nu, kappa] by quadrature; needs alpha*kappa > 0 and nu-kappa in N0."""
+    return _lA_numeric(nu, kappa, alpha, 0)
 
 
 def a_tilde_numeric(nu: float, kappa: float, alpha: float) -> float:
     """a~[nu, kappa] by quadrature."""
-    r_f = nu - kappa
-    r = round(r_f)
-    if abs(r_f - r) > 1e-9 or r < 0:
-        raise DomainError("nu - kappa must be a nonnegative integer")
-    F0 = math.sqrt(math.pi) * math.gamma(alpha / 2) / (2 * math.gamma((alpha + 1) / 2))
-    res = cosh_kernel(alpha * nu + 1.0, alpha - 1.0, F0, 1j, r)
-    return alpha ** (r + 1) / math.factorial(r) / (2 * math.pi) * res.value
+    return _lA_numeric(nu, kappa, alpha, 1)
 
 
-def b_numeric(nu: float, kappa: float, alpha: float) -> float:
-    """b{nu, kappa} by quadrature (finite interval mapped to the line)."""
-    r_f = nu - kappa
-    r = round(r_f)
-    if abs(r_f - r) > 1e-9:
-        raise DomainError("nu - kappa must be an integer")
-    if r < 0:
-        return 0.0
-    if alpha * kappa <= -1:
-        raise DomainError("b{nu, kappa} requires alpha*kappa > -1")
-    F0 = math.sqrt(math.pi) * math.gamma((alpha + 1) / 2) / (alpha * math.gamma(alpha / 2))
-    res = cosh_kernel(alpha * kappa + 1.0, -(alpha + 1.0), F0, 1.0, r)
-    return alpha ** r / math.factorial(r) * res.value
-
-
-def b_tilde_numeric(nu: float, kappa: float, alpha: float) -> float:
-    """b~{nu, kappa} by quadrature."""
-    r_f = nu - kappa
-    r = round(r_f)
-    if abs(r_f - r) > 1e-9:
-        raise DomainError("nu - kappa must be an integer")
-    if r < 0:
-        return 0.0
-    if alpha * kappa <= 0:
-        raise DomainError("b~{nu, kappa} requires alpha*kappa > 0")
-    F0 = math.sqrt(math.pi) * math.gamma(alpha / 2) / (2 * math.gamma((alpha + 1) / 2))
-    res = cosh_kernel(alpha * kappa, -alpha, F0, 1.0, r)
-    return alpha ** r / math.factorial(r) * res.value
+def _I_numeric(n: int, k: int, alpha: float, shift: int) -> float:
+    """bold-I_{n,k} (shift 0) or bold-I~_{n,k} (shift 1): the kernel on
+    F of cos^(alpha - shift) against cos^(alpha k - shift), mapped to the
+    line by x = arcsin tanh u."""
+    if not 1 <= k <= n:
+        raise DomainError("need 1 <= k <= n")
+    if alpha * k <= shift - 1:
+        raise DomainError(f"bold-I needs alpha*k > {shift - 1}, got {alpha * k}")
+    r = n - k
+    F0 = _half_cos_integral(alpha - shift)
+    res = cosh_kernel(alpha * k + (1 - shift), -(alpha + (1 - shift)), F0, 1.0, r)
+    return (
+        math.comb(n, k)
+        * c_beta_float((alpha * k - 1 - shift) / 2)
+        * c_beta_float((alpha - 1 - shift) / 2) ** r
+        * res.value
+    )
 
 
 def I_numeric(n: int, k: int, alpha: float) -> float:
     """bold-I_{n,k}(alpha) as a float, real alpha > -1/k."""
-    r = n - k
-    pref = (
-        math.comb(n, k)
-        * c_beta_float((alpha * k - 1) / 2)
-        * c_beta_float((alpha - 1) / 2) ** r
-        * math.factorial(r)
-        / alpha**r
-    )
-    return pref * b_numeric(n, k, alpha)
+    return _I_numeric(n, k, alpha, 0)
 
 
 def I_tilde_numeric(n: int, k: int, alpha: float) -> float:
     """bold-I~_{n,k}(alpha) as a float, real alpha > 0 with alpha*k >= 1."""
-    r = n - k
-    pref = (
-        math.comb(n, k)
-        * c_tilde_beta_float((alpha * k + 1) / 2)
-        * c_tilde_beta_float((alpha + 1) / 2) ** r
-        * math.factorial(r)
-        / alpha**r
-    )
-    return pref * b_tilde_numeric(n, k, alpha)
+    return _I_numeric(n, k, alpha, 1)

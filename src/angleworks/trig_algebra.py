@@ -13,6 +13,10 @@ they run on integer numerators over one common denominator.  pi enters
 only at the end, through the moments integral_0^pi u^j cos(mu) du and
 integral_0^pi u^j sin(mu) du, which are polynomials in pi.
 
+Each beta' quantity is its beta counterpart with both cosine exponents
+lowered by a shift s = 1 (s = 0 for beta) and c~_beta = c_(beta - 3/2), so
+one shifted body serves both families.
+
 The module also holds the tangent-polynomial route for the one parity case
 whose internal angles are not reachable by residues.  There the powers of
 the tangent polynomial T are integer numerators over L^j, L = lcm(1, 3,
@@ -27,13 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_scalars import (
-    DomainError,
-    PiNumber,
-    c_beta,
-    c_tilde_beta,
-    gamma_half,
-)
+from .exact_scalars import DomainError, PiNumber, c_beta, gamma_half
 
 Key = tuple[int, int, str]  # (u-power j, frequency m, "cos" | "sin")
 Terms = dict[Key, int]  # numerators of coeff * u^j * cos(mu) or sin(mu)
@@ -208,6 +206,15 @@ def external_lB_tilde(nu: Fraction | int, kappa: Fraction | int, alpha: int) -> 
 
 
 @lru_cache(maxsize=None)
+def _external_bI(n: int, k: int, alpha: int, shift: int) -> PiNumber:
+    """C(n, k) c_beta(alpha k - 1 - shift) c_beta(alpha - 1 - shift)^r
+    (arguments doubled) times the kernel at cos^(alpha k - shift), F of
+    cos^(alpha - shift), r = n - k: bold-I for shift 0, bold-I~ for shift 1."""
+    r = n - k
+    raw = _cos_F_integral(alpha * k - shift, alpha - shift, r)
+    return math.comb(n, k) * c_beta(alpha * k - 1 - shift) * c_beta(alpha - 1 - shift) ** r * raw
+
+
 def external_bI(n: int, k: int, alpha: int) -> PiNumber:
     """Expected external angle sum of the beta simplex (bold-I_{n,k}(alpha)),
     exact for integer alpha >= 0."""
@@ -215,12 +222,9 @@ def external_bI(n: int, k: int, alpha: int) -> PiNumber:
         raise DomainError("need 1 <= k <= n")
     if alpha < 0:
         raise DomainError("exact external angles need integer alpha >= 0")
-    r = n - k
-    raw = _cos_F_integral(alpha * k, alpha, r)
-    return math.comb(n, k) * c_beta(alpha * k - 1) * c_beta(alpha - 1) ** r * raw
+    return _external_bI(n, k, alpha, 0)
 
 
-@lru_cache(maxsize=None)
 def external_bI_tilde(n: int, k: int, alpha: int) -> PiNumber:
     """Expected external angle sum of the beta' simplex (bold-I~_{n,k}(alpha)),
     exact for integer alpha >= 1."""
@@ -228,9 +232,7 @@ def external_bI_tilde(n: int, k: int, alpha: int) -> PiNumber:
         raise DomainError("need 1 <= k <= n")
     if alpha < 1:
         raise DomainError("betaprime external angles need integer alpha >= 1")
-    r = n - k
-    raw = _cos_F_integral(alpha * k - 1, alpha - 1, r)
-    return math.comb(n, k) * c_tilde_beta(alpha * k + 1) * c_tilde_beta(alpha + 1) ** r * raw
+    return _external_bI(n, k, alpha, 1)
 
 
 # -- tangent-polynomial route (internal angles, alpha odd / n even) ----------

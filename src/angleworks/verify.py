@@ -43,7 +43,6 @@ from .polytope_engine import (
     reitzner_sphere,
     reitzner_sphere_residue,
     typical_voronoi_fvector,
-    voronoi_residue_entry,
     x_over_sin_coeff,
     zero_cell_entry_even,
     zero_cell_entry_product,
@@ -292,7 +291,7 @@ def crosscheck_suite() -> list[CheckResult]:
         fv = typical_voronoi_fvector(d)
         for k in range(1, d + 1):
             if (d * k) % 2 == 0:
-                ok = ok and voronoi_residue_entry(d, k) == fv.value(d - k)
+                ok = ok and poisson_residue_entry(d, k, d) == fv.value(d - k)
     out.append(_check("residue-vs-telescoping", ok, "direct residue equals summed route"))
 
     ok = True

@@ -94,6 +94,19 @@ def test_decimal_beta_routes_numeric_with_notice(capsys):
     assert abs(val - 0.125) < 1e-9
 
 
+@pytest.mark.parametrize("alpha", ["1/2", "3/2"])
+def test_fractional_poisson_alpha_routes_numeric_with_notice(capsys, alpha):
+    # the exact Poisson path needs an integer alpha, not a half-integer
+    code, out, err = run_cli(capsys, "fvector", "--model", "poisson", "--d", "3", "--alpha", alpha)
+    assert code == 0
+    assert f"notice: alpha={alpha} is not an integer; using numeric evaluation" in err
+    assert "numeric" in out
+    _, decimal_out, _ = run_cli(
+        capsys, "fvector", "--model", "poisson", "--d", "3", "--alpha", str(float(Fraction(alpha)))
+    )
+    assert out == decimal_out
+
+
 def test_numeric_flag_forces_quadrature(capsys):
     code, out, _ = run_cli(
         capsys, "angles", "--family", "beta", "--n", "4", "--k", "1",

@@ -18,7 +18,6 @@ from angleworks.polytope_engine import (
     reitzner_sphere,
     reitzner_sphere_residue,
     typical_voronoi_fvector,
-    voronoi_residue_entry,
     x_over_sin_coeff,
     zero_cell_entry_even,
     zero_cell_entry_product,
@@ -134,7 +133,7 @@ def test_voronoi_residue_cross_check():
         fv = typical_voronoi_fvector(d)
         for k in range(1, d + 1):
             if (d * k) % 2 == 0:
-                assert voronoi_residue_entry(d, k) == fv.value(d - k)
+                assert poisson_residue_entry(d, k, d) == fv.value(d - k)
 
 
 def test_voronoi_arithmetic_forms():

@@ -7,11 +7,11 @@ import pytest
 from angleworks.angle_engine import bJ_exact, bJtilde_exact
 from angleworks.exact_scalars import DomainError
 from angleworks.quadrature import (
+    I_numeric,
+    I_tilde_numeric,
     QuadResult,
     a_numeric,
     a_tilde_numeric,
-    b_numeric,
-    b_tilde_numeric,
     c_beta_float,
     cosh_kernel,
     outer_integral,
@@ -130,15 +130,15 @@ def test_against_independent_double_quadrature():
 
 
 def test_b_and_a_numeric_consistency():
-    # numeric b{n,k} matches the exact Fourier value
-    from angleworks.trig_algebra import external_lB, external_lB_tilde
+    # numeric bold-I_{n,k} matches the exact external angle sum
+    from angleworks.trig_algebra import external_bI, external_bI_tilde
 
     for alpha in (1, 2, 3):
         for n in range(1, 5):
             for k in range(1, n + 1):
-                assert abs(b_numeric(n, k, alpha) - external_lB(n, k, alpha).to_float()) < 1e-11
+                assert abs(I_numeric(n, k, alpha) - external_bI(n, k, alpha).to_float()) < 1e-11
                 assert abs(
-                    b_tilde_numeric(n, k, alpha) - external_lB_tilde(n, k, alpha).to_float()
+                    I_tilde_numeric(n, k, alpha) - external_bI_tilde(n, k, alpha).to_float()
                 ) < 1e-11
     # numeric a[nu,kappa] matches the residue value on admissible parities
     from angleworks.angle_engine import lA_residue, lA_tilde_residue

@@ -15,6 +15,12 @@ Each digest is the sha256 of the stdout of one exact command.
     and the Bernoulli fill);
   - the beta row n = 16 at beta = 1 (the tangent route);
   - the Voronoi cell at d = 12 (residues).
+* Four beta' rows and f-vectors exercise the shifted formulas that serve
+  both families (the beta formula at alpha - 1 with c~_beta = c_(beta - 3/2)).
+  Their digests were recorded from the separate beta' formulas they
+  replaced: the rows n = 14 at beta = 19/2 (residues only) and beta = 9
+  (residues and the fill), the Poisson polytope at d = 11, alpha = 3, and
+  the beta' polytope (11, 9, 6).
 """
 
 import hashlib
@@ -40,6 +46,14 @@ TRANSCRIPTS = [
      "e4c0dc77c9eb11fd43c00212a29a39343b5aee64a07d9f3188ce79c4a7822e0b"),
     ("fvector --model voronoi --d 12 --digits 15",
      "aa32f457355126869b0597890ae1ac382516476031af0c77754e09a863e85776"),
+    ("angles --family betaprime --n 14 --beta 19/2 --format json",
+     "4d1d6a757cf1e9880dab0359b0fc29f3b569eb6267a30463a22f6c47bec9a75d"),
+    ("angles --family betaprime --n 14 --beta 9 --format csv",
+     "c8e60ddae816c04b63477da559704f4fa5a1be66fedf1782bc3230ff2a6aa713"),
+    ("fvector --model poisson --d 11 --alpha 3 --digits 20",
+     "cc6c5779c2fbc004d960917e9a5056fc69643a08259c6dddc823d6a436e37d70"),
+    ("fvector --model betaprime --n 11 --d 9 --beta 6 --format latex",
+     "8e52b1797c10703578a7d8cc3006c4c3b70c9abf84d29151f554437a3e64b382"),
 ]
 
 

@@ -405,9 +405,9 @@ def test_external_lB_non_integer_power_rejected():
 
     with pytest.raises(DomainError):
         external_lB(F(7, 2), F(3, 2), 1)
-    exact = external_lB(4, 2, 3).to_float()
-    assert abs(Q.b_numeric(3.5, 1.5, 1.0) - Q.b_numeric(3.5, 1.5, 1.0)) == 0
-    assert abs(Q.b_numeric(4, 2, 3) - exact) < 1e-11
+    assert abs(Q.I_numeric(4, 2, 1.5) - Q.I_numeric(4, 2, 1.5)) == 0
+    assert abs(Q.I_numeric(4, 2, 3) - external_bI(4, 2, 3).to_float()) < 1e-11
+    assert abs(Q.I_tilde_numeric(4, 2, 3) - external_bI_tilde(4, 2, 3).to_float()) < 1e-11
 
 
 def test_external_bI_examples():
