@@ -287,19 +287,20 @@ def normalizing_constant(d: int, twice_beta: int, family: str) -> PiNumber:
     """Exact density normalizing constant of the d-dimensional law.
 
     ``family='beta'``: Gamma(d/2 + beta + 1) / (pi^(d/2) Gamma(beta + 1)).
-    ``family='betaprime'``: Gamma(beta) / (pi^(d/2) Gamma(beta - d/2)).
+    ``family='betaprime'``: Gamma(beta) / (pi^(d/2) Gamma(beta - d/2)), the
+    beta constant at beta - d/2 - 1.
     """
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
-    pi_d2 = PiNumber.pi_power(d)
     if family == "beta":
         if twice_beta <= -2:
             raise DomainError("beta family requires beta > -1")
+        pi_d2 = PiNumber.pi_power(d)
         return gamma_half(d + twice_beta + 2) / (pi_d2 * gamma_half(twice_beta + 2))
     if family == "betaprime":
         if twice_beta <= d:
             raise DomainError("betaprime family requires beta > d/2")
-        return gamma_half(twice_beta) / (pi_d2 * gamma_half(twice_beta - d))
+        return normalizing_constant(d, twice_beta - d - 2, "beta")
     raise DomainError(f"unknown family {family!r}")
 
 

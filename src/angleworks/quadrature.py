@@ -20,6 +20,7 @@ integrals cannot overflow.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,11 +118,15 @@ def cosh_kernel(P: float, E: float, c0: complex, w: complex, r: int) -> QuadResu
     """The generic line integral; see the module docstring."""
     if r < 0:
         raise DomainError("power r must be nonnegative")
+    if not (math.isfinite(P) and math.isfinite(E)):
+        raise DomainError(f"kernel exponents out of float range (P={P}, E={E})")
     amp = abs(w) * (1.0 / max(E, 0.5)) if r else 0.0
     U = _horizon(P, E, r, amp)
     v1, e1 = _kernel_once(P, E, c0, w, r, U, 24, 16)
     v2, e2 = _kernel_once(P, E, c0, w, r, U, 40, 24)
     err = abs(v2 - v1) + math.exp(-40.0)
+    if not (cmath.isfinite(v2) and math.isfinite(err)):
+        raise DomainError(f"integral out of float range (P={P}, E={E}, r={r})")
     im = abs(v2.imag)
     re = v2.real
     if im > 1e-10 * max(abs(re), 1e-300):
@@ -131,9 +136,17 @@ def cosh_kernel(P: float, E: float, c0: complex, w: complex, r: int) -> QuadResu
     return QuadResult(re, err, e1 + e2)
 
 
+def _gamma(x: float) -> float:
+    """Gamma(x), or a DomainError where it leaves the float range."""
+    try:
+        return math.gamma(x)
+    except (OverflowError, ValueError):
+        raise DomainError(f"Gamma({x}) is not a finite float") from None
+
+
 def c_beta_float(beta: float) -> float:
     """c_beta as a float, for real beta > -1."""
-    return math.gamma(beta + 1.5) / (math.sqrt(math.pi) * math.gamma(beta + 1.0))
+    return _gamma(beta + 1.5) / (math.sqrt(math.pi) * _gamma(beta + 1.0))
 
 
 def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
@@ -160,7 +173,7 @@ def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
 
 def _half_cos_integral(p: float) -> float:
     """Half the integral of cos^p over [-pi/2, pi/2], F(0) for F of cos^p."""
-    return math.sqrt(math.pi) * math.gamma((p + 1) / 2) / (2 * math.gamma(p / 2 + 1))
+    return math.sqrt(math.pi) * _gamma((p + 1) / 2) / (2 * _gamma(p / 2 + 1))
 
 
 def _lA_numeric(nu: float, kappa: float, alpha: float, shift: int) -> float:

@@ -5,16 +5,17 @@ every power of sin x is x^a S^a, and the integral of sin^a from 0 is
 x^(a+1) G_a with [y^j] G_a = [y^j] S^a / (a + 1 + 2j).  So the residue of
 (int_0^x sin^a)^p / sin^q x is the single coefficient [y^N] of G_a^p S^-q,
 N = (q - p(a+1) - 1) / 2, or zero when that is not a nonnegative integer.
-Powers of any integer sign come from J.C.P. Miller's O(N^2) recurrence, the
-coefficient from one dot product, and the prefixes of S^alpha, cos^alpha and
-G_a are kept per exponent and grown on demand, so a row of residues with one
-denominator builds its S^-q once.  Each series is a list of integer
-numerators over one common denominator (S over lcm(1, 3, ..., 2n - 1), G_a
-over that of S^a times lcm(a + 1, a + 3, ...)), so the recurrence and the
-dot product run on Python ints and a ``Fraction`` is formed once per
-coefficient returned.  ``residue_coefficient``, ``sinc_coefficient`` and
-``sin_cos_residue`` are the only entry points; the representation stays
-inside this module.
+Powers of any integer sign come from J.C.P. Miller's O(N^2) recurrence and
+the coefficient from one dot product.  One cache keeps a prefix of base^alpha
+per base (S, cos x or G_a) and exponent, grown on demand: a row of residues
+with one denominator builds its S^-q once, and the rows of a Voronoi or
+Poisson f-vector, which share one a, build each G_a^p once (p = 1 is G_a
+itself).  Each series is a list of integer numerators over one common
+denominator (S over lcm(1, 3, ..., 2n - 1), G_a over that of S^a times
+lcm(a + 1, a + 3, ...)), so the recurrence and the dot product run on Python
+ints and a ``Fraction`` is formed once per coefficient returned.
+``residue_coefficient``, ``sinc_coefficient`` and ``sin_cos_residue`` are
+the only entry points; the representation stays inside this module.
 
 Every coefficient returned is a ``Fraction``; pi-factors never enter a
 series, they are multiplied in by the callers.  The module also holds the
@@ -113,52 +114,45 @@ def _grow(series: _EvenSeries, n: int, den: int, term) -> None:
 
 
 @lru_cache(maxsize=None)
-def _sinc_prefix(alpha: int) -> _EvenSeries:
+def _prefix(base: str | int, alpha: int) -> _EvenSeries:
     return _EvenSeries()
 
 
-def _sinc_power(alpha: int, n: int) -> _EvenSeries:
-    """At least the first n coefficients of (sin x / x)^alpha, for any
-    integer alpha.  S = sin x / x has F_j = (-1)^j / (2j + 1), held over
-    lcm(1, 3, ..., 2n - 1).
+def _power(base: str | int, alpha: int, n: int) -> _EvenSeries:
+    """At least the first n coefficients of base^alpha, for any integer
+    alpha, where base is "S" (sin x / x), "cos" (cos x) or an int a >= 0
+    (G_a, with int_0^x sin^a = x^(a+1) G_a(x)).
 
-    The series is shared by every caller with this alpha and grows in place;
-    read it, never modify it.
+    alpha = 1 is grown from the base's closed form, every other exponent
+    by Miller's recurrence from that.  The series is shared by every caller
+    with this base and exponent and grows in place; read it, never modify
+    it.
     """
-    out = _sinc_prefix(alpha)
-    if len(out.nums) < n:
-        if alpha == 1:
-            L = math.lcm(*range(1, 2 * n, 2))
-            _grow(out, n, L, lambda j: (-1) ** j * L // (2 * j + 1))
-        else:
-            _miller_extend(_sinc_power(1, n), alpha, out, n)
+    out = _prefix(base, alpha)
+    if len(out.nums) >= n:
+        return out
+    if alpha != 1:
+        return _miller_extend(_power(base, 1, n), alpha, out, n)
+    if base == "S":
+        # F_j = (-1)^j / (2j + 1), over lcm(1, 3, ..., 2n - 1)
+        L = math.lcm(*range(1, 2 * n, 2))
+        _grow(out, n, L, lambda j: (-1) ** j * L // (2 * j + 1))
+    elif base == "cos":
+        _grow(out, n, 1, lambda j: (-1) ** j)
+    else:
+        # F_j of G_a is that of S^a over (a + 1 + 2j); both factors of the
+        # denominator only ever grow by whole multiples, so the old one
+        # divides the new one
+        a, s = base, _power("S", base, n)
+        L = math.lcm(*range(a + 1, a + 2 * n, 2))
+        _grow(out, n, s.den * L, lambda j: s.nums[j] * (L // (a + 1 + 2 * j)))
     return out
 
 
 def sinc_coefficient(alpha: int, k: int) -> Fraction:
     """[x^(2k)] (sin x / x)^alpha, read from the shared prefix."""
-    s = _sinc_power(alpha, k + 1)
+    s = _power("S", alpha, k + 1)
     return Fraction(s.nums[k], s.den * math.factorial(2 * k))
-
-
-@lru_cache(maxsize=None)
-def _sin_integral_prefix(a: int) -> _EvenSeries:
-    return _EvenSeries()
-
-
-def _sin_integral_series(a: int, n: int) -> _EvenSeries:
-    """At least the first n coefficients of G_a, a >= 0, where
-    int_0^x sin^a = x^(a+1) G_a(x); shared and grown like ``_sinc_power``.
-    F_j of G_a is that of S^a over (a + 1 + 2j), so G_a is held over the
-    denominator of S^a times lcm(a + 1, a + 3, ..., a + 2n - 1); both
-    factors only ever grow by whole multiples, so the old denominator
-    divides the new one."""
-    out = _sin_integral_prefix(a)
-    if len(out.nums) < n:
-        s = _sinc_power(a, n)
-        L = math.lcm(*range(a + 1, a + 2 * n, 2))
-        _grow(out, n, s.den * L, lambda j: s.nums[j] * (L // (a + 1 + 2 * j)))
-    return out
 
 
 def residue_coefficient(a: int, p: int, q: int, n: int) -> Fraction:
@@ -166,26 +160,7 @@ def residue_coefficient(a: int, p: int, q: int, n: int) -> Fraction:
     sin^q x when n = (q - p(a+1) - 1) / 2, as one integer dot product."""
     if p == 0:
         return sinc_coefficient(-q, n)
-    num = _miller_extend(_sin_integral_series(a, n + 1), p, _EvenSeries(), n + 1)
-    return _even_product_coefficient(num, _sinc_power(-q, n + 1), n)
-
-
-@lru_cache(maxsize=None)
-def _cos_prefix(alpha: int) -> _EvenSeries:
-    return _EvenSeries()
-
-
-def _cos_power(alpha: int, n: int) -> _EvenSeries:
-    """At least the first n coefficients of (cos x)^alpha, for any integer
-    alpha; cos x has F_j = (-1)^j over 1.  Shared and grown like
-    ``_sinc_power``."""
-    out = _cos_prefix(alpha)
-    if len(out.nums) < n:
-        if alpha == 1:
-            _grow(out, n, 1, lambda j: (-1) ** j)
-        else:
-            _miller_extend(_cos_power(1, n), alpha, out, n)
-    return out
+    return _even_product_coefficient(_power(a, p, n + 1), _power("S", -q, n + 1), n)
 
 
 def sin_cos_residue(p: int, q: int) -> Fraction:
@@ -194,7 +169,7 @@ def sin_cos_residue(p: int, q: int) -> Fraction:
     if p < 1 or p % 2 == 0:
         raise DomainError(f"sin_cos_residue needs an odd p >= 1, got p={p}")
     n = (p - 1) // 2
-    return _even_product_coefficient(_sinc_power(-p, n + 1), _cos_power(-q, n + 1), n)
+    return _even_product_coefficient(_power("S", -p, n + 1), _power("cos", -q, n + 1), n)
 
 
 # -- Bernoulli numbers -------------------------------------------------------

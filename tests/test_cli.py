@@ -186,6 +186,13 @@ def test_verify_relations_small(capsys):
         ["verify", "--suite", "relations", "--max-n", "0"],
         ["verify", "--suite", "montecarlo", "--trials", "0"],
         ["verify", "--suite", "montecarlo", "--seed", "-1"],
+        # numeric parameters whose Gamma factors or kernel exponents leave
+        # the float range
+        ["angles", "--family", "beta", "--n", "5", "--beta", "60.0"],
+        ["fvector", "--model", "beta", "--n", "6", "--d", "3", "--beta", "80.5"],
+        ["fvector", "--model", "betaprime", "--n", "6", "--d", "3", "--beta", "200.5"],
+        ["fvector", "--model", "poisson", "--d", "3", "--alpha", "1e-300"],
+        ["fvector", "--model", "beta", "--n", "5", "--d", "3", "--beta", "1e308"],
     ],
 )
 def test_invalid_input_exits_two_with_message(capsys, argv):

@@ -85,6 +85,15 @@ def test_normalizing_constant_examples():
         normalizing_constant(2, -3, "beta")
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_betaprime_constant_is_the_explicit_formula(d):
+    # Gamma(beta) / (pi^(d/2) Gamma(beta - d/2)), written out, against the
+    # beta constant at beta - d/2 - 1 that the library evaluates
+    for twice_beta in (d + 1, d + 2, d + 3, d + 6, d + 11):
+        explicit = gamma_half(twice_beta) / (PiNumber.pi_power(d) * gamma_half(twice_beta - d))
+        assert normalizing_constant(d, twice_beta, "betaprime") == explicit
+
+
 def _random_pinumber(rng):
     terms = {}
     for _ in range(rng.randint(0, 4)):

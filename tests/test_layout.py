@@ -123,15 +123,11 @@ def _unused_public_names(paths: list[Path]) -> list[str]:
     """``module.name`` for each public definition that no module reads
     outside that definition itself; a re-export by ``__init__`` is a read."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    reads = [(top, _reads(top)) for tree in trees.values() for top in tree.body]
     unused = []
     for stem, tree in trees.items():
         for name, node in _public_definitions(tree):
-            elsewhere = set()
-            for other_stem, other in trees.items():
-                body = other.body if other_stem != stem else [n for n in other.body if n is not node]
-                for top in body:
-                    elsewhere |= _reads(top)
-            if name not in elsewhere:
+            if not any(name in names for top, names in reads if top is not node):
                 unused.append(f"{stem}.{name}")
     return sorted(unused)
 

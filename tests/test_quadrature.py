@@ -64,6 +64,13 @@ def test_outer_integral_validation():
         outer_integral(3, 1, 1.0, "gauss")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow notes on the way
+def test_non_finite_integral_is_a_domain_error():
+    # finite exponents, but (c0 + w Psi)^r overflows: no NaN may come back
+    with pytest.raises(DomainError):
+        cosh_kernel(10.0, 1.0, 0.5, 1e300, 5)
+
+
 def test_horizon_doubling_stability():
     # doubling the truncation horizon changes nothing beyond the estimate
     import angleworks.quadrature as Q

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from angleworks import series_kernel
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from angleworks.angle_engine import bJ_exact, bJtilde_exact, residue_rational
-from angleworks.series_kernel import bernoulli, sin_cos_residue, sinc_coefficient
+from angleworks.series_kernel import (
+    bernoulli,
+    residue_coefficient,
+    sin_cos_residue,
+    sinc_coefficient,
+)
 from angleworks.verify import ugly_coefficient
 from laurent_reference import (
     ONE,
@@ -371,13 +376,29 @@ def test_sinc_coefficient_matches_fraction_reference(alpha, k):
     assert sinc_coefficient(alpha, k) == _sinc_coefficient_reference(alpha, k)
 
 
+def _cos_power_reference(alpha: int, n: int) -> list[Fraction]:
+    """The first n even-derivative coefficients of (cos x)^alpha."""
+    return _miller_extend_reference([Fraction((-1) ** j) for j in range(n)], alpha, [], n)
+
+
 def test_prefixes_grown_in_steps_match_reference():
-    # the base S = sin x / x is held over lcm(1, 3, ..., 2n - 1), so growing
-    # it rescales every numerator, and a power of S or G_a built before must
-    # stay valid over the new denominators
-    series_kernel._sinc_prefix.cache_clear()
-    series_kernel._sin_integral_prefix.cache_clear()
+    # one cache holds S = sin x / x, cos x and every G_a with their powers.
+    # S is held over lcm(1, 3, ..., 2n - 1), so growing it rescales every
+    # numerator of S and of each G_a built on it, and a power of S, cos x or
+    # G_a built before must stay valid over the new denominators
+    series_kernel._prefix.cache_clear()
+    g3_dens = set()
     for n in (1, 2, 3, 7, 8, 20, 45):
         for alpha in (-31, -5, 0, 1, 2, 9):
             assert sinc_coefficient(alpha, n - 1) == _sinc_coefficient_reference(alpha, n - 1)
-        assert residue_rational(3, 2, 8 + 2 * n + 1) == _residue_rational_reference(3, 2, 8 + 2 * n + 1)
+        for a, p in ((3, 1), (3, 2), (3, 5), (0, 2)):
+            q = p * (a + 1) + 2 * n - 1
+            assert residue_coefficient(a, p, q, n - 1) == _residue_rational_reference(a, p, q)
+        g3_dens.add(series_kernel._prefix(3, 1).den)
+        for q in (-4, 3, 17):
+            expected = _even_product_coefficient_reference(
+                _sinc_power_reference(1 - 2 * n, n), _cos_power_reference(-q, n), n - 1
+            )
+            assert sin_cos_residue(2 * n - 1, q) == expected
+    # G_3 itself was rescaled between the steps that extended G_3^2 and G_3^5
+    assert len(g3_dens) > 1

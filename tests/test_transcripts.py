@@ -21,6 +21,10 @@ Each digest is the sha256 of the stdout of one exact command.
   replaced: the rows n = 14 at beta = 19/2 (residues only) and beta = 9
   (residues and the fill), the Poisson polytope at d = 11, alpha = 3, and
   the beta' polytope (11, 9, 6).
+* Two larger f-vectors exercise the shared G_a^p prefixes, which every row
+  with one a reads: the Voronoi cell at d = 20 and the beta polytope
+  (20, 18, 0).  Their digests were recorded from the kernel that built each
+  G_a^p from scratch per residue.
 """
 
 import hashlib
@@ -54,6 +58,10 @@ TRANSCRIPTS = [
      "cc6c5779c2fbc004d960917e9a5056fc69643a08259c6dddc823d6a436e37d70"),
     ("fvector --model betaprime --n 11 --d 9 --beta 6 --format latex",
      "8e52b1797c10703578a7d8cc3006c4c3b70c9abf84d29151f554437a3e64b382"),
+    ("fvector --model voronoi --d 20",
+     "1d211ca6131620a346c07124a85447b36b07b99acaef01bdebc9404c01bd3a9f"),
+    ("fvector --model beta --n 20 --d 18 --beta 0",
+     "84314390f7f22b9cc32ac4fcf9cc9fb816c2f1522396e6c6d158367b1c68ddc9"),
 ]
 
 
