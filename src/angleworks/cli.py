@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import verify as verify_mod
 from .angle_engine import angle_table
 from .exact_scalars import (
+    MAX_DECIMAL_DIGITS,
     DomainError,
     PiNumber,
     exact_scaled,
@@ -269,8 +270,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if getattr(args, "digits", None) is not None and args.digits < 1:
-            raise DomainError(f"--digits must be positive, got {args.digits}")
+        digits = getattr(args, "digits", None)
+        if digits is not None and digits < 1:
+            raise DomainError(f"--digits must be positive, got {digits}")
+        if digits is not None and digits > MAX_DECIMAL_DIGITS:
+            raise DomainError(f"digits capped at {MAX_DECIMAL_DIGITS}")
         code = args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

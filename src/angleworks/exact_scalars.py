@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 import mpmath
@@ -51,6 +52,15 @@ class PiNumber:
             for e, c in (terms or {}).items() if c
         }
         self._hash: int | None = None
+
+    @classmethod
+    def _wrap(cls, terms: dict[int, Fraction]) -> "PiNumber":
+        """A PiNumber that takes ``terms`` as it is: a new dict from int
+        exponents to nonzero ``Fraction``s, which nothing else holds."""
+        x = object.__new__(cls)
+        x._terms = terms
+        x._hash = None
+        return x
 
     # -- constructors ------------------------------------------------------
 
@@ -102,7 +112,7 @@ class PiNumber:
         if isinstance(other, PiNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return PiNumber({0: other})
+            return PiNumber._wrap({0: Fraction(other)} if other else {})
         return None
 
     def __add__(self, other) -> "PiNumber":
@@ -111,13 +121,18 @@ class PiNumber:
             return NotImplemented
         terms = dict(self._terms)
         for e, c in o._terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return PiNumber(terms)
+            if e in terms:
+                c += terms[e]
+                if not c:
+                    del terms[e]
+                    continue
+            terms[e] = c
+        return PiNumber._wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiNumber":
-        return PiNumber({e: -c for e, c in self._terms.items()})
+        return PiNumber._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "PiNumber":
         o = self._coerce(other)
@@ -132,21 +147,30 @@ class PiNumber:
         return o + (-self)
 
     def __mul__(self, other) -> "PiNumber":
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return PiNumber._wrap({})
+            return PiNumber._wrap({e: c * other for e, c in self._terms.items()})
+        if not isinstance(other, PiNumber):
             return NotImplemented
         terms: dict[int, Fraction] = {}
         for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
+            for e2, c2 in other._terms.items():
                 e = e1 + e2
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return PiNumber(terms)
+                if e in terms:
+                    terms[e] += c1 * c2
+                else:
+                    terms[e] = c1 * c2
+        return PiNumber._wrap({e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, p: int) -> "PiNumber":
         if not isinstance(p, int):
             return NotImplemented
+        if len(self._terms) == 1:
+            ((e, c),) = self._terms.items()
+            return PiNumber._wrap({e * p: c**p})
         if p < 0:
             return (self ** (-p)).inverse()
         result = PiNumber.one()
@@ -165,7 +189,7 @@ class PiNumber:
                 "division is only defined for single-term PiNumbers"
             )
         ((e, c),) = self._terms.items()
-        return PiNumber({-e: Fraction(1) / c})
+        return PiNumber._wrap({-e: c**-1})
 
     def __truediv__(self, other) -> "PiNumber":
         if isinstance(other, (int, Fraction)):
@@ -183,8 +207,13 @@ class PiNumber:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
+        """A rational value hashes as its ``Fraction``, so that it hashes
+        like the int or ``Fraction`` it compares equal to."""
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            if self.is_rational():
+                self._hash = hash(self._terms.get(0, 0))
+            else:
+                self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     # -- evaluation and text -----------------------------------------------
@@ -249,6 +278,7 @@ def exact_scaled(x, scale: int = 2) -> int | None:
 # -- Gamma at half-integer arguments ---------------------------------------
 
 
+@lru_cache(maxsize=None)
 def gamma_half(t: int) -> PiNumber:
     """Gamma(t/2), exactly, for a positive integer ``t``.
 
@@ -266,6 +296,7 @@ def gamma_half(t: int) -> PiNumber:
     return PiNumber.pi_power(1, Fraction(num, 2 ** ((t - 1) // 2)))
 
 
+@lru_cache(maxsize=None)
 def c_beta(twice_beta: int) -> PiNumber:
     """c_beta = Gamma(beta + 3/2) / (sqrt(pi) Gamma(beta + 1)), beta > -1."""
     if twice_beta <= -2:

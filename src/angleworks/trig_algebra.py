@@ -142,13 +142,16 @@ def _moment(j: int, m: int, kind: str) -> dict[int, int]:
     return {p: q for p, q in out.items() if q}
 
 
+@lru_cache(maxsize=None)
 def _cos_F_integral(cos_exponent: int, f_exponent: int, r: int) -> PiNumber:
     """The one external-angle kernel: the integral over [-pi/2, pi/2] of
     cos^cos_exponent * F^r, F the integral of cos^f_exponent from -pi/2.
 
     In u = x + pi/2 it is the integral over [0, pi] of sin^cos_exponent * G^r.
     The terms of each frequency m are summed as integers over m^(J+1), J the
-    highest power of u, so a Fraction is formed once per (m, power of pi)."""
+    highest power of u, so a Fraction is formed once per (m, power of pi).
+    Cached: beta and beta' rows can share a kernel, and the alpha = 0 rows
+    of every n ask for the same (0, 0, r)."""
     (s, ds), (g, dg) = _sin_power(cos_exponent), _G_power(f_exponent, r)
     terms = _product(s, g)
     J = max(j for j, _, _ in terms)

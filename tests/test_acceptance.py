@@ -9,6 +9,7 @@ import time
 from fractions import Fraction as F
 
 import angleworks.angle_engine as ae
+import angleworks.exact_scalars as es
 import angleworks.polytope_engine as pe
 import angleworks.series_kernel as sk
 import angleworks.trig_algebra as ta
@@ -35,7 +36,7 @@ from angleworks.verify import (
 
 
 def _clear_caches():
-    for mod in (ae, pe, sk, ta):
+    for mod in (ae, es, pe, sk, ta):
         for name in dir(mod):
             fn = getattr(mod, name)
             if hasattr(fn, "cache_clear"):

@@ -202,6 +202,24 @@ def test_invalid_input_exits_two_with_message(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["angles", "--family", "beta", "--n", "4", "--beta", "0"],
+        ["angles", "--family", "beta", "--n", "4", "--beta", "0.3"],
+        ["fvector", "--model", "beta", "--n", "5", "--d", "3", "--beta", "1/3"],
+        ["fvector", "--model", "voronoi", "--d", "3"],
+        ["reitzner", "--surface", "ball", "--d", "3"],
+    ],
+)
+@pytest.mark.parametrize("digits", ["201", "250"])
+def test_digits_cap_holds_on_every_path(capsys, argv, digits):
+    code, out, err = run_cli(capsys, *argv, "--digits", digits)
+    assert code == 2
+    assert "error: digits capped at 200" in err
+    assert out == ""
+
+
 def _run_captured(argv):
     """main() with stdout and stderr captured, for Hypothesis tests, which
     cannot share pytest's function-scoped capsys between examples."""

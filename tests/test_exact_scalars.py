@@ -130,6 +130,97 @@ def test_division_monomials_only():
         mixed.inverse()
 
 
+
+def test_rational_values_hash_like_the_numbers_they_equal():
+    assert PiNumber.one() == 1
+    assert {PiNumber.one(), 1} == {1}
+    assert len({PiNumber.zero(), 0, F(0)}) == 1
+    assert hash(PiNumber.from_rational(F(-7, 3))) == hash(F(-7, 3))
+    assert {PiNumber.from_rational(F(1, 2)): "half"}[F(1, 2)] == "half"
+
+
+# reference ring operations on plain {exponent: Fraction} dicts
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _canonical(x):
+    """The terms of ``x`` after checking that they are stored canonically."""
+    terms = x.terms
+    assert all(type(e) is int and type(c) is F and c for e, c in terms.items())
+    return terms
+
+
+_SMALL_COEFFICIENTS = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+_TERMS = st.dictionaries(st.integers(-6, 6), _SMALL_COEFFICIENTS, max_size=4)
+_RATIONALS = st.one_of(st.integers(-5, 5), _SMALL_COEFFICIENTS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_TERMS, _TERMS, _RATIONALS)
+def test_ring_operations_match_a_fraction_reference(ta, tb, q):
+    x, y = PiNumber(ta), PiNumber(tb)
+    a, b = x.terms, y.terms
+    rq = {0: F(q)} if q else {}
+    assert _canonical(x + y) == _ref_sum(a, b)
+    assert _canonical(x - y) == _ref_sum(a, b, -1)
+    assert _canonical(x * y) == _ref_product(a, b)
+    assert _canonical(-x) == _ref_sum({}, a, -1)
+    assert _canonical(x + q) == _canonical(q + x) == _ref_sum(a, rq)
+    assert _canonical(x - q) == _ref_sum(a, rq, -1)
+    assert _canonical(q - x) == _ref_sum(rq, a, -1)
+    assert _canonical(x * q) == _canonical(q * x) == _ref_product(a, rq)
+    if q:
+        assert _canonical(x / q) == _ref_product(a, {0: 1 / F(q)})
+    if x.is_rational():
+        assert hash(x) == hash(x.rational_value())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(-6, 6), _SMALL_COEFFICIENTS.filter(bool), st.integers(-3, 6))
+def test_single_term_powers_match_repeated_products(e, c, p):
+    x = PiNumber({e: c})
+    factor = {e: c} if p >= 0 else {-e: 1 / c}
+    want = {0: F(1)}
+    for _ in range(abs(p)):
+        want = _ref_product(want, factor)
+    assert _canonical(x**p) == want
+    if p < 0:
+        assert _canonical(x.inverse()) == factor
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_TERMS.filter(lambda t: sum(1 for c in t.values() if c) != 1), st.integers(0, 4))
+def test_powers_of_other_values_match_repeated_products(terms, p):
+    x = PiNumber(terms)
+    want = {0: F(1)}
+    for _ in range(p):
+        want = _ref_product(want, x.terms)
+    assert _canonical(x**p) == want
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 8, 13])
+def test_cached_gamma_values_survive_a_caller_mutating_terms(t):
+    for fn, arg in ((gamma_half, t), (c_beta, t - 2)):
+        before = fn(arg)
+        text = format_pinumber(before)
+        mutated = before.terms
+        mutated.clear()
+        mutated[5] = F(1)
+        assert fn(arg) is before
+        assert format_pinumber(fn(arg)) == text
+
 def test_to_decimal_examples():
     assert to_decimal(PiNumber.from_rational(F(1, 2)), 5) == "0.50000"
     assert to_decimal(PiNumber.zero(), 5) == "0.00000"
