@@ -45,6 +45,12 @@ from .polytope_engine import (
     typical_voronoi_fvector,
     zero_cell_fvector,
 )
+from .quadrature import (
+    I_numeric,
+    I_tilde_numeric,
+    a_numeric,
+    a_tilde_numeric,
+)
 from .montecarlo import (
     McEstimate,
     mc_angle_sum,

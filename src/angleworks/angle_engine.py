@@ -257,17 +257,20 @@ def _check_numeric_beta(family: str, n: int, beta: float) -> None:
         )
 
 
+def _numeric_alpha(family: str, n: int, beta: float) -> float:
+    """The quadrature's alpha for a checked numeric beta."""
+    _check_numeric_beta(family, n, beta)
+    return 2.0 * beta + n - 1 if family == "beta" else 2.0 * beta - n + 1
+
+
 def bJ_numeric(n: int, k: int, beta: float) -> float:
     """Quadrature evaluation of bold-J_{n,k}(beta) for real beta >= -1."""
-    _check_numeric_beta("beta", n, beta)
-    alpha = 2.0 * beta + n - 1
-    return quadrature.outer_integral(n, k, alpha, "beta").value
+    return quadrature.outer_integral(n, k, _numeric_alpha("beta", n, beta), "beta").value
 
 
 def bJtilde_numeric(n: int, k: int, beta: float) -> float:
     """Quadrature evaluation of bold-J~_{n,k}(beta) for real beta > (n-1)/2."""
-    _check_numeric_beta("betaprime", n, beta)
-    alpha = 2.0 * beta - n + 1
+    alpha = _numeric_alpha("betaprime", n, beta)
     return quadrature.outer_integral(n, k, alpha, "betaprime").value
 
 
@@ -360,15 +363,15 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
         row = _bJ_row(n, tb) if family == "beta" else _bJtilde_row(n, tb)
         return AngleTable(family, n, Fraction(beta), row)
     b = float(beta)
-    _check_numeric_beta(family, n, b)
-    fn = bJ_numeric if family == "beta" else bJtilde_numeric
+    alpha = _numeric_alpha(family, n, b)
     # every simplex has J_{n,n} = 1 (itself) and J_{n,n-1} = n/2 (n facets,
     # each of internal angle 1/2), and a triangle's angles sum to pi, so
     # J_{3,1} = 1/2: these entries need no quadrature
-    closed = {n - 1: n / 2, n: 1.0}
+    values = {n - 1: n / 2, n: 1.0}
     if n == 3:
-        closed[1] = 0.5
-    entries = tuple(
-        (closed[k] if k in closed else fn(n, k, b), "numeric") for k in range(1, n + 1)
-    )
+        values[1] = 0.5
+    ks = [k for k in range(1, n + 1) if k not in values]
+    if ks:
+        values.update(zip(ks, (q.value for q in quadrature.outer_row(n, ks, alpha, family))))
+    entries = tuple((values[k], "numeric") for k in range(1, n + 1))
     return AngleTable(family, n, b, entries)

@@ -184,6 +184,8 @@ class PiNumber:
 
     def inverse(self) -> "PiNumber":
         """Inverse of a single-term value; general quotients are rejected."""
+        if not self._terms:
+            raise ZeroDivisionError("PiNumber division by zero")
         if len(self._terms) != 1:
             raise DomainError(
                 "division is only defined for single-term PiNumbers"

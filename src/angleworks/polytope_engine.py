@@ -99,18 +99,13 @@ def poisson_polytope_fvector(d: int, alpha) -> FVector:
     if a <= 0:
         raise DomainError("alpha > 0 required")
     ctil = quadrature.c_beta_float((a - 2) / 2)
-    entries = []
-    for k in range(1, d + 1):
-        val = (
-            2.0
-            * a ** (k - 1)
-            * math.factorial(d)
-            / math.factorial(k)
-            * ctil ** (-k)
-            * quadrature.a_tilde_numeric(d, k, a)
-        )
-        entries.append((val, "numeric"))
-    return FVector(d, "poisson", {"alpha": a}, tuple(entries))
+    row = quadrature.a_tilde_row(d, range(1, d + 1), a)
+    entries = tuple(
+        (2.0 * a ** (k - 1) * math.factorial(d) / math.factorial(k) * ctil ** (-k) * v,
+         "numeric")
+        for k, v in zip(range(1, d + 1), row)
+    )
+    return FVector(d, "poisson", {"alpha": a}, entries)
 
 
 def poisson_residue_entry(d: int, k: int, alpha: int) -> PiNumber:
@@ -228,9 +223,11 @@ def beta_polytope_fvector(n: int, d: int, beta) -> FVector:
     if b < -1:
         raise DomainError("beta >= -1 required")
     alpha = 2.0 * b + d
+    ms = range(d, 0, -2)
+    external = dict(zip(ms, quadrature.I_row(n, ms, alpha)))
     entries = _parity_sum(
         d,
-        lambda m: quadrature.I_numeric(n, m, alpha),
+        external.__getitem__,
         lambda m: angle_table("beta", m, (alpha - m + 1) / 2).entries,
         0.0,
     )
@@ -258,9 +255,11 @@ def betaprime_polytope_fvector(n: int, d: int, beta) -> FVector:
         raise DomainError("beta > d/2 required")
     if alpha <= 1:
         raise DomainError(f"numeric path needs alpha = 2*beta - d > 1, got {alpha}")
+    ms = range(d, 0, -2)
+    external = dict(zip(ms, quadrature.I_tilde_row(n, ms, alpha)))
     entries = _parity_sum(
         d,
-        lambda m: quadrature.I_tilde_numeric(n, m, alpha),
+        external.__getitem__,
         lambda m: angle_table("betaprime", m, (alpha + m - 1) / 2).entries,
         0.0,
     )

@@ -9,18 +9,24 @@ with ``w`` purely imaginary for the angle formulas and real for the
 external-angle quantities (whose finite-interval integrals are mapped to
 the line by x = arcsin tanh u).  Each beta' quantity is the beta one with
 the inner cosine exponent lowered by s = 1 and c~_beta = c_(beta - 3/2), so
-one body per pair takes the shift s.  Panels of Gauss-Legendre nodes resolve
-the cosh^(-P) peak at the origin; the inner cumulative integral is
-evaluated once per node against memoized panel-boundary anchors; the
-truncation horizon is solved from the integrand's exponential decay.
+one body per pair takes the shift s.
 
-Magnitudes are handled in log space, so very large P and growing inner
-integrals cannot overflow.
+Psi is odd, so the line integral is the half-line one of f = z+^r + z-^r
+with z+- = c0 +- w Psi, which is real: for imaginary w, z- = conj(z+) and
+f = 2 |z+|^r cos(r arg z+); for real w, z+- are real.  Magnitudes are handled
+in log space, so very large P and growing Psi cannot overflow.
+
+Panels of Gauss-Legendre nodes resolve the cosh^(-P) peak at the origin,
+and the truncation horizon is solved from the integrand's exponential
+decay.  Psi on the nodes costs one cosh^E per node: the panel anchors are
+the running sum of the panel integrals, and inside a panel a cumulative
+Legendre integration matrix (spectral integration, Greengard 1991) carries
+Psi from the anchor to each node.  One call serves a whole row: every
+(P, r) pair that shares (E, c0, w) is integrated on the same panels.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,10 +43,30 @@ class QuadResult:
     evaluations: int
 
 
+@dataclass(frozen=True)
+class QuadRow:
+    """One kernel call: a value and an error bound for each (P, r) pair,
+    and the integrand evaluations the row took."""
+
+    values: tuple[float, ...]
+    errors: tuple[float, ...]
+    evaluations: int
+
+    @property
+    def abs_error_estimate(self) -> float:
+        return max(self.errors)
+
+
 @lru_cache(maxsize=None)
-def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def _rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x and weights on [-1, 1], and the matrix S with
+    (S @ f(x))_i = integral_{-1}^{x_i} of the degree < n interpolant of f."""
+    leg = np.polynomial.legendre  # NumPy loads it here, on first use, not at import
+    x, w = leg.leggauss(n)
+    # values -> Legendre coefficients by the discrete orthogonality of the rule
+    to_coeffs = leg.legvander(x, n - 1).T * w * (np.arange(n) + 0.5)[:, None]
+    S = leg.legvander(x, n) @ leg.legint(to_coeffs, lbnd=-1, axis=0)
+    return x, w, S
 
 
 def _log_cosh(t: np.ndarray) -> np.ndarray:
@@ -67,73 +93,66 @@ def _horizon(P: float, E: float, r: int, amp: float) -> float:
     return u
 
 
-def _psi_at(t: np.ndarray, anchors: np.ndarray, psi_anchor: np.ndarray,
-            idx: np.ndarray, E: float, n_inner: int) -> np.ndarray:
-    """Psi(t) = psi_anchor[idx] + integral_{anchors[idx]}^{t} cosh^E, t >= 0."""
-    xi, wi = _nodes(n_inner)
-    a = anchors[idx]
-    half = (t - a) / 2.0
-    mid = (t + a) / 2.0
-    sub = mid[..., None] + half[..., None] * xi  # (..., n_inner)
-    vals = np.exp(E * _log_cosh(sub))
-    return psi_anchor[idx] + half * (vals @ wi)
-
-
-def _kernel_once(P: float, E: float, c0: complex, w: complex, r: int,
-                 U: float, n_out: int, n_inner: int) -> tuple[complex, int]:
-    width = min(0.6, 3.0 / math.sqrt(P + 1.0))
+def _kernel_once(P: np.ndarray, r: np.ndarray, E: float, c0: float, w: complex,
+                 U: float, width: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The half-line integral of f on [0, U] for every pair (P[i], r[i]) with
+    an n-point rule per panel, and the integral of a bound on |f|."""
+    x, wt, S = _rule(n)
     m = max(4, min(1200, math.ceil(U / width)))
     bounds = np.linspace(0.0, U, m + 1)
-    # cumulative Psi at panel boundaries
-    xi, wi = _nodes(n_inner)
-    a, b = bounds[:-1], bounds[1:]
-    half_b = (b - a) / 2.0
-    mid_b = (b + a) / 2.0
-    sub = mid_b[:, None] + half_b[:, None] * xi
-    panel_ints = half_b * (np.exp(E * _log_cosh(sub)) @ wi)
-    psi_bounds = np.concatenate([[0.0], np.cumsum(panel_ints)])
-
-    x, wt = _nodes(n_out)
-    half = (b - a) / 2.0
-    nodes = mid_b[:, None] + half[:, None] * x  # (panels, n_out)
-    idx = np.repeat(np.arange(m)[:, None], n_out, axis=1)
-    psi = _psi_at(nodes, bounds, psi_bounds, idx, E, n_inner)
-
+    half = (bounds[1:] - bounds[:-1]) / 2.0
+    nodes = ((bounds[1:] + bounds[:-1]) / 2.0)[:, None] + half[:, None] * x
     logch = _log_cosh(nodes)
-    z_plus = (c0 + w * psi).astype(complex)
-    z_minus = (c0 - w * psi).astype(complex)
-    # clamp away from 0 so the tail's log cannot produce -inf (exp is ~0 there)
-    z_plus = np.where(np.abs(z_plus) < 1e-280, 1e-280, z_plus)
-    z_minus = np.where(np.abs(z_minus) < 1e-280, 1e-280, z_minus)
-    if r == 0:
-        f = 2.0 * np.exp(-P * logch)
-    else:
-        f = np.exp(r * np.log(z_plus) - P * logch) + np.exp(r * np.log(z_minus) - P * logch)
-    integral = np.sum((f * wt) * half[:, None])
-    evals = nodes.size * (1 + n_inner) + sub.size
-    return complex(integral), evals
+    g = np.exp(E * logch)  # cosh^E on the nodes, (panels, n)
+    anchors = np.concatenate([[0.0], np.cumsum(half * (g @ wt))[:-1]])
+    psi = anchors[:, None] + half[:, None] * (g @ S.T)
+    f, mag = _integrand(P[:, None, None], r[:, None, None], c0, w, psi, logch)
+    return (f @ wt) @ half, (mag @ wt) @ half, nodes.size * (1 + len(P))
 
 
-def cosh_kernel(P: float, E: float, c0: complex, w: complex, r: int) -> QuadResult:
-    """The generic line integral; see the module docstring."""
-    if r < 0:
+def _integrand(P: np.ndarray, r: np.ndarray, c0: float, w: complex,
+               psi: np.ndarray, logch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f = (z+^r + z-^r) cosh^(-P) with z+- = c0 +- w psi, and a bound on
+    |f| (the magnitude factor), from real logs; P and r broadcast against
+    the nodes.  The clamp keeps each log finite where |z| vanishes."""
+    if w.imag:  # z- = conj(z+): f = 2 |z+|^r cos(r arg z+)
+        y = w.imag * psi
+        log_mod = np.log(np.maximum(np.hypot(c0, y), 1e-280))
+        mag = 2.0 * np.exp(r * log_mod - P * logch)
+        return mag * np.cos(r * np.arctan2(y, c0)), mag
+    f = mag = 0.0
+    for z in (c0 + w.real * psi, c0 - w.real * psi):
+        part = np.exp(r * np.log(np.maximum(np.abs(z), 1e-280)) - P * logch)
+        mag = mag + part
+        f = f + np.where((z < 0) & (r % 2 == 1), -part, part)
+    return f, mag
+
+
+def cosh_kernel(pairs, E: float, c0: float, w: complex) -> QuadRow:
+    """The generic line integral (see the module docstring) for every
+    (P, r) pair of a row that shares E, c0 and w.  The row shares the
+    horizon of its slowest-decaying entry and the panel width of its
+    largest P.  The error bound of each value is the change from a 24- to
+    a 40-point rule, a 128-ulp share of the integral of |f| for rounding,
+    and the truncated tail."""
+    c0, w = complex(c0), complex(w)
+    if c0.imag or (w.real and w.imag):
+        raise DomainError(f"kernel needs a real c0 and a real or imaginary w (c0={c0}, w={w})")
+    if any(r < 0 for _, r in pairs):
         raise DomainError("power r must be nonnegative")
-    if not (math.isfinite(P) and math.isfinite(E)):
-        raise DomainError(f"kernel exponents out of float range (P={P}, E={E})")
-    amp = abs(w) * (1.0 / max(E, 0.5)) if r else 0.0
-    U = _horizon(P, E, r, amp)
-    v1, e1 = _kernel_once(P, E, c0, w, r, U, 24, 16)
-    v2, e2 = _kernel_once(P, E, c0, w, r, U, 40, 24)
-    err = abs(v2 - v1) + math.exp(-40.0)
-    if not (cmath.isfinite(v2) and math.isfinite(err)):
-        raise DomainError(f"integral out of float range (P={P}, E={E}, r={r})")
-    im = abs(v2.imag)
-    re = v2.real
-    if im > 1e-10 * max(abs(re), 1e-300):
-        raise ArithmeticError(
-            f"imaginary part failed to cancel: Re={re}, Im={im}"
-        )
-    return QuadResult(re, err, e1 + e2)
+    if not all(math.isfinite(p) for p, _ in pairs) or not math.isfinite(E):
+        raise DomainError(f"kernel exponents out of float range (pairs={pairs}, E={E})")
+    amp = abs(w) / max(E, 0.5)
+    U = max(_horizon(p, E, r, amp if r else 0.0) for p, r in pairs)
+    P = np.array([p for p, _ in pairs], dtype=float)
+    r = np.array([r for _, r in pairs], dtype=int)
+    width = min(0.6, 3.0 / math.sqrt(P.max() + 1.0))
+    v1, _, e1 = _kernel_once(P, r, E, c0.real, w, U, width, 24)
+    v2, mag, e2 = _kernel_once(P, r, E, c0.real, w, U, width, 40)
+    err = np.abs(v2 - v1) + 128 * np.finfo(float).eps * mag + math.exp(-40.0)
+    if not (np.isfinite(v2).all() and np.isfinite(err).all()):
+        raise DomainError(f"integral out of float range (pairs={pairs}, E={E})")
+    return QuadRow(tuple(v2.tolist()), tuple(err.tolist()), e1 + e2)
 
 
 def _gamma(x: float) -> float:
@@ -149,11 +168,10 @@ def c_beta_float(beta: float) -> float:
     return _gamma(beta + 1.5) / (math.sqrt(math.pi) * _gamma(beta + 1.0))
 
 
-def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
-    """bold-J_{n,k} (beta family) or bold-J~_{n,k} (betaprime family) by
-    quadrature of the cosh-form integral, real part with checked imaginary
-    cancellation."""
-    if not 1 <= k <= n:
+def outer_row(n: int, ks, alpha: float, family: str) -> tuple[QuadResult, ...]:
+    """bold-J_{n,k} (beta family) or bold-J~_{n,k} (betaprime family) for
+    each k of ``ks`` by one kernel call on the cosh-form integral."""
+    if not all(1 <= k <= n for k in ks):
         raise DomainError("need 1 <= k <= n")
     if family not in ("beta", "betaprime"):
         raise DomainError(f"unknown family {family!r}")
@@ -163,9 +181,18 @@ def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
     if s == 1 and alpha * n <= 1.0:
         raise DomainError(f"betaprime family needs alpha*n > 1, got {alpha * n}")
     ci = c_beta_float((alpha - 1.0 - s) / 2.0)
-    res = cosh_kernel(alpha * n + (2.0 - 3 * s), alpha - s, 0.5, 1j * ci, n - k)
-    pref = math.comb(n, k) * c_beta_float((alpha * n - 3 * s) / 2.0)
-    return QuadResult(pref * res.value, pref * res.abs_error_estimate, res.evaluations)
+    P = alpha * n + (2.0 - 3 * s)
+    row = cosh_kernel([(P, n - k) for k in ks], alpha - s, 0.5, 1j * ci)
+    outer = c_beta_float((alpha * n - 3 * s) / 2.0)
+    return tuple(
+        QuadResult(math.comb(n, k) * outer * v, math.comb(n, k) * outer * e, row.evaluations)
+        for k, v, e in zip(ks, row.values, row.errors)
+    )
+
+
+def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
+    """One entry of ``outer_row``."""
+    return outer_row(n, (k,), alpha, family)[0]
 
 
 # -- numeric external/internal quantities for non-integer parameters ----------
@@ -176,53 +203,76 @@ def _half_cos_integral(p: float) -> float:
     return math.sqrt(math.pi) * _gamma((p + 1) / 2) / (2 * _gamma(p / 2 + 1))
 
 
-def _lA_numeric(nu: float, kappa: float, alpha: float, shift: int) -> float:
-    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) by quadrature."""
-    r_f = nu - kappa
-    r = round(r_f)
-    if abs(r_f - r) > 1e-9 or r < 0:
-        raise DomainError("nu - kappa must be a nonnegative integer")
-    if shift == 0 and alpha * kappa <= 0:
-        raise DomainError("a[nu, kappa] requires alpha*kappa > 0")
+def _lA_row(nu: float, kappas, alpha: float, shift: int) -> tuple[float, ...]:
+    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) by quadrature, for
+    each kappa of ``kappas``."""
+    rs = []
+    for kappa in kappas:
+        r_f = nu - kappa
+        r = round(r_f)
+        if abs(r_f - r) > 1e-9 or r < 0:
+            raise DomainError("nu - kappa must be a nonnegative integer")
+        if shift == 0 and alpha * kappa <= 0:
+            raise DomainError("a[nu, kappa] requires alpha*kappa > 0")
+        rs.append(r)
     F0 = _half_cos_integral(alpha - shift)
-    res = cosh_kernel(alpha * nu + shift, alpha - shift, F0, 1j, r)
-    return alpha ** (r + 1) / math.factorial(r) / (2 * math.pi) * res.value
+    row = cosh_kernel([(alpha * nu + shift, r) for r in rs], alpha - shift, F0, 1j)
+    return tuple(
+        alpha ** (r + 1) / math.factorial(r) / (2 * math.pi) * v
+        for r, v in zip(rs, row.values)
+    )
 
 
 def a_numeric(nu: float, kappa: float, alpha: float) -> float:
     """a[nu, kappa] by quadrature; needs alpha*kappa > 0 and nu-kappa in N0."""
-    return _lA_numeric(nu, kappa, alpha, 0)
+    return _lA_row(nu, (kappa,), alpha, 0)[0]
 
 
 def a_tilde_numeric(nu: float, kappa: float, alpha: float) -> float:
     """a~[nu, kappa] by quadrature."""
-    return _lA_numeric(nu, kappa, alpha, 1)
+    return a_tilde_row(nu, (kappa,), alpha)[0]
 
 
-def _I_numeric(n: int, k: int, alpha: float, shift: int) -> float:
-    """bold-I_{n,k} (shift 0) or bold-I~_{n,k} (shift 1): the kernel on
-    F of cos^(alpha - shift) against cos^(alpha k - shift), mapped to the
-    line by x = arcsin tanh u."""
-    if not 1 <= k <= n:
-        raise DomainError("need 1 <= k <= n")
-    if alpha * k <= shift - 1:
-        raise DomainError(f"bold-I needs alpha*k > {shift - 1}, got {alpha * k}")
-    r = n - k
+def a_tilde_row(nu: float, kappas, alpha: float) -> tuple[float, ...]:
+    """a~[nu, kappa] for each kappa of ``kappas``, by one kernel call."""
+    return _lA_row(nu, kappas, alpha, 1)
+
+
+def _I_row(n: int, ks, alpha: float, shift: int) -> tuple[float, ...]:
+    """bold-I_{n,k} (shift 0) or bold-I~_{n,k} (shift 1) for each k of
+    ``ks``: the kernel on F of cos^(alpha - shift) against
+    cos^(alpha k - shift), mapped to the line by x = arcsin tanh u."""
+    for k in ks:
+        if not 1 <= k <= n:
+            raise DomainError("need 1 <= k <= n")
+        if alpha * k <= shift - 1:
+            raise DomainError(f"bold-I needs alpha*k > {shift - 1}, got {alpha * k}")
     F0 = _half_cos_integral(alpha - shift)
-    res = cosh_kernel(alpha * k + (1 - shift), -(alpha + (1 - shift)), F0, 1.0, r)
-    return (
-        math.comb(n, k)
-        * c_beta_float((alpha * k - 1 - shift) / 2)
-        * c_beta_float((alpha - 1 - shift) / 2) ** r
-        * res.value
+    row = cosh_kernel(
+        [(alpha * k + (1 - shift), n - k) for k in ks], -(alpha + (1 - shift)), F0, 1.0
+    )
+    inner = c_beta_float((alpha - 1 - shift) / 2)
+    return tuple(
+        math.comb(n, k) * c_beta_float((alpha * k - 1 - shift) / 2) * inner ** (n - k) * v
+        for k, v in zip(ks, row.values)
     )
 
 
 def I_numeric(n: int, k: int, alpha: float) -> float:
     """bold-I_{n,k}(alpha) as a float, real alpha > -1/k."""
-    return _I_numeric(n, k, alpha, 0)
+    return I_row(n, (k,), alpha)[0]
 
 
 def I_tilde_numeric(n: int, k: int, alpha: float) -> float:
     """bold-I~_{n,k}(alpha) as a float, real alpha > 0 with alpha*k >= 1."""
-    return _I_numeric(n, k, alpha, 1)
+    return I_tilde_row(n, (k,), alpha)[0]
+
+
+def I_row(n: int, ks, alpha: float) -> tuple[float, ...]:
+    """bold-I_{n,k}(alpha) for each k of ``ks``, by one kernel call."""
+    return _I_row(n, ks, alpha, 0)
+
+
+def I_tilde_row(n: int, ks, alpha: float) -> tuple[float, ...]:
+    """bold-I~_{n,k}(alpha) for each k of ``ks``, by one kernel call."""
+    return _I_row(n, ks, alpha, 1)

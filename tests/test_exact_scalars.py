@@ -130,6 +130,19 @@ def test_division_monomials_only():
         mixed.inverse()
 
 
+@pytest.mark.parametrize("divide", [
+    lambda: PiNumber.one() / PiNumber.zero(),
+    lambda: PiNumber.pi_power(2) / PiNumber.zero(),
+    lambda: PiNumber.zero() ** -1,
+    lambda: PiNumber.zero().inverse(),
+    lambda: PiNumber.one() / 0,
+    lambda: PiNumber.one() / F(0),
+], ids=["one_by_zero", "pi_by_zero", "zero_pow_minus_one", "zero_inverse", "by_int_zero",
+        "by_fraction_zero"])
+def test_division_by_zero_is_a_zero_division_error(divide):
+    with pytest.raises(ZeroDivisionError, match="PiNumber division by zero"):
+        divide()
+
 
 def test_rational_values_hash_like_the_numbers_they_equal():
     assert PiNumber.one() == 1

@@ -1,20 +1,26 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
-from angleworks.angle_engine import bJ_exact, bJtilde_exact
+from angleworks.angle_engine import angle_table, bJ_exact, bJtilde_exact
 from angleworks.exact_scalars import DomainError
 from angleworks.quadrature import (
     I_numeric,
+    I_row,
     I_tilde_numeric,
+    I_tilde_row,
     QuadResult,
     a_numeric,
     a_tilde_numeric,
+    a_tilde_row,
     c_beta_float,
     cosh_kernel,
     outer_integral,
+    outer_row,
 )
 
 
@@ -68,7 +74,7 @@ def test_outer_integral_validation():
 def test_non_finite_integral_is_a_domain_error():
     # finite exponents, but (c0 + w Psi)^r overflows: no NaN may come back
     with pytest.raises(DomainError):
-        cosh_kernel(10.0, 1.0, 0.5, 1e300, 5)
+        cosh_kernel([(10.0, 5)], 1.0, 0.5, 1e300)
 
 
 def test_horizon_doubling_stability():
@@ -99,7 +105,7 @@ def test_half_line_symmetry():
     alpha, n, k = 1.6, 4, 2
     P, E = alpha * n + 2, alpha
     ci = c_beta_float((alpha - 1) / 2)
-    kern = cosh_kernel(P, E, 0.5, 1j * ci, n - k)
+    (kern,) = cosh_kernel([(P, n - k)], E, 0.5, 1j * ci).values
 
     def even_part(u):
         u = float(u)
@@ -108,7 +114,7 @@ def test_half_line_symmetry():
         return val.real
 
     half = mpmath.quad(even_part, [0, 2, 5, 12])
-    assert abs(kern.value - 2 * float(half)) < 1e-9
+    assert abs(kern - 2 * float(half)) < 1e-9
 
 
 def test_against_independent_double_quadrature():
@@ -162,3 +168,88 @@ def test_b_and_a_numeric_consistency():
                     exact = lA_tilde_residue(nunum, knum, alpha).to_float()
                     got = a_tilde_numeric(nunum / alpha, knum / alpha, alpha)
                     assert abs(got - exact) < 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 5, 24, 40])
+def test_integration_matrix_integrates_legendre_polynomials(n):
+    # S carries the values of P_j on the nodes to its integral from -1 to
+    # each node, exactly up to rounding for every degree j < n
+    import angleworks.quadrature as Q
+
+    x, _, S = Q._rule(n)
+    for j in range(n):
+        unit = np.eye(n)[j]
+        want = legendre.legval(x, legendre.legint(unit, lbnd=-1))
+        assert np.max(np.abs(S @ legendre.legval(x, unit) - want)) <= 1e-13
+
+
+def test_row_call_equals_one_pair_calls():
+    # a row shares one horizon and one panel width; each entry agrees with
+    # its own call to 1e-14 relative, or, where the entry is a small
+    # difference of large terms, within the rounding share of its bound
+    def agree(row_value, one):
+        return abs(row_value - one) <= 1e-14 * abs(one)
+
+    for family, n, alpha in (("beta", 7, 5.3), ("beta", 12, 16.4), ("betaprime", 9, 1.7),
+                             ("betaprime", 12, 3.3)):
+        ks = range(1, n - 1)
+        for k, q in zip(ks, outer_row(n, ks, alpha, family)):
+            one = outer_integral(n, k, alpha, family)
+            assert agree(q.value, one.value) or abs(q.value - one.value) <= one.abs_error_estimate / 4
+            assert q.evaluations > one.evaluations
+    for n, alpha in ((5, 1.3), (8, 2.6), (7, 4.2)):
+        ms = range(n, 0, -2)
+        assert all(agree(v, I_numeric(n, m, alpha)) for m, v in zip(ms, I_row(n, ms, alpha)))
+        assert all(agree(v, I_tilde_numeric(n, m, alpha))
+                   for m, v in zip(ms, I_tilde_row(n, ms, alpha)))
+        ks = range(1, n + 1)
+        assert all(agree(v, a_tilde_numeric(n, k, alpha))
+                   for k, v in zip(ks, a_tilde_row(n, ks, alpha)))
+
+
+def _complex_integrand(P, r, c0, w, psi, logch):
+    """The kernel's integrand in complex logs and exponentials, as it was
+    evaluated before the real form; the reference of the next test."""
+    terms = []
+    for z in ((c0 + w * psi).astype(complex), (c0 - w * psi).astype(complex)):
+        z = np.where(np.abs(z) < 1e-280, 1e-280, z)
+        terms.append(np.exp(r * np.log(z) - P * logch))
+    return (terms[0] + terms[1]).real, np.abs(terms[0]) + np.abs(terms[1])
+
+
+@pytest.mark.parametrize("E, c0, w", [
+    (1.7, 0.5, 0.9j), (4.2, 0.5, 0.3j), (0.6, 0.8, 1j),  # the angle formulas
+    (-2.7, 0.9, 1.0), (-4.1, 0.6, 1.0), (-1.5, 0.7, 0.4),  # the external ones
+])
+def test_real_integrand_equals_complex_form(E, c0, w, monkeypatch):
+    import angleworks.quadrature as Q
+
+    pairs = [(P, r) for P in (1.3, 2.9, 6.1) for r in range(6)]
+    pairs = [(P + max(E, 0.0) * r, r) for P, r in pairs]  # every integral converges
+    real = cosh_kernel(pairs, E, c0, w)
+    monkeypatch.setattr(Q, "_integrand", _complex_integrand)
+    ref = cosh_kernel(pairs, E, c0, w)
+    for got, want in zip(real.values, ref.values):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("c0, w", [(0.5 + 0.1j, 1j), (0.5, 1 + 1j), (1j, 1.0)])
+def test_kernel_needs_real_c0_and_real_or_imaginary_w(c0, w):
+    with pytest.raises(DomainError, match="real c0"):
+        cosh_kernel([(4.0, 2)], 1.0, c0, w)
+
+
+def test_error_bound_covers_half_integer_grid():
+    # the numeric path forced at every half-integer beta of a grid, where the
+    # exact value is known: the true error never exceeds the reported bound
+    checked = 0
+    for family in ("beta", "betaprime"):
+        for n in range(4, 13):
+            ks = range(1, n - 1)  # J_{n,n-1} and J_{n,n} are closed forms
+            for tb in range(-2, 6) if family == "beta" else range(n, n + 8):
+                alpha = tb + n - 1 if family == "beta" else tb - n + 1
+                exact = angle_table(family, n, Fraction(tb, 2))
+                for k, q in zip(ks, outer_row(n, ks, float(alpha), family)):
+                    assert abs(q.value - exact.value(k).to_float()) <= q.abs_error_estimate
+                    checked += 1
+    assert checked == 864
