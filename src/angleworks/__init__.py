@@ -20,10 +20,8 @@ from .angle_engine import (
     ParityError,
     angle_table,
     bJ_exact,
-    bJ_numeric,
     bJ_residue,
     bJtilde_exact,
-    bJtilde_numeric,
     bJtilde_residue,
     bernoulli_fill,
     fill_row,
@@ -44,12 +42,6 @@ from .polytope_engine import (
     reitzner_sphere,
     typical_voronoi_fvector,
     zero_cell_fvector,
-)
-from .quadrature import (
-    I_numeric,
-    I_tilde_numeric,
-    a_numeric,
-    a_tilde_numeric,
 )
 from .montecarlo import (
     McEstimate,

@@ -240,40 +240,6 @@ def bJtilde_exact(n: int, k: int, twice_beta: int) -> PiNumber:
     return _bJtilde_row(n, twice_beta)[k - 1][0]
 
 
-# -- numeric paths -------------------------------------------------------------
-
-
-def _check_numeric_beta(family: str, n: int, beta: float) -> None:
-    exact_scaled(beta)  # a NaN or infinite beta raises DomainError
-    if family == "beta" and beta < -1:
-        raise DomainError("beta >= -1 required")
-    if family == "betaprime" and beta <= (n - 1) / 2:
-        raise DomainError("beta > (n-1)/2 required")
-    # the quadrature needs alpha*n > 1; rows with n <= 3 are all closed forms
-    if family == "betaprime" and n >= 4 and (2.0 * beta - n + 1) * n <= 1.0:
-        raise DomainError(
-            f"the numeric betaprime path needs beta > (n-1)/2 + 1/(2n) = "
-            f"{Fraction(n * n - n + 1, 2 * n)} for n = {n}"
-        )
-
-
-def _numeric_alpha(family: str, n: int, beta: float) -> float:
-    """The quadrature's alpha for a checked numeric beta."""
-    _check_numeric_beta(family, n, beta)
-    return 2.0 * beta + n - 1 if family == "beta" else 2.0 * beta - n + 1
-
-
-def bJ_numeric(n: int, k: int, beta: float) -> float:
-    """Quadrature evaluation of bold-J_{n,k}(beta) for real beta >= -1."""
-    return quadrature.outer_integral(n, k, _numeric_alpha("beta", n, beta), "beta").value
-
-
-def bJtilde_numeric(n: int, k: int, beta: float) -> float:
-    """Quadrature evaluation of bold-J~_{n,k}(beta) for real beta > (n-1)/2."""
-    alpha = _numeric_alpha("betaprime", n, beta)
-    return quadrature.outer_integral(n, k, alpha, "betaprime").value
-
-
 # -- the a[nu, kappa] residue evaluations --------------------------------------
 
 
@@ -353,7 +319,8 @@ class AngleTable:
 
 
 def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
-    """Full table for k = 1..n; exact when beta is a half-integer Fraction."""
+    """Full table for k = 1..n; exact when beta is a half-integer Fraction,
+    otherwise one quadrature row for the entries without a closed form."""
     if family not in ("beta", "betaprime"):
         raise DomainError(f"unknown family {family!r}")
     if n < 1:
@@ -363,7 +330,17 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
         row = _bJ_row(n, tb) if family == "beta" else _bJtilde_row(n, tb)
         return AngleTable(family, n, Fraction(beta), row)
     b = float(beta)
-    alpha = _numeric_alpha(family, n, b)
+    if family == "beta" and b < -1:
+        raise DomainError("beta >= -1 required")
+    if family == "betaprime" and b <= (n - 1) / 2:
+        raise DomainError("beta > (n-1)/2 required")
+    alpha = 2.0 * b + n - 1 if family == "beta" else 2.0 * b - n + 1
+    # the quadrature needs alpha*n > 1; rows with n <= 3 are all closed forms
+    if family == "betaprime" and n >= 4 and alpha * n <= 1.0:
+        raise DomainError(
+            f"the numeric betaprime path needs beta > (n-1)/2 + 1/(2n) = "
+            f"{Fraction(n * n - n + 1, 2 * n)} for n = {n}"
+        )
     # every simplex has J_{n,n} = 1 (itself) and J_{n,n-1} = n/2 (n facets,
     # each of internal angle 1/2), and a triangle's angles sum to pi, so
     # J_{3,1} = 1/2: these entries need no quadrature
@@ -372,6 +349,6 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
         values[1] = 0.5
     ks = [k for k in range(1, n + 1) if k not in values]
     if ks:
-        values.update(zip(ks, (q.value for q in quadrature.outer_row(n, ks, alpha, family))))
+        values.update(zip(ks, quadrature.outer_row(n, ks, alpha, family).values))
     entries = tuple((values[k], "numeric") for k in range(1, n + 1))
     return AngleTable(family, n, b, entries)

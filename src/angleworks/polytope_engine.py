@@ -99,7 +99,7 @@ def poisson_polytope_fvector(d: int, alpha) -> FVector:
     if a <= 0:
         raise DomainError("alpha > 0 required")
     ctil = quadrature.c_beta_float((a - 2) / 2)
-    row = quadrature.a_tilde_row(d, range(1, d + 1), a)
+    row = quadrature.a_row(d, range(1, d + 1), a, 1)
     entries = tuple(
         (2.0 * a ** (k - 1) * math.factorial(d) / math.factorial(k) * ctil ** (-k) * v,
          "numeric")
@@ -224,7 +224,7 @@ def beta_polytope_fvector(n: int, d: int, beta) -> FVector:
         raise DomainError("beta >= -1 required")
     alpha = 2.0 * b + d
     ms = range(d, 0, -2)
-    external = dict(zip(ms, quadrature.I_row(n, ms, alpha)))
+    external = dict(zip(ms, quadrature.I_row(n, ms, alpha, 0)))
     entries = _parity_sum(
         d,
         external.__getitem__,
@@ -256,7 +256,7 @@ def betaprime_polytope_fvector(n: int, d: int, beta) -> FVector:
     if alpha <= 1:
         raise DomainError(f"numeric path needs alpha = 2*beta - d > 1, got {alpha}")
     ms = range(d, 0, -2)
-    external = dict(zip(ms, quadrature.I_tilde_row(n, ms, alpha)))
+    external = dict(zip(ms, quadrature.I_row(n, ms, alpha, 1)))
     entries = _parity_sum(
         d,
         external.__getitem__,

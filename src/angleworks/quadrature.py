@@ -37,13 +37,6 @@ from .exact_scalars import DomainError
 
 
 @dataclass(frozen=True)
-class QuadResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-
-
-@dataclass(frozen=True)
 class QuadRow:
     """One kernel call: a value and an error bound for each (P, r) pair,
     and the integrand evaluations the row took."""
@@ -158,9 +151,12 @@ def cosh_kernel(pairs, E: float, c0: float, w: complex) -> QuadRow:
 def _gamma(x: float) -> float:
     """Gamma(x), or a DomainError where it leaves the float range."""
     try:
-        return math.gamma(x)
+        g = math.gamma(x)
     except (OverflowError, ValueError):
-        raise DomainError(f"Gamma({x}) is not a finite float") from None
+        g = math.inf
+    if not math.isfinite(g):
+        raise DomainError(f"Gamma({x}) is not a finite float")
+    return g
 
 
 def c_beta_float(beta: float) -> float:
@@ -168,9 +164,10 @@ def c_beta_float(beta: float) -> float:
     return _gamma(beta + 1.5) / (math.sqrt(math.pi) * _gamma(beta + 1.0))
 
 
-def outer_row(n: int, ks, alpha: float, family: str) -> tuple[QuadResult, ...]:
+def outer_row(n: int, ks, alpha: float, family: str) -> QuadRow:
     """bold-J_{n,k} (beta family) or bold-J~_{n,k} (betaprime family) for
-    each k of ``ks`` by one kernel call on the cosh-form integral."""
+    each k of ``ks`` by one kernel call on the cosh-form integral, with the
+    values and error bounds scaled to the angle sums."""
     if not all(1 <= k <= n for k in ks):
         raise DomainError("need 1 <= k <= n")
     if family not in ("beta", "betaprime"):
@@ -184,15 +181,12 @@ def outer_row(n: int, ks, alpha: float, family: str) -> tuple[QuadResult, ...]:
     P = alpha * n + (2.0 - 3 * s)
     row = cosh_kernel([(P, n - k) for k in ks], alpha - s, 0.5, 1j * ci)
     outer = c_beta_float((alpha * n - 3 * s) / 2.0)
-    return tuple(
-        QuadResult(math.comb(n, k) * outer * v, math.comb(n, k) * outer * e, row.evaluations)
-        for k, v, e in zip(ks, row.values, row.errors)
+    scales = [math.comb(n, k) * outer for k in ks]
+    return QuadRow(
+        tuple(c * v for c, v in zip(scales, row.values)),
+        tuple(c * e for c, e in zip(scales, row.errors)),
+        row.evaluations,
     )
-
-
-def outer_integral(n: int, k: int, alpha: float, family: str) -> QuadResult:
-    """One entry of ``outer_row``."""
-    return outer_row(n, (k,), alpha, family)[0]
 
 
 # -- numeric external/internal quantities for non-integer parameters ----------
@@ -203,9 +197,10 @@ def _half_cos_integral(p: float) -> float:
     return math.sqrt(math.pi) * _gamma((p + 1) / 2) / (2 * _gamma(p / 2 + 1))
 
 
-def _lA_row(nu: float, kappas, alpha: float, shift: int) -> tuple[float, ...]:
-    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) by quadrature, for
-    each kappa of ``kappas``."""
+def a_row(nu: float, kappas, alpha: float, shift: int) -> tuple[float, ...]:
+    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) for each kappa of
+    ``kappas``, by one kernel call; nu - kappa must be in N0, and shift 0
+    needs alpha*kappa > 0."""
     rs = []
     for kappa in kappas:
         r_f = nu - kappa
@@ -223,25 +218,11 @@ def _lA_row(nu: float, kappas, alpha: float, shift: int) -> tuple[float, ...]:
     )
 
 
-def a_numeric(nu: float, kappa: float, alpha: float) -> float:
-    """a[nu, kappa] by quadrature; needs alpha*kappa > 0 and nu-kappa in N0."""
-    return _lA_row(nu, (kappa,), alpha, 0)[0]
-
-
-def a_tilde_numeric(nu: float, kappa: float, alpha: float) -> float:
-    """a~[nu, kappa] by quadrature."""
-    return a_tilde_row(nu, (kappa,), alpha)[0]
-
-
-def a_tilde_row(nu: float, kappas, alpha: float) -> tuple[float, ...]:
-    """a~[nu, kappa] for each kappa of ``kappas``, by one kernel call."""
-    return _lA_row(nu, kappas, alpha, 1)
-
-
-def _I_row(n: int, ks, alpha: float, shift: int) -> tuple[float, ...]:
-    """bold-I_{n,k} (shift 0) or bold-I~_{n,k} (shift 1) for each k of
-    ``ks``: the kernel on F of cos^(alpha - shift) against
-    cos^(alpha k - shift), mapped to the line by x = arcsin tanh u."""
+def I_row(n: int, ks, alpha: float, shift: int) -> tuple[float, ...]:
+    """bold-I_{n,k}(alpha) (shift 0) or bold-I~_{n,k}(alpha) (shift 1) for
+    each k of ``ks``, by one kernel call: the kernel on F of
+    cos^(alpha - shift) against cos^(alpha k - shift), mapped to the line
+    by x = arcsin tanh u.  Needs alpha*k > shift - 1."""
     for k in ks:
         if not 1 <= k <= n:
             raise DomainError("need 1 <= k <= n")
@@ -256,23 +237,3 @@ def _I_row(n: int, ks, alpha: float, shift: int) -> tuple[float, ...]:
         math.comb(n, k) * c_beta_float((alpha * k - 1 - shift) / 2) * inner ** (n - k) * v
         for k, v in zip(ks, row.values)
     )
-
-
-def I_numeric(n: int, k: int, alpha: float) -> float:
-    """bold-I_{n,k}(alpha) as a float, real alpha > -1/k."""
-    return I_row(n, (k,), alpha)[0]
-
-
-def I_tilde_numeric(n: int, k: int, alpha: float) -> float:
-    """bold-I~_{n,k}(alpha) as a float, real alpha > 0 with alpha*k >= 1."""
-    return I_tilde_row(n, (k,), alpha)[0]
-
-
-def I_row(n: int, ks, alpha: float) -> tuple[float, ...]:
-    """bold-I_{n,k}(alpha) for each k of ``ks``, by one kernel call."""
-    return _I_row(n, ks, alpha, 0)
-
-
-def I_tilde_row(n: int, ks, alpha: float) -> tuple[float, ...]:
-    """bold-I~_{n,k}(alpha) for each k of ``ks``, by one kernel call."""
-    return _I_row(n, ks, alpha, 1)

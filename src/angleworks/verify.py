@@ -19,9 +19,7 @@ from . import montecarlo, quadrature
 from .angle_engine import (
     angle_table,
     bJ_exact,
-    bJ_numeric,
     bJtilde_exact,
-    bJtilde_numeric,
     lA_tilde_residue,
     p_alpha_k_value,
     relations_hold,
@@ -417,7 +415,7 @@ def crosscheck_suite() -> list[CheckResult]:
                     term = (
                         external_lB(n, m, alpha).to_float()
                         * (m + 1 / alpha)
-                        * quadrature.a_numeric(m + 2 / alpha, k + 2 / alpha, alpha)
+                        * quadrature.a_row(m + 2 / alpha, (k + 2 / alpha,), alpha, 0)[0]
                     )
                     signed += (-1) ** (m - k) * term
                     unsigned += term
@@ -442,16 +440,12 @@ def crosscheck_suite() -> list[CheckResult]:
     out.append(_check("reitzner-constants", ok, "C*_{d,0}=1, facet ratios, residue forms"))
 
     ok, worst = True, 0.0
-    for n, k, tb in _NUMERIC_GRID:
-        exact = bJ_exact(n, k, tb).to_float()
-        num = bJ_numeric(n, k, tb / 2)
-        worst = max(worst, abs(num - exact))
-        ok = ok and abs(num - exact) <= 1e-8
-    for n, k, tb in _NUMERIC_GRID_TILDE:
-        exact = bJtilde_exact(n, k, tb).to_float()
-        num = bJtilde_numeric(n, k, tb / 2)
-        worst = max(worst, abs(num - exact))
-        ok = ok and abs(num - exact) <= 1e-8
+    for family, grid, exact_of in (("beta", _NUMERIC_GRID, bJ_exact),
+                                   ("betaprime", _NUMERIC_GRID_TILDE, bJtilde_exact)):
+        for n, k, tb in grid:
+            diff = abs(angle_table(family, n, tb / 2).value(k) - exact_of(n, k, tb).to_float())
+            worst = max(worst, diff)
+            ok = ok and diff <= 1e-8
     out.append(_check("numeric-exact-agreement", ok, f"30-case grid, worst |diff| {worst:.2e}"))
     return out
 

@@ -14,7 +14,7 @@ import angleworks.polytope_engine as pe
 import angleworks.series_kernel as sk
 import angleworks.trig_algebra as ta
 from angleworks import montecarlo
-from angleworks.angle_engine import bJ_exact, bJ_numeric, bJtilde_exact, bJtilde_numeric
+from angleworks.angle_engine import angle_table, bJ_exact, bJtilde_exact
 from angleworks.exact_scalars import PiNumber
 from angleworks.polytope_engine import (
     parity_product_coeff,
@@ -152,7 +152,7 @@ def test_criterion_07_numeric_exact_agreement():
     cases = 0
     for n, k, tb in _NUMERIC_GRID:
         t0 = time.perf_counter()
-        num = bJ_numeric(n, k, tb / 2)
+        num = angle_table("beta", n, tb / 2).value(k)
         dt = time.perf_counter() - t0
         diff = abs(num - bJ_exact(n, k, tb).to_float())
         assert diff <= 1e-8, (n, k, tb, diff)
@@ -161,7 +161,7 @@ def test_criterion_07_numeric_exact_agreement():
         cases += 1
     for n, k, tb in _NUMERIC_GRID_TILDE:
         t0 = time.perf_counter()
-        num = bJtilde_numeric(n, k, tb / 2)
+        num = angle_table("betaprime", n, tb / 2).value(k)
         dt = time.perf_counter() - t0
         diff = abs(num - bJtilde_exact(n, k, tb).to_float())
         assert diff <= 1e-8, (n, k, tb, diff)

@@ -8,10 +8,8 @@ from angleworks.angle_engine import (
     ParityError,
     angle_table,
     bJ_exact,
-    bJ_numeric,
     bJ_residue,
     bJtilde_exact,
-    bJtilde_numeric,
     bJtilde_residue,
     bernoulli_fill,
     fill_row,
@@ -231,24 +229,29 @@ def test_inversion_identity_on_random_parameters(family, n, step, data):
 
 
 def test_bJ_numeric_examples():
-    assert abs(bJ_numeric(4, 1, -1.0) - 0.125) < 1e-10
-    assert abs(bJ_numeric(5, 1, 0.0) - GOLDEN_5_1_0.to_float()) < 1e-10
-    assert abs(bJtilde_numeric(5, 5, 3.4) - 1.0) < 1e-10
+    assert abs(angle_table("beta", 4, -1.0).value(1) - 0.125) < 1e-10
+    assert abs(angle_table("beta", 5, 0.0).value(1) - GOLDEN_5_1_0.to_float()) < 1e-10
     with pytest.raises(DomainError):
-        bJ_numeric(4, 1, -1.5)
+        angle_table("beta", 4, -1.5)
     with pytest.raises(DomainError):
-        bJtilde_numeric(4, 1, 1.5)
+        angle_table("betaprime", 4, 1.5)
 
 
-@pytest.mark.parametrize("fn, n, k, beta", [
-    (bJ_numeric, 4, 1, math.nan),
-    (bJ_numeric, 4, 1, math.inf),
-    (bJtilde_numeric, 4, 2, math.inf),
-    (bJtilde_numeric, 4, 2, math.nan),
+@pytest.mark.parametrize("family, n, k, beta", [
+    pytest.param("beta", 4, 1, math.nan, id="bJ_numeric-4-1-nan"),
+    pytest.param("beta", 4, 1, math.inf, id="bJ_numeric-4-1-inf"),
+    pytest.param("betaprime", 4, 2, math.inf, id="bJtilde_numeric-4-2-inf"),
+    pytest.param("betaprime", 4, 2, math.nan, id="bJtilde_numeric-4-2-nan"),
 ])
-def test_numeric_non_finite_beta_is_a_domain_error(fn, n, k, beta):
+def test_numeric_non_finite_beta_is_a_domain_error(family, n, k, beta):
     with pytest.raises(DomainError):
-        fn(n, k, beta)
+        angle_table(family, n, beta).value(k)
+
+
+def test_numeric_beta_with_infinite_gamma_is_a_domain_error():
+    # math.gamma(inf) returns inf without raising; the error must name Gamma
+    with pytest.raises(DomainError, match="Gamma"):
+        angle_table("beta", 4, 1e308)
 
 
 @pytest.mark.parametrize("family, beta", [

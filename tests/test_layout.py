@@ -150,3 +150,27 @@ def test_checker_flags_unused_public_names(tmp_path):
     (tmp_path / "b.py").write_text("from . import a\nprint(a.called())\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert _unused_public_names(paths) == ["a.Dead", "a.UNUSED", "a.recursive"]
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def _quick_reference_imports(readme: str) -> list[str]:
+    """The names the ``from angleworks import (...)`` of README's
+    "Library quick reference" code block imports."""
+    section = readme.split("## Library quick reference", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "angleworks"
+        for alias in node.names
+    ]
+
+
+def test_readme_quick_reference_imports_exist():
+    import angleworks
+
+    names = _quick_reference_imports(README.read_text())
+    assert "angle_table" in names  # the parse found the import list
+    assert [n for n in names if not hasattr(angleworks, n)] == []

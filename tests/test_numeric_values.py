@@ -14,7 +14,7 @@ from angleworks import (
     betaprime_polytope_fvector,
     poisson_polytope_fvector,
 )
-from angleworks.quadrature import a_numeric, a_tilde_numeric
+from angleworks.quadrature import a_row
 
 PINNED = [
     ("angles beta n=6 beta=0.3",
@@ -35,10 +35,12 @@ PINNED = [
      lambda: betaprime_polytope_fvector(6, 4, 3.3).values(),
      [5.957648706850242, 14.316849819789342, 16.7184022258782, 8.3592011129391]),
     ("a_numeric",
-     lambda: [a_numeric(*p) for p in ((2.5, 0.5, 1.5), (3.0, 1.0, 2.7), (1.25, 1.25, 0.8))],
+     lambda: [a_row(nu, (kappa,), alpha, 0)[0]
+              for nu, kappa, alpha in ((2.5, 0.5, 1.5), (3.0, 1.0, 2.7), (1.25, 1.25, 0.8))],
      [-0.07929369049994248, 0.34057479277339925, 0.39999999999999997]),
     ("a_tilde_numeric",
-     lambda: [a_tilde_numeric(*p) for p in ((2.5, 0.5, 1.5), (3.0, 1.0, 2.7), (1.25, 1.25, 0.8))],
+     lambda: [a_row(nu, (kappa,), alpha, 1)[0]
+              for nu, kappa, alpha in ((2.5, 0.5, 1.5), (3.0, 1.0, 2.7), (1.25, 1.25, 0.8))],
      [0.36888709416863635, 0.7218413719357578, 0.2546479089470325]),
 ]
 

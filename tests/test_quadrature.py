@@ -8,20 +8,7 @@ from numpy.polynomial import legendre
 
 from angleworks.angle_engine import angle_table, bJ_exact, bJtilde_exact
 from angleworks.exact_scalars import DomainError
-from angleworks.quadrature import (
-    I_numeric,
-    I_row,
-    I_tilde_numeric,
-    I_tilde_row,
-    QuadResult,
-    a_numeric,
-    a_tilde_numeric,
-    a_tilde_row,
-    c_beta_float,
-    cosh_kernel,
-    outer_integral,
-    outer_row,
-)
+from angleworks.quadrature import I_row, QuadRow, a_row, c_beta_float, cosh_kernel, outer_row
 
 
 def inner_cumulative(alpha: float, u: float) -> float:
@@ -49,25 +36,27 @@ def test_inner_cumulative_examples():
 
 
 def test_outer_integral_examples():
-    r = outer_integral(4, 1, 1.0, "beta")
-    assert isinstance(r, QuadResult)
-    assert abs(r.value - 0.125) < 1e-10
+    r = outer_row(4, (1,), 1.0, "beta")
+    assert isinstance(r, QuadRow)
+    assert abs(r.values[0] - 0.125) < 1e-10
     assert r.abs_error_estimate < 1e-10
     assert r.evaluations > 0
-    assert abs(outer_integral(3, 3, 2.7, "beta").value - 1.0) < 1e-10
+    assert abs(outer_row(3, (3,), 2.7, "beta").values[0] - 1.0) < 1e-10
+    # J~_{n,n} = 1 by quadrature; angle_table returns the closed 1.0 there
+    assert abs(outer_row(5, (5,), 2 * 3.4 - 5 + 1, "betaprime").values[0] - 1.0) < 1e-10
     exact = bJ_exact(5, 1, 0).to_float()
-    assert abs(outer_integral(5, 1, 4.0, "beta").value - exact) < 1e-10
+    assert abs(outer_row(5, (1,), 4.0, "beta").values[0] - exact) < 1e-10
     exact = bJtilde_exact(4, 2, 5).to_float()
-    assert abs(outer_integral(4, 2, 2.0, "betaprime").value - exact) < 1e-10
+    assert abs(outer_row(4, (2,), 2.0, "betaprime").values[0] - exact) < 1e-10
 
 
 def test_outer_integral_validation():
     with pytest.raises(DomainError):
-        outer_integral(6, 1, 1.0, "beta")  # alpha < n-3
+        outer_row(6, (1,), 1.0, "beta")  # alpha < n-3
     with pytest.raises(DomainError):
-        outer_integral(3, 1, 0.2, "betaprime")  # alpha * n <= 1
+        outer_row(3, (1,), 0.2, "betaprime")  # alpha * n <= 1
     with pytest.raises(DomainError):
-        outer_integral(3, 1, 1.0, "gauss")
+        outer_row(3, (1,), 1.0, "gauss")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow notes on the way
@@ -88,14 +77,14 @@ def test_horizon_doubling_stability():
         (7, 3, 4.2, "beta"), (6, 5, 2.2, "betaprime"),
     ]
     orig = Q._horizon
-    base = [outer_integral(*c) for c in cases]
+    base = [outer_row(n, (k,), alpha, family) for n, k, alpha, family in cases]
     try:
         Q._horizon = lambda *a, **k: 2.0 * orig(*a, **k)
-        doubled = [outer_integral(*c) for c in cases]
+        doubled = [outer_row(n, (k,), alpha, family) for n, k, alpha, family in cases]
     finally:
         Q._horizon = orig
     for b, d in zip(base, doubled):
-        assert abs(b.value - d.value) <= max(b.abs_error_estimate, 1e-12)
+        assert abs(b.values[0] - d.values[0]) <= max(b.abs_error_estimate, 1e-12)
 
 
 def test_half_line_symmetry():
@@ -129,7 +118,10 @@ def test_against_independent_double_quadrature():
     )
 
     def integrand(u):
-        inner = mpmath.quad(lambda v: mpmath.cosh(v) ** alpha, [0, u])
+        # Psi(u) = integral_0^u cosh^alpha in closed form (t = sinh v):
+        # the integral_0^sinh(u) of (1 + t^2)^((alpha-1)/2) dt
+        s = mpmath.sinh(u)
+        inner = s * mpmath.hyp2f1(0.5, (1 - alpha) / 2, 1.5, -s * s)
         return (
             mpmath.cosh(u) ** (-(alpha * n + 2))
             * (mpmath.mpf(1) / 2 + 1j * c_inner * inner) ** (n - k)
@@ -138,7 +130,7 @@ def test_against_independent_double_quadrature():
     ref = math.comb(n, k) * c_outer * complex(
         mpmath.quad(integrand, [-10, -3, 0, 3, 10])
     ).real
-    got = outer_integral(n, k, alpha, "beta").value
+    (got,) = outer_row(n, (k,), alpha, "beta").values
     assert abs(got - ref) < 1e-9
 
 
@@ -149,10 +141,10 @@ def test_b_and_a_numeric_consistency():
     for alpha in (1, 2, 3):
         for n in range(1, 5):
             for k in range(1, n + 1):
-                assert abs(I_numeric(n, k, alpha) - external_bI(n, k, alpha).to_float()) < 1e-11
-                assert abs(
-                    I_tilde_numeric(n, k, alpha) - external_bI_tilde(n, k, alpha).to_float()
-                ) < 1e-11
+                (got,) = I_row(n, (k,), alpha, 0)
+                assert abs(got - external_bI(n, k, alpha).to_float()) < 1e-11
+                (got,) = I_row(n, (k,), alpha, 1)
+                assert abs(got - external_bI_tilde(n, k, alpha).to_float()) < 1e-11
     # numeric a[nu,kappa] matches the residue value on admissible parities
     from angleworks.angle_engine import lA_residue, lA_tilde_residue
 
@@ -162,11 +154,11 @@ def test_b_and_a_numeric_consistency():
                 nunum = knum + alpha * r
                 if (knum + r) % 2 == 1:
                     exact = lA_residue(nunum, knum, alpha).to_float()
-                    got = a_numeric(nunum / alpha, knum / alpha, alpha)
+                    (got,) = a_row(nunum / alpha, (knum / alpha,), alpha, 0)
                     assert abs(got - exact) < 1e-11
                 if knum % 2 == 0:
                     exact = lA_tilde_residue(nunum, knum, alpha).to_float()
-                    got = a_tilde_numeric(nunum / alpha, knum / alpha, alpha)
+                    (got,) = a_row(nunum / alpha, (knum / alpha,), alpha, 1)
                     assert abs(got - exact) < 1e-11
 
 
@@ -193,18 +185,20 @@ def test_row_call_equals_one_pair_calls():
     for family, n, alpha in (("beta", 7, 5.3), ("beta", 12, 16.4), ("betaprime", 9, 1.7),
                              ("betaprime", 12, 3.3)):
         ks = range(1, n - 1)
-        for k, q in zip(ks, outer_row(n, ks, alpha, family)):
-            one = outer_integral(n, k, alpha, family)
-            assert agree(q.value, one.value) or abs(q.value - one.value) <= one.abs_error_estimate / 4
-            assert q.evaluations > one.evaluations
+        row = outer_row(n, ks, alpha, family)
+        for k, v in zip(ks, row.values):
+            one = outer_row(n, (k,), alpha, family)
+            (w,) = one.values
+            assert agree(v, w) or abs(v - w) <= one.abs_error_estimate / 4
+            assert row.evaluations > one.evaluations
     for n, alpha in ((5, 1.3), (8, 2.6), (7, 4.2)):
         ms = range(n, 0, -2)
-        assert all(agree(v, I_numeric(n, m, alpha)) for m, v in zip(ms, I_row(n, ms, alpha)))
-        assert all(agree(v, I_tilde_numeric(n, m, alpha))
-                   for m, v in zip(ms, I_tilde_row(n, ms, alpha)))
+        for s in (0, 1):
+            assert all(agree(v, I_row(n, (m,), alpha, s)[0])
+                       for m, v in zip(ms, I_row(n, ms, alpha, s)))
         ks = range(1, n + 1)
-        assert all(agree(v, a_tilde_numeric(n, k, alpha))
-                   for k, v in zip(ks, a_tilde_row(n, ks, alpha)))
+        assert all(agree(v, a_row(n, (k,), alpha, 1)[0])
+                   for k, v in zip(ks, a_row(n, ks, alpha, 1)))
 
 
 def _complex_integrand(P, r, c0, w, psi, logch):
@@ -249,7 +243,8 @@ def test_error_bound_covers_half_integer_grid():
             for tb in range(-2, 6) if family == "beta" else range(n, n + 8):
                 alpha = tb + n - 1 if family == "beta" else tb - n + 1
                 exact = angle_table(family, n, Fraction(tb, 2))
-                for k, q in zip(ks, outer_row(n, ks, float(alpha), family)):
-                    assert abs(q.value - exact.value(k).to_float()) <= q.abs_error_estimate
+                row = outer_row(n, ks, float(alpha), family)
+                for k, v, e in zip(ks, row.values, row.errors):
+                    assert abs(v - exact.value(k).to_float()) <= e
                     checked += 1
     assert checked == 864

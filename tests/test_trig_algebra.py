@@ -405,9 +405,19 @@ def test_external_lB_non_integer_power_rejected():
 
     with pytest.raises(DomainError):
         external_lB(F(7, 2), F(3, 2), 1)
-    assert abs(Q.I_numeric(4, 2, 1.5) - Q.I_numeric(4, 2, 1.5)) == 0
-    assert abs(Q.I_numeric(4, 2, 3) - external_bI(4, 2, 3).to_float()) < 1e-11
-    assert abs(Q.I_tilde_numeric(4, 2, 3) - external_bI_tilde(4, 2, 3).to_float()) < 1e-11
+    assert abs(Q.I_row(4, (2,), 3, 0)[0] - external_bI(4, 2, 3).to_float()) < 1e-11
+    assert abs(Q.I_row(4, (2,), 3, 1)[0] - external_bI_tilde(4, 2, 3).to_float()) < 1e-11
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_numeric_external_sums_first_and_last_are_one(shift):
+    # I_{n,1} = I_{n,n} = 1 at non-integer alpha, where no exact value exists
+    import angleworks.quadrature as Q
+
+    for alpha in (0.7, 1.5, 2.3, 4.1):
+        for n in (3, 4, 6):
+            for v in Q.I_row(n, (1, n), alpha, shift):
+                assert abs(v - 1.0) <= 1e-12, (alpha, n, shift, v)
 
 
 def test_external_bI_examples():
