@@ -26,7 +26,6 @@ from .angle_engine import (
     bernoulli_fill,
     fill_row,
     lA_residue,
-    lA_tilde_residue,
     p_alpha_k_value,
     residue_rational,
     rm_value,

@@ -243,20 +243,12 @@ def bJtilde_exact(n: int, k: int, twice_beta: int) -> PiNumber:
 # -- the a[nu, kappa] residue evaluations --------------------------------------
 
 
-def lA_residue(nu_num: int, kappa_num: int, alpha: int) -> PiNumber:
-    """a[nu, kappa] with nu = nu_num/alpha, kappa = kappa_num/alpha, via the
-    rational residue; requires alpha*kappa + nu - kappa odd."""
-    return _lA_residue(nu_num, kappa_num, alpha, 0)
-
-
-def lA_tilde_residue(nu_num: int, kappa_num: int, alpha: int) -> PiNumber:
-    """a~[nu, kappa] via the rational residue; requires alpha*kappa even."""
-    return _lA_residue(nu_num, kappa_num, alpha, 1)
-
-
-def _lA_residue(nu_num: int, kappa_num: int, alpha: int, shift: int) -> PiNumber:
-    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1): alpha^(r+1)/(2 r!)
-    times the residue at sin^(alpha - shift) and q = nu_num + shift."""
+def lA_residue(nu_num: int, kappa_num: int, alpha: int, shift: int) -> PiNumber:
+    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) with
+    nu = nu_num/alpha, kappa = kappa_num/alpha, via the rational residue:
+    alpha^(r+1)/(2 r!) times the residue at sin^(alpha - shift) and
+    q = nu_num + shift.  Shift 0 requires alpha*kappa + nu - kappa odd,
+    shift 1 requires alpha*kappa even."""
     if alpha < 1:
         raise DomainError("alpha must be a positive integer")
     if (nu_num - kappa_num) % alpha != 0:
@@ -325,18 +317,19 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
         raise DomainError(f"unknown family {family!r}")
     if n < 1:
         raise DomainError("n must be positive")
+    s = 0 if family == "beta" else 1
     tb = exact_scaled(beta)
     if tb is not None:
-        row = _bJ_row(n, tb) if family == "beta" else _bJtilde_row(n, tb)
+        row = _bJtilde_row(n, tb) if s else _bJ_row(n, tb)
         return AngleTable(family, n, Fraction(beta), row)
     b = float(beta)
-    if family == "beta" and b < -1:
+    if s == 0 and b < -1:
         raise DomainError("beta >= -1 required")
-    if family == "betaprime" and b <= (n - 1) / 2:
+    if s == 1 and b <= (n - 1) / 2:
         raise DomainError("beta > (n-1)/2 required")
-    alpha = 2.0 * b + n - 1 if family == "beta" else 2.0 * b - n + 1
+    alpha = 2.0 * b - n + 1 if s else 2.0 * b + n - 1
     # the quadrature needs alpha*n > 1; rows with n <= 3 are all closed forms
-    if family == "betaprime" and n >= 4 and alpha * n <= 1.0:
+    if s == 1 and n >= 4 and alpha * n <= 1.0:
         raise DomainError(
             f"the numeric betaprime path needs beta > (n-1)/2 + 1/(2n) = "
             f"{Fraction(n * n - n + 1, 2 * n)} for n = {n}"
@@ -349,6 +342,6 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
         values[1] = 0.5
     ks = [k for k in range(1, n + 1) if k not in values]
     if ks:
-        values.update(zip(ks, quadrature.outer_row(n, ks, alpha, family).values))
+        values.update(zip(ks, quadrature.outer_row(n, ks, alpha, s).values))
     entries = tuple((values[k], "numeric") for k in range(1, n + 1))
     return AngleTable(family, n, b, entries)

@@ -125,6 +125,11 @@ def cmd_angles(args) -> int:
 
 def cmd_fvector(args) -> int:
     model = args.model
+    for flag, models in (("alpha", ("poisson",)), ("n", ("beta", "betaprime")),
+                         ("beta", ("beta", "betaprime"))):
+        if getattr(args, flag) is not None and model not in models:
+            raise DomainError(f"--{flag} does not apply to the {model} model")
+    params = {"model": model, "d": args.d}
     if model == "voronoi":
         fv = typical_voronoi_fvector(args.d)
     elif model == "zerocell":
@@ -132,11 +137,13 @@ def cmd_fvector(args) -> int:
     elif model == "poisson":
         if args.alpha is None:
             raise DomainError("--alpha required for the poisson model")
+        params["alpha"] = str(args.alpha)
         alpha, _ = _parse_parameter(args.alpha, "alpha", 1)
         fv = poisson_polytope_fvector(args.d, alpha)
     elif model in ("beta", "betaprime"):
         if args.beta is None or args.n is None:
             raise DomainError(f"--beta and --n required for the {model} model")
+        params.update(beta=str(args.beta), n=args.n)
         beta, _ = _parse_parameter(args.beta, "beta")
         fn = beta_polytope_fvector if model == "beta" else betaprime_polytope_fvector
         fv = fn(args.n, args.d, beta)
@@ -146,13 +153,6 @@ def cmd_fvector(args) -> int:
         _record(ell, fv.value(ell), fv.provenance(ell), args.digits)
         for ell in range(fv.d)
     ]
-    params = {"model": model, "d": args.d}
-    if args.alpha is not None:
-        params["alpha"] = str(args.alpha)
-    if args.beta is not None:
-        params["beta"] = str(args.beta)
-    if args.n is not None:
-        params["n"] = args.n
     _emit_records(args, "fvector", params, records)
     return 0
 

@@ -61,15 +61,15 @@ def poisson_weight_inf(m: int, alpha: int) -> PiNumber:
     return c_beta(alpha * m - 2) / c_beta(alpha - 2) ** m * Fraction(alpha ** (m - 1), m)
 
 
-def _parity_sum(d: int, external, internal, zero) -> tuple:
+def _parity_sum(d: int, external, internal) -> tuple:
     """The entries E f_{k-1}, k = 1..d, of a simplicial f-vector:
     2 * sum over k <= m <= d with m = d (mod 2) of external(m) * z_k, where
     z = internal(m) is the angle row of the m-vertex simplex (entries of
-    (value, provenance)).  ``zero`` is the additive zero of the values."""
+    (value, provenance))."""
     terms = {m: (external(m), internal(m)) for m in range(d, 0, -2)}
     entries = []
     for k in range(1, d + 1):
-        total, tags = zero, []
+        total, tags = 0, []
         for m in range(k, d + 1):
             if (d - m) % 2 == 0:
                 ext, row = terms[m]
@@ -92,7 +92,6 @@ def poisson_polytope_fvector(d: int, alpha) -> FVector:
             d,
             lambda m: poisson_weight_inf(m, a),
             lambda m: angle_table("betaprime", m, Fraction(a + m - 1, 2)).entries,
-            PiNumber.zero(),
         )
         return FVector(d, "poisson", {"alpha": a}, entries)
     a = float(alpha)
@@ -203,35 +202,11 @@ def beta_polytope_fvector(n: int, d: int, beta) -> FVector:
     if d < 1 or n < d + 1:
         raise DomainError("need d >= 1 and n >= d+1")
     tb = exact_scaled(beta)
-    if tb is not None:
-        b = Fraction(beta)
-        if b < -1:
-            raise DomainError("beta >= -1 required")
-        alpha = tb + d
-        if alpha < 0:
-            raise DomainError(
-                "the d=1 sphere case (beta=-1) is atomic; no f-vector formula"
-            )
-        entries = _parity_sum(
-            d,
-            lambda m: trig_algebra.external_bI(n, m, alpha),
-            lambda m: angle_table("beta", m, Fraction(alpha - m + 1, 2)).entries,
-            PiNumber.zero(),
-        )
-        return FVector(d, "beta", {"n": n, "beta": b}, entries)
-    b = float(beta)
+    b = Fraction(beta) if tb is not None else float(beta)
     if b < -1:
         raise DomainError("beta >= -1 required")
-    alpha = 2.0 * b + d
-    ms = range(d, 0, -2)
-    external = dict(zip(ms, quadrature.I_row(n, ms, alpha, 0)))
-    entries = _parity_sum(
-        d,
-        external.__getitem__,
-        lambda m: angle_table("beta", m, (alpha - m + 1) / 2).entries,
-        0.0,
-    )
-    return FVector(d, "beta", {"n": n, "beta": b}, entries)
+    alpha = tb + d if tb is not None else 2.0 * b + d
+    return _hull_fvector("beta", n, d, b, alpha)
 
 
 def betaprime_polytope_fvector(n: int, d: int, beta) -> FVector:
@@ -241,29 +216,40 @@ def betaprime_polytope_fvector(n: int, d: int, beta) -> FVector:
         raise DomainError("need d >= 1 and n >= d+1")
     tb = exact_scaled(beta)
     if tb is not None and tb - d >= 1:
-        alpha = tb - d
-        entries = _parity_sum(
-            d,
-            lambda m: trig_algebra.external_bI_tilde(n, m, alpha),
-            lambda m: angle_table("betaprime", m, Fraction(alpha + m - 1, 2)).entries,
-            PiNumber.zero(),
-        )
-        return FVector(d, "betaprime", {"n": n, "beta": Fraction(beta)}, entries)
+        return _hull_fvector("betaprime", n, d, Fraction(beta), tb - d)
     b = float(beta)
     alpha = 2.0 * b - d
     if alpha <= 0:
         raise DomainError("beta > d/2 required")
     if alpha <= 1:
         raise DomainError(f"numeric path needs alpha = 2*beta - d > 1, got {alpha}")
+    return _hull_fvector("betaprime", n, d, b, alpha)
+
+
+def _hull_fvector(model: str, n: int, d: int, beta, alpha) -> FVector:
+    """The beta (shift s = 0) or beta' (s = 1) hull f-vector at
+    alpha = 2 beta + d or 2 beta - d: exact for an int alpha, numeric for a
+    float one.  The m-vertex internal row is taken at
+    beta_m = (alpha + sigma m - sigma) / 2, sigma = 2s - 1.  Only the beta
+    hull at d = 1, beta = -1 reaches alpha <= -1."""
+    if alpha <= -1:
+        raise DomainError("the d=1 sphere case (beta=-1) is atomic; no f-vector formula")
+    s = 0 if model == "beta" else 1
+    sigma = 2 * s - 1
+    exact = isinstance(alpha, int)
     ms = range(d, 0, -2)
-    external = dict(zip(ms, quadrature.I_row(n, ms, alpha, 1)))
-    entries = _parity_sum(
-        d,
-        external.__getitem__,
-        lambda m: angle_table("betaprime", m, (alpha + m - 1) / 2).entries,
-        0.0,
-    )
-    return FVector(d, "betaprime", {"n": n, "beta": b}, entries)
+    if exact:
+        bI = trig_algebra.external_bI_tilde if s else trig_algebra.external_bI
+        external = {m: bI(n, m, alpha) for m in ms}
+    else:
+        external = dict(zip(ms, quadrature.I_row(n, ms, alpha, s)))
+
+    def internal(m: int):
+        twice = alpha + sigma * m - sigma
+        return angle_table(model, m, Fraction(twice, 2) if exact else twice / 2).entries
+
+    entries = _parity_sum(d, external.__getitem__, internal)
+    return FVector(d, model, {"n": n, "beta": beta}, entries)
 
 
 # -- consistency relations -------------------------------------------------------

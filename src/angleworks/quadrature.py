@@ -164,15 +164,12 @@ def c_beta_float(beta: float) -> float:
     return _gamma(beta + 1.5) / (math.sqrt(math.pi) * _gamma(beta + 1.0))
 
 
-def outer_row(n: int, ks, alpha: float, family: str) -> QuadRow:
-    """bold-J_{n,k} (beta family) or bold-J~_{n,k} (betaprime family) for
-    each k of ``ks`` by one kernel call on the cosh-form integral, with the
-    values and error bounds scaled to the angle sums."""
+def outer_row(n: int, ks, alpha: float, s: int) -> QuadRow:
+    """bold-J_{n,k} (s = 0) or bold-J~_{n,k} (s = 1) for each k of ``ks``
+    by one kernel call on the cosh-form integral, with the values and error
+    bounds scaled to the angle sums."""
     if not all(1 <= k <= n for k in ks):
         raise DomainError("need 1 <= k <= n")
-    if family not in ("beta", "betaprime"):
-        raise DomainError(f"unknown family {family!r}")
-    s = 0 if family == "beta" else 1
     if s == 0 and alpha < n - 3 - 1e-12:
         raise DomainError(f"beta family needs alpha >= n-3, got {alpha}")
     if s == 1 and alpha * n <= 1.0:

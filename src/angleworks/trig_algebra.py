@@ -175,10 +175,11 @@ def _cos_F_integral(cos_exponent: int, f_exponent: int, r: int) -> PiNumber:
 # -- external-angle quantities ----------------------------------------------
 
 
-def _external_lB(nu, kappa, alpha: int, shift: int) -> PiNumber:
-    """alpha^r/r! times the kernel at cos^(alpha*kappa - shift), F of
-    cos^(alpha - shift), r = nu - kappa: b{nu, kappa} for shift 0,
-    b~{nu, kappa} for shift 1."""
+def external_lB(nu: Fraction | int, kappa: Fraction | int, alpha: int, shift: int) -> PiNumber:
+    """alpha^r/r! times the integral over [-pi/2, pi/2] of
+    cos^(alpha*kappa - shift) F^r, F the integral of cos^(alpha - shift),
+    r = nu - kappa: b{nu, kappa} for shift 0, the beta'-side b~{nu, kappa}
+    for shift 1."""
     nu, kappa = Fraction(nu), Fraction(kappa)
     r = nu - kappa
     if r.denominator != 1:
@@ -194,18 +195,6 @@ def _external_lB(nu, kappa, alpha: int, shift: int) -> PiNumber:
         )
     raw = _cos_F_integral(int(ak) - shift, alpha - shift, r)
     return raw * Fraction(alpha**r, math.factorial(r))
-
-
-def external_lB(nu: Fraction | int, kappa: Fraction | int, alpha: int) -> PiNumber:
-    """The quantity b{nu, kappa} = alpha^(nu-kappa)/(nu-kappa)! *
-    integral of cos^(alpha*kappa) F^(nu-kappa) over [-pi/2, pi/2]."""
-    return _external_lB(nu, kappa, alpha, 0)
-
-
-def external_lB_tilde(nu: Fraction | int, kappa: Fraction | int, alpha: int) -> PiNumber:
-    """The beta'-side quantity b~{nu, kappa} with integrand
-    cos^(alpha*kappa - 1) F~^(nu-kappa), F~ the integral of cos^(alpha-1)."""
-    return _external_lB(nu, kappa, alpha, 1)
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from .angle_engine import (
     angle_table,
     bJ_exact,
     bJtilde_exact,
-    lA_tilde_residue,
+    lA_residue,
     p_alpha_k_value,
     relations_hold,
     residue_rational,
@@ -47,7 +47,7 @@ from .polytope_engine import (
     zero_cell_fvector,
 )
 from .series_kernel import bernoulli, sin_cos_residue
-from .trig_algebra import external_bI, external_bI_tilde, external_lB, external_lB_tilde
+from .trig_algebra import external_bI, external_bI_tilde, external_lB
 
 
 @dataclass
@@ -396,10 +396,10 @@ def crosscheck_suite() -> list[CheckResult]:
                     continue
                 acc = PiNumber.zero()
                 for m in range(k, n + 1):
-                    acc = acc + Fraction((-1) ** (m - k)) * external_lB_tilde(
-                        n, m, alpha
-                    ) * (Fraction(m) - Fraction(1, alpha)) * lA_tilde_residue(
-                        alpha * m - 2, alpha * k - 2, alpha
+                    acc = acc + Fraction((-1) ** (m - k)) * external_lB(
+                        n, m, alpha, 1
+                    ) * (Fraction(m) - Fraction(1, alpha)) * lA_residue(
+                        alpha * m - 2, alpha * k - 2, alpha, 1
                     )
                 want = PiNumber.one() if n == k else PiNumber.zero()
                 ok = ok and acc == want
@@ -413,7 +413,7 @@ def crosscheck_suite() -> list[CheckResult]:
                 signed, unsigned = 0.0, 0.0
                 for m in range(k, n + 1):
                     term = (
-                        external_lB(n, m, alpha).to_float()
+                        external_lB(n, m, alpha, 0).to_float()
                         * (m + 1 / alpha)
                         * quadrature.a_row(m + 2 / alpha, (k + 2 / alpha,), alpha, 0)[0]
                     )

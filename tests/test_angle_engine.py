@@ -14,7 +14,6 @@ from angleworks.angle_engine import (
     bernoulli_fill,
     fill_row,
     lA_residue,
-    lA_tilde_residue,
     p_alpha_k_value,
     relations_hold,
     residue_rational,
@@ -296,21 +295,21 @@ def test_lA_residue_diagonals():
     for alpha in (1, 2, 3, 4, 5):
         for knum in range(1, 7):
             if (alpha * knum) % 2 == 1:
-                got = lA_residue(alpha * knum, alpha * knum, alpha)
+                got = lA_residue(alpha * knum, alpha * knum, alpha, 0)
                 want = F(alpha, 2) * gamma_half(alpha * knum) / (
                     gamma_half(1) * gamma_half(alpha * knum + 1)
                 )
                 assert got == want
             else:
-                got = lA_tilde_residue(alpha * knum, alpha * knum, alpha)
+                got = lA_residue(alpha * knum, alpha * knum, alpha, 1)
                 assert got == F(1, knum) * c_tilde_beta(alpha * knum + 1)
 
 
 def test_lA_parity_error_exact_case():
     with pytest.raises(ParityError):
-        lA_residue(6, 2, 2)
+        lA_residue(6, 2, 2, 0)
     with pytest.raises(ParityError):
-        lA_tilde_residue(5, 3, 1)
+        lA_residue(5, 3, 1, 1)
 
 
 def test_rm_values():

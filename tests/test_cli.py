@@ -203,6 +203,22 @@ def test_invalid_input_exits_two_with_message(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "model, flag",
+    [(m, "--alpha") for m in ("voronoi", "zerocell", "beta", "betaprime")]
+    + [(m, f) for m in ("voronoi", "zerocell", "poisson") for f in ("--n", "--beta")],
+)
+def test_fvector_rejects_a_flag_the_model_does_not_use(capsys, model, flag):
+    needed = {"poisson": ["--alpha", "2"], "beta": ["--n", "4", "--beta", "0"],
+              "betaprime": ["--n", "4", "--beta", "3"]}.get(model, [])
+    code, out, err = run_cli(
+        capsys, "fvector", "--model", model, "--d", "2", *needed, flag, "3", "--format", "json"
+    )
+    assert code == 2
+    assert f"error: {flag} does not apply to the {model} model" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["angles", "--family", "beta", "--n", "4", "--beta", "0"],
@@ -287,7 +303,8 @@ def _invalid_argv(draw):
         return ["reitzner", "--surface", "ball", "--d", str(d), "--k", str(k)]
     if kind == "d":
         model = draw(st.sampled_from(["voronoi", "zerocell", "poisson"]))
-        return ["fvector", "--model", model, "--d", str(draw(nonpositive)), "--alpha", "2"]
+        alpha = ["--alpha", "2"] if model == "poisson" else []
+        return ["fvector", "--model", model, "--d", str(draw(nonpositive))] + alpha
     if kind == "reitzner-d":
         surface = draw(st.sampled_from(["ball", "sphere"]))
         return ["reitzner", "--surface", surface, "--d", str(draw(nonpositive))]

@@ -200,6 +200,33 @@ def test_betaprime_numeric_path():
         assert abs(num.value(ell) - ex.value(ell).to_float()) < 1e-8
 
 
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_numeric_hull_fvectors_match_exact_at_half_integers(d):
+    # the numeric path forced by float(beta) where the exact value is known
+    cases = [(beta_polytope_fvector, F(tb, 2)) for tb in (-2, -1, 0, 1, 3)]
+    cases += [(betaprime_polytope_fvector, F(d + j, 2)) for j in (3, 4, 6)]
+    for fn, beta in cases:
+        for n in (d + 1, d + 3):
+            ex, num = fn(n, d, beta), fn(n, d, float(beta))
+            for ell in range(d):
+                assert num.provenance(ell) == "numeric"
+                want = ex.value(ell).to_float()
+                assert abs(num.value(ell) - want) <= 1e-12 * abs(want), (fn, n, beta, ell)
+
+
+@pytest.mark.parametrize("beta", [F(-1), -1.0])
+def test_beta_polytope_d1_sphere_case_is_atomic_on_both_paths(beta):
+    # exact and numeric beta = -1 at d = 1 stop at the same check
+    with pytest.raises(DomainError, match="d=1 sphere case .* is atomic"):
+        beta_polytope_fvector(3, 1, beta)
+
+
+def test_beta_polytope_dimension_one_below_minus_one_half():
+    # -1 < beta < -1/2 at d = 1 has alpha = 2 beta + 1 in (-1, 0) and a value
+    fv = beta_polytope_fvector(3, 1, -0.7)
+    assert abs(fv.value(0) - 2.0) < 1e-12
+
+
 def test_polytope_domain_errors():
     with pytest.raises(DomainError):
         beta_polytope_fvector(3, 3, F(0))  # n < d+1

@@ -36,27 +36,27 @@ def test_inner_cumulative_examples():
 
 
 def test_outer_integral_examples():
-    r = outer_row(4, (1,), 1.0, "beta")
+    r = outer_row(4, (1,), 1.0, 0)
     assert isinstance(r, QuadRow)
     assert abs(r.values[0] - 0.125) < 1e-10
     assert r.abs_error_estimate < 1e-10
     assert r.evaluations > 0
-    assert abs(outer_row(3, (3,), 2.7, "beta").values[0] - 1.0) < 1e-10
+    assert abs(outer_row(3, (3,), 2.7, 0).values[0] - 1.0) < 1e-10
     # J~_{n,n} = 1 by quadrature; angle_table returns the closed 1.0 there
-    assert abs(outer_row(5, (5,), 2 * 3.4 - 5 + 1, "betaprime").values[0] - 1.0) < 1e-10
+    assert abs(outer_row(5, (5,), 2 * 3.4 - 5 + 1, 1).values[0] - 1.0) < 1e-10
     exact = bJ_exact(5, 1, 0).to_float()
-    assert abs(outer_row(5, (1,), 4.0, "beta").values[0] - exact) < 1e-10
+    assert abs(outer_row(5, (1,), 4.0, 0).values[0] - exact) < 1e-10
     exact = bJtilde_exact(4, 2, 5).to_float()
-    assert abs(outer_row(4, (2,), 2.0, "betaprime").values[0] - exact) < 1e-10
+    assert abs(outer_row(4, (2,), 2.0, 1).values[0] - exact) < 1e-10
 
 
 def test_outer_integral_validation():
     with pytest.raises(DomainError):
-        outer_row(6, (1,), 1.0, "beta")  # alpha < n-3
+        outer_row(6, (1,), 1.0, 0)  # alpha < n-3
     with pytest.raises(DomainError):
-        outer_row(3, (1,), 0.2, "betaprime")  # alpha * n <= 1
-    with pytest.raises(DomainError):
-        outer_row(3, (1,), 1.0, "gauss")
+        outer_row(3, (1,), 0.2, 1)  # alpha * n <= 1
+    with pytest.raises(DomainError, match="unknown family 'gauss'"):
+        angle_table("gauss", 4, 0.3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow notes on the way
@@ -71,16 +71,14 @@ def test_horizon_doubling_stability():
     import angleworks.quadrature as Q
 
     cases = [
-        (4, 1, 1.0, "beta"), (5, 2, 2.5, "beta"), (4, 3, 1.3, "beta"),
-        (3, 1, 2.0, "betaprime"), (5, 4, 1.7, "betaprime"),
-        (6, 2, 3.5, "beta"), (4, 4, 6.0, "beta"), (2, 1, 4.0, "betaprime"),
-        (7, 3, 4.2, "beta"), (6, 5, 2.2, "betaprime"),
+        (4, 1, 1.0, 0), (5, 2, 2.5, 0), (4, 3, 1.3, 0), (3, 1, 2.0, 1), (5, 4, 1.7, 1),
+        (6, 2, 3.5, 0), (4, 4, 6.0, 0), (2, 1, 4.0, 1), (7, 3, 4.2, 0), (6, 5, 2.2, 1),
     ]
     orig = Q._horizon
-    base = [outer_row(n, (k,), alpha, family) for n, k, alpha, family in cases]
+    base = [outer_row(n, (k,), alpha, s) for n, k, alpha, s in cases]
     try:
         Q._horizon = lambda *a, **k: 2.0 * orig(*a, **k)
-        doubled = [outer_row(n, (k,), alpha, family) for n, k, alpha, family in cases]
+        doubled = [outer_row(n, (k,), alpha, s) for n, k, alpha, s in cases]
     finally:
         Q._horizon = orig
     for b, d in zip(base, doubled):
@@ -130,7 +128,7 @@ def test_against_independent_double_quadrature():
     ref = math.comb(n, k) * c_outer * complex(
         mpmath.quad(integrand, [-10, -3, 0, 3, 10])
     ).real
-    (got,) = outer_row(n, (k,), alpha, "beta").values
+    (got,) = outer_row(n, (k,), alpha, 0).values
     assert abs(got - ref) < 1e-9
 
 
@@ -146,18 +144,18 @@ def test_b_and_a_numeric_consistency():
                 (got,) = I_row(n, (k,), alpha, 1)
                 assert abs(got - external_bI_tilde(n, k, alpha).to_float()) < 1e-11
     # numeric a[nu,kappa] matches the residue value on admissible parities
-    from angleworks.angle_engine import lA_residue, lA_tilde_residue
+    from angleworks.angle_engine import lA_residue
 
     for alpha in (1, 2, 3):
         for knum in range(1, 5):
             for r in range(0, 3):
                 nunum = knum + alpha * r
                 if (knum + r) % 2 == 1:
-                    exact = lA_residue(nunum, knum, alpha).to_float()
+                    exact = lA_residue(nunum, knum, alpha, 0).to_float()
                     (got,) = a_row(nunum / alpha, (knum / alpha,), alpha, 0)
                     assert abs(got - exact) < 1e-11
                 if knum % 2 == 0:
-                    exact = lA_tilde_residue(nunum, knum, alpha).to_float()
+                    exact = lA_residue(nunum, knum, alpha, 1).to_float()
                     (got,) = a_row(nunum / alpha, (knum / alpha,), alpha, 1)
                     assert abs(got - exact) < 1e-11
 
@@ -182,12 +180,11 @@ def test_row_call_equals_one_pair_calls():
     def agree(row_value, one):
         return abs(row_value - one) <= 1e-14 * abs(one)
 
-    for family, n, alpha in (("beta", 7, 5.3), ("beta", 12, 16.4), ("betaprime", 9, 1.7),
-                             ("betaprime", 12, 3.3)):
+    for s, n, alpha in ((0, 7, 5.3), (0, 12, 16.4), (1, 9, 1.7), (1, 12, 3.3)):
         ks = range(1, n - 1)
-        row = outer_row(n, ks, alpha, family)
+        row = outer_row(n, ks, alpha, s)
         for k, v in zip(ks, row.values):
-            one = outer_row(n, (k,), alpha, family)
+            one = outer_row(n, (k,), alpha, s)
             (w,) = one.values
             assert agree(v, w) or abs(v - w) <= one.abs_error_estimate / 4
             assert row.evaluations > one.evaluations
@@ -237,13 +234,13 @@ def test_error_bound_covers_half_integer_grid():
     # the numeric path forced at every half-integer beta of a grid, where the
     # exact value is known: the true error never exceeds the reported bound
     checked = 0
-    for family in ("beta", "betaprime"):
+    for s, family in enumerate(("beta", "betaprime")):
         for n in range(4, 13):
             ks = range(1, n - 1)  # J_{n,n-1} and J_{n,n} are closed forms
             for tb in range(-2, 6) if family == "beta" else range(n, n + 8):
                 alpha = tb + n - 1 if family == "beta" else tb - n + 1
                 exact = angle_table(family, n, Fraction(tb, 2))
-                row = outer_row(n, ks, float(alpha), family)
+                row = outer_row(n, ks, float(alpha), s)
                 for k, v, e in zip(ks, row.values, row.errors):
                     assert abs(v - exact.value(k).to_float()) <= e
                     checked += 1

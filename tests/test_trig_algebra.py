@@ -17,7 +17,6 @@ from angleworks.trig_algebra import (
     external_bI,
     external_bI_tilde,
     external_lB,
-    external_lB_tilde,
     inner_tan_antiderivative,
     sin_cos_integral,
 )
@@ -391,11 +390,11 @@ def test_external_lB_closed_forms():
     for alpha, kappa in [(2, 1), (2, 2), (1, 2), (3, 2), (4, 1)]:
         ak = alpha * kappa
         want = gamma_half(1) * gamma_half(ak + 1) / gamma_half(ak + 2)
-        assert external_lB(kappa, kappa, alpha) == want
+        assert external_lB(kappa, kappa, alpha, 0) == want
     # b{kappa+1,kappa} for alpha=2, a*kappa=2: (alpha/2)*(pi/2)*(pi/2) = pi^2/4
-    assert external_lB(2, 1, 2) == PiNumber.pi_power(4, F(1, 4))
+    assert external_lB(2, 1, 2, 0) == PiNumber.pi_power(4, F(1, 4))
     # negative nu-kappa vanishes
-    assert external_lB(1, 3, 2).is_zero()
+    assert external_lB(1, 3, 2, 0).is_zero()
 
 
 def test_external_lB_non_integer_power_rejected():
@@ -404,7 +403,7 @@ def test_external_lB_non_integer_power_rejected():
     import angleworks.quadrature as Q
 
     with pytest.raises(DomainError):
-        external_lB(F(7, 2), F(3, 2), 1)
+        external_lB(F(7, 2), F(3, 2), 1, 0)
     assert abs(Q.I_row(4, (2,), 3, 0)[0] - external_bI(4, 2, 3).to_float()) < 1e-11
     assert abs(Q.I_row(4, (2,), 3, 1)[0] - external_bI_tilde(4, 2, 3).to_float()) < 1e-11
 
@@ -453,7 +452,7 @@ def test_lB_tilde_alpha2_closed_form():
             script = F(2 ** (2 * n - 1) * math.factorial(n - 1),
                        math.factorial(n - k) * math.factorial(n + k - 1))
             want = math.factorial(k - 1) * script
-            assert external_lB_tilde(n, k, 2) == PiNumber.from_rational(want)
+            assert external_lB(n, k, 2, 1) == PiNumber.from_rational(want)
 
 
 def test_inner_tan_antiderivative():
