@@ -25,6 +25,16 @@ Each digest is the sha256 of the stdout of one exact command.
   with one a reads: the Voronoi cell at d = 20 and the beta polytope
   (20, 18, 0).  Their digests were recorded from the kernel that built each
   G_a^p from scratch per residue.
+* Five commands pin the routes the other digests miss.  Their digests were
+  recorded from the residue kernel in even-derivative form, [y^N] of
+  G_a^p (sin x / x)^-q, that the kernel in s = sin x replaced:
+  - the zero cell at d = 22 reads [x^j] (x / sin x)^(d+1) through
+    ``x_over_sin_coeff``;
+  - the Reitzner constants of the sphere and the ball at d = 8;
+  - ``verify --suite relations`` (Poincare and inversion relations, Euler
+    and Dehn-Sommerville) and ``verify --suite crosscheck``, which also
+    reads ``sin_cos_residue`` and, through ``ugly_coefficient``,
+    ``residue_rational(s, j, M)``.
 """
 
 import hashlib
@@ -62,6 +72,16 @@ TRANSCRIPTS = [
      "1d211ca6131620a346c07124a85447b36b07b99acaef01bdebc9404c01bd3a9f"),
     ("fvector --model beta --n 20 --d 18 --beta 0",
      "84314390f7f22b9cc32ac4fcf9cc9fb816c2f1522396e6c6d158367b1c68ddc9"),
+    ("fvector --model zerocell --d 22",
+     "cf261ad203a637835c2495a166e14b19c493acf22a4ab0861824ed2591391519"),
+    ("reitzner --surface sphere --d 8",
+     "500d2e3ba880d2d88377473a702b31c0c1202feb1bdde2f096edabbadf227dea"),
+    ("reitzner --surface ball --d 8",
+     "536a8b44e5b8d850b60267dcb7805c69f2d081e83d14b507f4187c2b4b2ac88e"),
+    ("verify --suite relations",
+     "6d0dfb9ffb24e26aeacdfcff73bd5da2a2f653ca81075b11fadebde0bfd07bd2"),
+    ("verify --suite crosscheck",
+     "980445001215de52934c3221abb37c02f94c0bb10faed05b59fa97c2026a1db1"),
 ]
 
 
