@@ -36,9 +36,10 @@ def residue_rational(a: int, p: int, q: int) -> Fraction:
     """The rational residue behind every exact formula in this module:
     [x^-1] (int_0^x sin^a)^p / sin^q x.
 
-    The integrand is x^(p(a+1) - q) G_a^p S^-q with G_a and S even series
-    in y = x^2 (see ``series_kernel``), so the residue is the coefficient
-    [y^N] of G_a^p S^-q, N = (q - p(a+1) - 1) / 2, taken as one dot product.
+    In s = sin x the integral of sin^a is H(s) = s^(a+1) h_a(s^2), and
+    dx = dH / s^a, so integrating by parts turns the residue into
+    (q + a) / (p + 1) [y^N] h_a^(p+1) with N = (q - p(a+1) - 1) / 2: one
+    coefficient of one power (see ``series_kernel``).
     """
     if a < 0 or p < 0 or q < 1:
         raise DomainError(f"invalid residue parameters a={a}, p={p}, q={q}")

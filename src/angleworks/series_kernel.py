@@ -1,21 +1,31 @@
 """Exact power-series arithmetic over rationals: the residue kernel.
 
-The kernel works with even power series in y = x^2.  With S = sin x / x,
-every power of sin x is x^a S^a, and the integral of sin^a from 0 is
-x^(a+1) G_a with [y^j] G_a = [y^j] S^a / (a + 1 + 2j).  So the residue of
-(int_0^x sin^a)^p / sin^q x is the single coefficient [y^N] of G_a^p S^-q,
-N = (q - p(a+1) - 1) / 2, or zero when that is not a nonnegative integer.
-Powers of any integer sign come from J.C.P. Miller's O(N^2) recurrence and
-the coefficient from one dot product.  One cache keeps a prefix of base^alpha
-per base (S, cos x or G_a) and exponent, grown on demand: a row of residues
-with one denominator builds its S^-q once, and the rows of a Voronoi or
-Poisson f-vector, which share one a, build each G_a^p once (p = 1 is G_a
-itself).  Each series is a list of integer numerators over one common
-denominator (S over lcm(1, 3, ..., 2n - 1), G_a over that of S^a times
-lcm(a + 1, a + 3, ...)), so the recurrence and the dot product run on Python
-ints and a ``Fraction`` is formed once per coefficient returned.
-``residue_coefficient``, ``sinc_coefficient`` and ``sin_cos_residue`` are
-the only entry points; the representation stays inside this module.
+Every exact formula comes down to the residue of (int_0^x sin^a)^p / sin^q x.
+The kernel takes it in the variable s = sin x, which keeps residues because
+ds/dx = 1 at 0.  There the integral becomes
+
+    H(s) = int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2),
+    [y^j] h_a = C(2j, j) / (4^j (a + 1 + 2j)),
+
+and dx = ds / sqrt(1 - s^2) = dH / s^a.  So for p != -1
+
+    Res H^p s^-q dx = Res s^-(q+a) H^p dH = Res s^-(q+a) d(H^(p+1)) / (p+1)
+                    = (q + a) / (p + 1) Res H^(p+1) s^-(q+a+1) ds
+                    = (q + a) / (p + 1) [y^N] h_a^(p+1),
+
+integrating by parts, with N = (q - p(a+1) - 1) / 2 (the residue is zero
+when that is not a nonnegative integer).  At p = -1 the residue is
+[y^N] h_a^-1 (1 - y)^(-1/2), one dot product with the central binomials.
+The series are held in z = y / 4, where [z^j] h_a(4z) = C(2j, j) / (a + 1 + 2j)
+and (1 - 4z)^(-1/2) = sum C(2j, j) z^j, so [y^N] = 4^-N [z^N].  Powers of any
+integer sign come from J.C.P. Miller's O(N^2) recurrence.  One cache keeps a
+prefix of h_a^P per (a, P), grown on demand: the residues of a Voronoi or
+Poisson f-vector, which share one a, build each h_a^P once, and P = 1 is h_a
+itself.  Each prefix is a list of integer numerators over one common
+denominator (h_a over lcm(a + 1, a + 3, ..., a + 2n - 1)), so the recurrence
+runs on Python ints and a ``Fraction`` is formed once per coefficient
+returned.  ``residue_coefficient`` and ``sin_cos_residue`` are the only entry
+points; the representation stays inside this module.
 
 Every coefficient returned is a ``Fraction``; pi-factors never enter a
 series, they are multiplied in by the callers.  The module also holds the
@@ -31,18 +41,11 @@ from functools import lru_cache
 from .exact_scalars import DomainError
 
 
-# -- even power series in y = x^2 ------------------------------------------------
-#
-# An even series f(x) = sum_k f_k x^(2k) is held as its even derivatives at
-# 0, F_k = (2k)! f_k.  That scaling keeps the denominators small (for
-# (x / sin x)^q a few digits where f_k has hundreds).  The F_k are kept as
-# integer numerators over one common denominator, so the recurrences run on
-# Python ints and a Fraction is formed once per coefficient read.
+# -- power series in z = s^2 / 4 ----------------------------------------------
 
 
-class _EvenSeries:
-    """A prefix F_0 .. F_(n-1) of an even series in even-derivative form:
-    F_k = nums[k] / den."""
+class _Series:
+    """A prefix f_0 .. f_(n-1) of a power series: f_k = nums[k] / den."""
 
     __slots__ = ("nums", "den")
 
@@ -57,30 +60,18 @@ class _EvenSeries:
             self.den *= factor
 
 
-@lru_cache(maxsize=None)
-def _even_binomials(k: int) -> tuple[int, ...]:
-    """C(2k, 2j) for j = 0..k."""
-    row = [1]
-    c = 1
-    for i in range(2 * k):
-        c = c * (2 * k - i) // (i + 1)
-        if i % 2:
-            row.append(c)
-    return tuple(row)
-
-
-def _miller_extend(f: _EvenSeries, alpha: int, out: _EvenSeries, n: int) -> _EvenSeries:
+def _miller_extend(f: _Series, alpha: int, out: _Series, n: int) -> _Series:
     """Extend ``out``, a prefix of the series f^alpha, in place to n
     coefficients and return it.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with P = f^alpha
-    and F_0 != 0, P_k = sum_{j=1..k} ((alpha+1) j - k) C(2k, 2j) F_j P_{k-j}
-    / (k F_0).  It holds for every integer alpha and needs only
-    F_0 .. F_{n-1}, so a prefix can be extended later without recomputing it.
-    The common denominator of f cancels, so P_k = X / (den k f_0) with the
-    integer X = sum ((alpha+1) j - k) C(2k, 2j) f_j p_{k-j}; when k f_0 does
-    not divide X, the prefix moves to a denominator that many times larger.
-    This also makes the recurrence blind to a rescaling of f between calls.
+    and f_0 != 0, P_k = sum_{j=1..k} ((alpha+1) j - k) f_j P_{k-j} / (k f_0).
+    It holds for every integer alpha and needs only f_0 .. f_{n-1}, so a
+    prefix can be extended later without recomputing it.  The common
+    denominator of f cancels, so P_k = X / (den k f_0) with the integer
+    X = sum ((alpha+1) j - k) f_j p_{k-j}; when k f_0 does not divide X, the
+    prefix moves to a denominator that many times larger.  This also makes
+    the recurrence blind to a rescaling of f between calls.
     """
     fs, ps = f.nums, out.nums
     if not ps:
@@ -89,8 +80,7 @@ def _miller_extend(f: _EvenSeries, alpha: int, out: _EvenSeries, n: int) -> _Eve
         out.den = p0.denominator
     a1 = alpha + 1
     for k in range(len(ps), n):
-        row = _even_binomials(k)
-        x = sum((a1 * j - k) * row[j] * fs[j] * ps[k - j] for j in range(1, k + 1))
+        x = sum((a1 * j - k) * fs[j] * ps[k - j] for j in range(1, k + 1))
         d = k * fs[0]
         g = math.gcd(x, d)
         out.rescale(d // g)
@@ -98,78 +88,54 @@ def _miller_extend(f: _EvenSeries, alpha: int, out: _EvenSeries, n: int) -> _Eve
     return out
 
 
-def _even_product_coefficient(f: _EvenSeries, g: _EvenSeries, n: int) -> Fraction:
-    """[x^(2n)] of f * g."""
-    row = _even_binomials(n)
-    fs, gs = f.nums, g.nums
-    dot = sum(row[i] * fs[i] * gs[n - i] for i in range(n + 1))
-    return Fraction(dot, f.den * g.den * math.factorial(2 * n))
-
-
-def _grow(series: _EvenSeries, n: int, den: int, term) -> None:
-    """Extend ``series`` to n numerators over ``den``, a multiple of its
-    denominator; ``term(j)`` is numerator j over ``den``."""
-    series.rescale(den // series.den)
-    series.nums.extend(term(j) for j in range(len(series.nums), n))
-
-
 @lru_cache(maxsize=None)
-def _prefix(base: str | int, alpha: int) -> _EvenSeries:
-    return _EvenSeries()
+def _prefix(a: int, alpha: int) -> _Series:
+    return _Series()
 
 
-def _power(base: str | int, alpha: int, n: int) -> _EvenSeries:
-    """At least the first n coefficients of base^alpha, for any integer
-    alpha, where base is "S" (sin x / x), "cos" (cos x) or an int a >= 0
-    (G_a, with int_0^x sin^a = x^(a+1) G_a(x)).
+def _power(a: int, alpha: int, n: int) -> _Series:
+    """At least the first n coefficients in z of h_a(4z)^alpha, for any
+    integer alpha, where int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2).
 
-    alpha = 1 is grown from the base's closed form, every other exponent
-    by Miller's recurrence from that.  The series is shared by every caller
-    with this base and exponent and grows in place; read it, never modify
-    it.
+    alpha = 1 is grown from the closed form, every other exponent by
+    Miller's recurrence from that.  The series is shared by every caller
+    with this a and exponent and grows in place; read it, never modify it.
     """
-    out = _prefix(base, alpha)
+    out = _prefix(a, alpha)
     if len(out.nums) >= n:
         return out
     if alpha != 1:
-        return _miller_extend(_power(base, 1, n), alpha, out, n)
-    if base == "S":
-        # F_j = (-1)^j / (2j + 1), over lcm(1, 3, ..., 2n - 1)
-        L = math.lcm(*range(1, 2 * n, 2))
-        _grow(out, n, L, lambda j: (-1) ** j * L // (2 * j + 1))
-    elif base == "cos":
-        _grow(out, n, 1, lambda j: (-1) ** j)
-    else:
-        # F_j of G_a is that of S^a over (a + 1 + 2j); both factors of the
-        # denominator only ever grow by whole multiples, so the old one
-        # divides the new one
-        a, s = base, _power("S", base, n)
-        L = math.lcm(*range(a + 1, a + 2 * n, 2))
-        _grow(out, n, s.den * L, lambda j: s.nums[j] * (L // (a + 1 + 2 * j)))
+        return _miller_extend(_power(a, 1, n), alpha, out, n)
+    # over lcm(a + 1, ..., a + 2n - 1), a multiple of the old denominator
+    L = math.lcm(*range(a + 1, a + 2 * n, 2))
+    out.rescale(L // out.den)
+    out.nums.extend(math.comb(2 * j, j) * (L // (a + 1 + 2 * j)) for j in range(len(out.nums), n))
     return out
 
 
-def sinc_coefficient(alpha: int, k: int) -> Fraction:
-    """[x^(2k)] (sin x / x)^alpha, read from the shared prefix."""
-    s = _power("S", alpha, k + 1)
-    return Fraction(s.nums[k], s.den * math.factorial(2 * k))
-
-
 def residue_coefficient(a: int, p: int, q: int, n: int) -> Fraction:
-    """[y^n] of G_a^p S^-q, y = x^2: the residue of (int_0^x sin^a)^p /
-    sin^q x when n = (q - p(a+1) - 1) / 2, as one integer dot product."""
-    if p == 0:
-        return sinc_coefficient(-q, n)
-    return _even_product_coefficient(_power(a, p, n + 1), _power("S", -q, n + 1), n)
+    """The residue of (int_0^x sin^a)^p / sin^q x when
+    n = (q - p(a+1) - 1) / 2: (q + a) / (p + 1) [y^n] h_a^(p+1), or the
+    dot product [y^n] h_a^-1 (1 - y)^(-1/2) at p = -1, with y = 4z."""
+    if p != -1:
+        h = _power(a, p + 1, n + 1)
+        return Fraction((q + a) * h.nums[n], (p + 1) * h.den * 4**n)
+    # (1 - 4z)^(-1/2) = sum C(2j, j) z^j
+    h = _power(a, -1, n + 1)
+    dot = sum(math.comb(2 * j, j) * h.nums[n - j] for j in range(n + 1))
+    return Fraction(dot, h.den * 4**n)
 
 
 def sin_cos_residue(p: int, q: int) -> Fraction:
-    """[x^-1] 1 / (sin^p x cos^q x) for odd p >= 1 and any integer q: the
-    coefficient [y^((p-1)/2)] of S^-p cos^-q, as one integer dot product."""
+    """[x^-1] 1 / (sin^p x cos^q x) for odd p >= 1 and any integer q.
+
+    In s = sin x this is [s^(p-1)] (1 - s^2)^(-(q+1)/2) =
+    (-1)^n C(-(q+1)/2, n), n = (p - 1) / 2, that is
+    (q+1)(q+3)...(q+2n-1) / (2^n n!)."""
     if p < 1 or p % 2 == 0:
         raise DomainError(f"sin_cos_residue needs an odd p >= 1, got p={p}")
     n = (p - 1) // 2
-    return _even_product_coefficient(_power("S", -p, n + 1), _power("cos", -q, n + 1), n)
+    return Fraction(math.prod(range(q + 1, q + 2 * n, 2)), 2**n * math.factorial(n))
 
 
 # -- Bernoulli numbers -------------------------------------------------------

@@ -11,12 +11,8 @@ from hypothesis import given, settings, strategies as st
 from angleworks import series_kernel
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from angleworks.angle_engine import bJ_exact, bJtilde_exact, residue_rational
-from angleworks.series_kernel import (
-    bernoulli,
-    residue_coefficient,
-    sin_cos_residue,
-    sinc_coefficient,
-)
+from angleworks.polytope_engine import x_over_sin_coeff
+from angleworks.series_kernel import bernoulli, residue_coefficient, sin_cos_residue
 from angleworks.verify import ugly_coefficient
 from laurent_reference import (
     ONE,
@@ -235,16 +231,16 @@ def test_ugly_coefficient_matches_laurent_reference(spec):
     assert ugly_coefficient(s, c, M, a, variant) == ugly_coefficient_reference(G, c, M, a, variant)
 
 
-def _sin_cos_residue_reference(p: int, q: int) -> F:
-    num = int_power(sin_power(1, p + 2), -p)
-    return residue(multiply(num, int_power(cos_power(1, p + 1), -q)))
-
-
 def test_sin_cos_residue_matches_laurent_reference():
-    cases = [(2 * k + 1, 2 * d + 1) for d in range(11) for k in range(d + 1)]
-    cases += [(p, q) for p in (1, 3, 7, 13, 21) for q in (-4, -1, 0, 2, 6, 17)]
-    for p, q in cases:
-        assert sin_cos_residue(p, q) == _sin_cos_residue_reference(p, q), (p, q)
+    # every odd p < 40 and -6 <= q < 30; 1 / cos^q x steps up by one factor
+    # of sec x per q
+    for p in range(1, 40, 2):
+        num = int_power(sin_power(1, p + 2), -p)
+        cos = cos_power(1, p + 1)
+        sec, cos_q = int_power(cos, -1), int_power(cos, 6)
+        for q in range(-6, 30):
+            assert sin_cos_residue(p, q) == residue(multiply(num, cos_q)), (p, q)
+            cos_q = multiply(cos_q, sec)
 
 
 @pytest.mark.parametrize("p", [0, 2, -1, -3])
@@ -260,8 +256,8 @@ def test_zero_series_propagates():
     assert antiderivative_from_zero(z).is_zero()
 
 
-# -- reference: the y = x^2 kernel on Fraction coefficients, as it was before
-# the series moved to integer numerators over one common denominator -------
+# -- reference: the residue kernel in y = x^2 and even-derivative form, on
+# Fraction coefficients, as it was before the kernel moved to s = sin x -----
 
 
 def _miller_extend_reference(
@@ -372,8 +368,9 @@ def test_residue_matches_fraction_reference(spec):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.integers(-240, 240), st.integers(0, 60))
-def test_sinc_coefficient_matches_fraction_reference(alpha, k):
-    assert sinc_coefficient(alpha, k) == _sinc_coefficient_reference(alpha, k)
+def test_x_over_sin_coeff_matches_fraction_reference(alpha, k):
+    # [x^(2k)] (sin x / x)^alpha, read as a negative power of x / sin x
+    assert x_over_sin_coeff(-alpha, 2 * k) == _sinc_coefficient_reference(alpha, k)
 
 
 def _cos_power_reference(alpha: int, n: int) -> list[Fraction]:
@@ -381,24 +378,31 @@ def _cos_power_reference(alpha: int, n: int) -> list[Fraction]:
     return _miller_extend_reference([Fraction((-1) ** j) for j in range(n)], alpha, [], n)
 
 
-def test_prefixes_grown_in_steps_match_reference():
-    # one cache holds S = sin x / x, cos x and every G_a with their powers.
-    # S is held over lcm(1, 3, ..., 2n - 1), so growing it rescales every
-    # numerator of S and of each G_a built on it, and a power of S, cos x or
-    # G_a built before must stay valid over the new denominators
-    series_kernel._prefix.cache_clear()
-    g3_dens = set()
+def test_sin_cos_residue_matches_fraction_reference():
+    # p up to 89, past the reach of the Laurent reference above
     for n in (1, 2, 3, 7, 8, 20, 45):
-        for alpha in (-31, -5, 0, 1, 2, 9):
-            assert sinc_coefficient(alpha, n - 1) == _sinc_coefficient_reference(alpha, n - 1)
-        for a, p in ((3, 1), (3, 2), (3, 5), (0, 2)):
-            q = p * (a + 1) + 2 * n - 1
-            assert residue_coefficient(a, p, q, n - 1) == _residue_rational_reference(a, p, q)
-        g3_dens.add(series_kernel._prefix(3, 1).den)
         for q in (-4, 3, 17):
             expected = _even_product_coefficient_reference(
                 _sinc_power_reference(1 - 2 * n, n), _cos_power_reference(-q, n), n - 1
             )
             assert sin_cos_residue(2 * n - 1, q) == expected
-    # G_3 itself was rescaled between the steps that extended G_3^2 and G_3^5
-    assert len(g3_dens) > 1
+
+
+def test_prefixes_grown_in_steps_match_reference():
+    # one cache holds every h_a with its powers.  h_a is held over
+    # lcm(a + 1, a + 3, ..., a + 2n - 1), so growing it rescales every
+    # numerator of h_a, and a power of h_a built before, negative ones
+    # included, must stay valid over the new denominator
+    series_kernel._prefix.cache_clear()
+    h3_dens = set()
+    for n in (1, 2, 3, 7, 8, 20, 45):
+        for alpha in (-31, -5, 0, 1, 2, 9):
+            want = _sinc_coefficient_reference(alpha, n - 1)
+            assert x_over_sin_coeff(-alpha, 2 * n - 2) == want
+        for a, p in ((3, 1), (3, 2), (3, 5), (3, -4), (3, -1), (0, 2), (0, -3)):
+            q = p * (a + 1) + 2 * n - 1
+            assert residue_coefficient(a, p, q, n - 1) == _residue_rational_reference(a, p, q)
+        h3_dens.add(series_kernel._prefix(3, 1).den)
+    # h_3 itself was rescaled between the steps that extended h_3^2, h_3^6
+    # and h_3^-3
+    assert len(h3_dens) > 1

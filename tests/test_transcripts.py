@@ -35,6 +35,10 @@ Each digest is the sha256 of the stdout of one exact command.
     and Dehn-Sommerville) and ``verify --suite crosscheck``, which also
     reads ``sin_cos_residue`` and, through ``ugly_coefficient``,
     ``residue_rational(s, j, M)``.
+
+``test_exact_dump_slice`` pins the sha256 of the slice of
+``tests/exact_dump.py`` (every exact value with its provenance tag), recorded
+from the same even-derivative kernel.
 """
 
 import hashlib
@@ -42,6 +46,7 @@ import hashlib
 import pytest
 
 from angleworks.cli import main
+from exact_dump import SLICE, dump_digest
 
 TRANSCRIPTS = [
     ("fvector --model beta --n 12 --d 10 --beta 0 --format json",
@@ -90,3 +95,7 @@ def test_stdout_digest(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_exact_dump_slice():
+    assert dump_digest(SLICE) == "f76a59af4bc524e8aceb8dfbb5809f3776b3d7d5b143866277ec172d078fae17"
