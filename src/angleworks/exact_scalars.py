@@ -372,6 +372,33 @@ def to_decimal(x: PiNumber, digits: int) -> str:
 
 
 # -- canonical text and JSON forms ------------------------------------------
+#
+# str(int) and int(str) refuse more than 4,300 digits (sys.int_info), and
+# exact coefficients grow past that; longer ints are split at a power of ten.
+
+_SPLIT_DIGITS = 4000
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= 3 * _SPLIT_DIGITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _text_int(text: str) -> int:
+    """int(text) for a decimal string of any length."""
+    if len(text) <= _SPLIT_DIGITS:
+        return int(text)
+    if text[0] in "+-":
+        return -_text_int(text[1:]) if text[0] == "-" else _text_int(text[1:])
+    k = len(text) // 2
+    return _text_int(text[:k]) * 10 ** (len(text) - k) + _text_int(text[k:])
+
 
 
 def _pi_factor_str(e: int) -> str:
@@ -393,7 +420,9 @@ def format_pinumber(x: PiNumber) -> str:
     for i, e in enumerate(x.support()):
         c = x.coefficient(e)
         mag = abs(c)
-        coeff = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        coeff = _int_text(mag.numerator)
+        if mag.denominator != 1:
+            coeff += "/" + _int_text(mag.denominator)
         pi_part = _pi_factor_str(e)
         body = f"{coeff} * {pi_part}" if pi_part else coeff
         if i == 0:
@@ -429,8 +458,8 @@ def parse_pinumber(text: str) -> PiNumber:
         m = _TERM_RE.match(body)
         if not m:
             raise ValueError(f"cannot parse PiNumber term {chunk!r}")
-        num = int(m.group("num"))
-        den = int(m.group("den") or 1)
+        num = _text_int(m.group("num"))
+        den = _text_int(m.group("den") or "1")
         if den == 0:
             raise ValueError(f"cannot parse PiNumber {text!r}: zero denominator")
         exp_txt = m.group("exp")
@@ -453,7 +482,7 @@ def pinumber_to_json(x: PiNumber) -> list[dict[str, str | int]]:
     out = []
     for e in x.support():
         c = x.coefficient(e)
-        out.append({"half_exp": e, "num": str(c.numerator), "den": str(c.denominator)})
+        out.append({"half_exp": e, "num": _int_text(c.numerator), "den": _int_text(c.denominator)})
     return out
 
 
@@ -461,5 +490,6 @@ def pinumber_from_json(data: Iterable[Mapping]) -> PiNumber:
     terms: dict[int, Fraction] = {}
     for item in data:
         e = int(item["half_exp"])
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(int(item["num"]), int(item["den"]))
+        num, den = _text_int(str(item["num"])), _text_int(str(item["den"]))
+        terms[e] = terms.get(e, Fraction(0)) + Fraction(num, den)
     return PiNumber(terms)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from angleworks.angle_engine import angle_table
 from angleworks.cli import main
-from angleworks.exact_scalars import parse_pinumber, pinumber_from_json
+from angleworks.exact_scalars import format_pinumber, parse_pinumber, pinumber_from_json
+from angleworks.polytope_engine import betaprime_polytope_fvector
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,31 @@ def test_json_output_schema(capsys):
     from angleworks.angle_engine import bJ_exact
 
     assert pinumber_from_json(recs[0]["exact"]) == bJ_exact(5, 1, -2)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "latex", "json"])
+def test_exact_values_past_the_int_string_limit(capsys, fmt):
+    # the beta' hull (110, 2, 5/2) has coefficients of about 5,000 digits,
+    # past the 4,300 digits to which CPython limits str(int) and int(str)
+    fv = betaprime_polytope_fvector(110, 2, Fraction(5, 2))
+    sizes = [max(abs(c.numerator), c.denominator) for v in fv.values() for c in v.terms.values()]
+    assert max(sizes) > 10**4300
+    code, out, err = run_cli(
+        capsys, "fvector", "--model", "betaprime", "--n", "110", "--d", "2",
+        "--beta", "5/2", "--digits", "10", "--format", fmt,
+    )
+    assert code == 0, err
+    if fmt == "json":
+        for rec in json.loads(out)["records"]:
+            assert pinumber_from_json(rec["exact"]) == fv.value(rec["index"])
+            assert parse_pinumber(rec["text"]) == fv.value(rec["index"])
+    elif fmt == "csv":
+        # no field is quoted, and each is longer than csv.reader takes
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [parse_pinumber(r[1]) for r in rows] == list(fv.values())
+    else:
+        for v in fv.values():
+            assert format_pinumber(v) in out
 
 
 def test_formats_share_decimal_strings(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -312,6 +313,31 @@ def test_to_decimal_against_mpmath(terms, digits):
             for e, c in x.terms.items()
         )
         assert abs(mpmath.mpf(text) - value) <= mpmath.mpf(10) ** -digits / 2
+
+
+def test_text_forms_of_any_size():
+    # CPython limits str(int) and int(str) to 4,300 digits by default; the
+    # text and JSON forms take longer ints, and write the digits that str()
+    # writes with the limit off
+    rng = random.Random(11)
+    samples = []
+    for digits in (4299, 4301, 9000, 30011):
+        num = rng.randrange(10 ** (digits - 1), 10**digits)
+        den = rng.randrange(1, 10**digits) | 1
+        samples.append(PiNumber({-3: F(-num, den), 2: F(num + 1, 7), 0: F(5, den)}))
+    texts = [(format_pinumber(x), pinumber_to_json(x)) for x in samples]
+    for x, (text, data) in zip(samples, texts):
+        assert parse_pinumber(text) == x
+        assert pinumber_from_json(data) == x
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for x, (text, data) in zip(samples, texts):
+            c = x.coefficient(-3)
+            assert text.startswith(f"-{-c.numerator}/{c.denominator} * pi^(-3/2) + ")
+            assert data[0] == {"half_exp": -3, "num": str(c.numerator), "den": str(c.denominator)}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_round_trip():
