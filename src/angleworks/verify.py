@@ -122,31 +122,26 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
             cases += 1
     out.append(_check("poincare-relations", ok, f"{cases} exact angle tables, n <= {min(max_n, 10)}"))
 
-    ok, cases = True, 0
-    for n in range(2, min(max_n, 8) + 1):
-        for alpha in range(max(n - 3, 0), 9):
-            for k in range(1, n):
-                acc = PiNumber.zero()
-                for m in range(k, n + 1):
-                    acc = acc + Fraction((-1) ** m) * external_bI(n, m, alpha) * bJ_exact(
-                        m, k, alpha - m + 1
-                    )
-                ok = ok and acc.is_zero()
-                cases += 1
-    out.append(_check("inversion-relations-beta", ok, f"{cases} identities, zero exceptions required"))
-
-    ok, cases = True, 0
-    for n in range(2, min(max_n, 8) + 1):
-        for alpha in range(1, 9):
-            for k in range(1, n):
-                acc = PiNumber.zero()
-                for m in range(k, n + 1):
-                    acc = acc + Fraction((-1) ** m) * external_bI_tilde(
-                        n, m, alpha
-                    ) * bJtilde_exact(m, k, alpha + m - 1)
-                ok = ok and acc.is_zero()
-                cases += 1
-    out.append(_check("inversion-relations-betaprime", ok, f"{cases} identities"))
+    # sum_{m=k..n} (-1)^m I_{n,m}(alpha) J_{m,k}(beta_m) = 0 for k < n, with
+    # 2 beta_m = alpha - m + 1 (beta) or alpha + m - 1 (beta')
+    for name, external, internal, first_alpha, shift, detail in (
+        ("inversion-relations-beta", external_bI, bJ_exact, lambda n: max(n - 3, 0), -1,
+         "identities, zero exceptions required"),
+        ("inversion-relations-betaprime", external_bI_tilde, bJtilde_exact, lambda n: 1, 1,
+         "identities"),
+    ):
+        ok, cases = True, 0
+        for n in range(2, min(max_n, 8) + 1):
+            for alpha in range(first_alpha(n), 9):
+                for k in range(1, n):
+                    acc = PiNumber.zero()
+                    for m in range(k, n + 1):
+                        acc = acc + Fraction((-1) ** m) * external(n, m, alpha) * internal(
+                            m, k, alpha + shift * (m - 1)
+                        )
+                    ok = ok and acc.is_zero()
+                    cases += 1
+        out.append(_check(name, ok, f"{cases} {detail}"))
 
     ok, cases = True, 0
     dmax = min(max_n, 10)
