@@ -394,11 +394,10 @@ def _text_int(text: str) -> int:
     """int(text) for a decimal string of any length."""
     if len(text) <= _SPLIT_DIGITS:
         return int(text)
-    if text[0] in "+-":
-        return -_text_int(text[1:]) if text[0] == "-" else _text_int(text[1:])
+    if text[0] == "-":
+        return -_text_int(text[1:])
     k = len(text) // 2
     return _text_int(text[:k]) * 10 ** (len(text) - k) + _text_int(text[k:])
-
 
 
 def _pi_factor_str(e: int) -> str:
