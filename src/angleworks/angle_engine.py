@@ -52,6 +52,15 @@ def residue_rational(a: int, p: int, q: int) -> Fraction:
 # -- residue formulas ---------------------------------------------------------
 
 
+def _residue_applies(n: int, k: int, alpha: int, shift: int) -> bool:
+    """The parity rule of the residue formula: for bold-J (shift 0) alpha
+    even and n-k odd, or alpha and n odd; for bold-J~ (shift 1) alpha*k
+    even."""
+    if shift:
+        return alpha * k % 2 == 0
+    return alpha % 2 == 0 and (n - k) % 2 == 1 or alpha % 2 == 1 and n % 2 == 1
+
+
 def bJ_residue(n: int, k: int, alpha: int) -> PiNumber:
     """bold-J_{n,k}((alpha-n+1)/2) if alpha is even and n-k odd, or both
     alpha and n are odd."""
@@ -59,9 +68,7 @@ def bJ_residue(n: int, k: int, alpha: int) -> PiNumber:
         raise DomainError("need n >= 3 and 1 <= k <= n")
     if alpha < max(n - 3, 1):
         raise DomainError(f"need alpha >= max(n-3, 1), got alpha={alpha}")
-    case_i = alpha % 2 == 0 and (n - k) % 2 == 1
-    case_ii = alpha % 2 == 1 and n % 2 == 1
-    if not (case_i or case_ii):
+    if not _residue_applies(n, k, alpha, 0):
         raise ParityError(
             f"residue route needs (alpha even, n-k odd) or (alpha, n odd); "
             f"got n={n}, k={k}, alpha={alpha}"
@@ -75,16 +82,16 @@ def bJtilde_residue(n: int, k: int, alpha: int) -> PiNumber:
         raise DomainError("need 1 <= k <= n")
     if alpha < 1:
         raise DomainError("need integer alpha >= 1")
-    if (alpha * k) % 2 != 0:
+    if not _residue_applies(n, k, alpha, 1):
         raise ParityError(f"residue route needs alpha*k even; got {alpha}*{k}")
-    if k == n:
-        return PiNumber.one()
     return _bJ_residue(n, k, alpha, 1)
 
 
 def _bJ_residue(n: int, k: int, alpha: int, shift: int) -> PiNumber:
     """The residue formula of bold-J (shift 0) and bold-J~ (shift 1): the
     beta' one is the beta one at alpha - 1 with c~_beta = c_(beta - 3/2)."""
+    if k == n:  # J_{n,n} = 1: the simplex is its only face with n vertices
+        return PiNumber.one()
     res = residue_rational(alpha - shift, n - k, alpha * n + 2 - 3 * shift)
     return (
         math.comb(n, k)
@@ -183,28 +190,27 @@ def _closed_small_row(n: int) -> tuple[tuple[PiNumber, str], ...]:
 
 
 @lru_cache(maxsize=None)
-def _bJ_row(n: int, twice_beta: int) -> tuple[tuple[PiNumber, str], ...]:
+def _bJ_row(n: int, twice_beta: int, shift: int) -> tuple[tuple[PiNumber, str], ...]:
+    """The exact row of bold-J (shift 0) or bold-J~ (shift 1) at beta =
+    twice_beta / 2: closed for small n, the tangent route where the beta
+    residues miss every entry, otherwise residues and their Bernoulli fill."""
     if n < 1:
         raise DomainError("n must be positive")
-    if twice_beta < -2:
+    if shift == 0 and twice_beta < -2:
         raise DomainError("beta >= -1 required")
-    if n <= 3:
+    if shift == 1 and twice_beta < n:
+        raise DomainError("beta > (n-1)/2 required")
+    if n <= (1 if shift else 3):
         return _closed_small_row(n)
-    alpha = twice_beta + n - 1
-    if alpha < max(n - 3, 0):
-        raise DomainError(
-            f"alpha = 2*beta + n - 1 = {alpha} outside validity (need >= max(n-3, 0))"
+    alpha = twice_beta - n + 1 if shift else twice_beta + n - 1
+    if shift == 0 and alpha % 2 == 1 and n % 2 == 0:
+        return tuple(
+            (trig_algebra.bJ_exact_case_iii(n, k, alpha), "tan_algebra")
+            for k in range(1, n + 1)
         )
-    if alpha % 2 == 0:
-        return fill_row(
-            PiNumber.zero(), n,
-            lambda k: bJ_residue(n, k, alpha) if (n - k) % 2 == 1 else None,
-        )
-    if n % 2 == 1:
-        return tuple((bJ_residue(n, k, alpha), "residue") for k in range(1, n + 1))
-    return tuple(
-        (trig_algebra.bJ_exact_case_iii(n, k, alpha), "tan_algebra")
-        for k in range(1, n + 1)
+    return fill_row(
+        PiNumber.zero(), n,
+        lambda k: _bJ_residue(n, k, alpha, shift) if _residue_applies(n, k, alpha, shift) else None,
     )
 
 
@@ -212,33 +218,14 @@ def bJ_exact(n: int, k: int, twice_beta: int) -> PiNumber:
     """Exact bold-J_{n,k}(beta) for half-integer beta (argument doubled)."""
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
-    return _bJ_row(n, twice_beta)[k - 1][0]
-
-
-@lru_cache(maxsize=None)
-def _bJtilde_row(n: int, twice_beta: int) -> tuple[tuple[PiNumber, str], ...]:
-    if n < 1:
-        raise DomainError("n must be positive")
-    alpha = twice_beta - n + 1
-    if alpha < 1:
-        raise DomainError(
-            f"alpha = 2*beta - n + 1 = {alpha} outside validity (need >= 1)"
-        )
-    if n == 1:
-        return ((PiNumber.one(), "closed"),)
-    if alpha % 2 == 0:
-        return tuple((bJtilde_residue(n, k, alpha), "residue") for k in range(1, n + 1))
-    return fill_row(
-        PiNumber.zero(), n,
-        lambda k: bJtilde_residue(n, k, alpha) if k % 2 == 0 else None,
-    )
+    return _bJ_row(n, twice_beta, 0)[k - 1][0]
 
 
 def bJtilde_exact(n: int, k: int, twice_beta: int) -> PiNumber:
     """Exact bold-J~_{n,k}(beta) for half-integer beta > (n-1)/2."""
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
-    return _bJtilde_row(n, twice_beta)[k - 1][0]
+    return _bJ_row(n, twice_beta, 1)[k - 1][0]
 
 
 # -- the a[nu, kappa] residue evaluations --------------------------------------
@@ -321,8 +308,7 @@ def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
     s = 0 if family == "beta" else 1
     tb = exact_scaled(beta)
     if tb is not None:
-        row = _bJtilde_row(n, tb) if s else _bJ_row(n, tb)
-        return AngleTable(family, n, Fraction(beta), row)
+        return AngleTable(family, n, Fraction(beta), _bJ_row(n, tb, s))
     b = float(beta)
     if s == 0 and b < -1:
         raise DomainError("beta >= -1 required")

@@ -225,10 +225,10 @@ def ugly_coefficient(s: int, c: PiNumber, M: int, a: int, variant: str) -> PiNum
     return total
 
 
-def _signed_ugly(s: int, c: PiNumber, q: int, a: int, odd: bool) -> PiNumber:
+def _signed_ugly(s: int, c: PiNumber, q: int, a: int) -> PiNumber:
     """The bivariate coefficient of ``ugly_coefficient`` with the sign of its
-    parity variant: sin/tan when ``odd``, cos/cot otherwise."""
-    if odd:
+    parity variant: sin/tan for even a, cos/cot for odd a."""
+    if a % 2 == 0:
         return (-1) ** (a // 2) * ugly_coefficient(s, c, q, a, "sin_over_tan")
     return (-1) ** ((a - 1) // 2) * ugly_coefficient(s, c, q, a, "cos_over_cot")
 
@@ -309,41 +309,32 @@ def crosscheck_suite() -> list[CheckResult]:
                 ok = ok and lhs == rhs2
     out.append(_check("zero-cell-angle-bridge", ok, "J~_{n,k}(n/2) vs zero-cell entries, n <= 8"))
 
-    ok = True
-    for n in range(4, 9):
-        for alpha in range(max(n - 3, 1), 8):
-            if alpha % 2 != 0:
-                continue
-            for k in range(1, n + 1):
-                if (n - k) % 2 != 0:
-                    continue
-                val = _signed_ugly(alpha, c_beta(alpha - 1), alpha * n + 2, n - k, True)
-                full = (
-                    Fraction(math.factorial(n), math.factorial(k))
-                    * PiNumber.pi_power(2)
-                    * c_beta(alpha * n)
-                    * val
-                )
-                ok = ok and full == bJ_exact(n, k, alpha - n + 1)
-    out.append(_check("ugly-vs-fill-beta", ok, "bivariate route equals Bernoulli fill, n <= 8"))
-
-    ok = True
-    for n in range(2, 9):
-        for alpha in (1, 3):
-            for k in range(1, n + 1):
-                if (alpha * k) % 2 == 0:
-                    continue
-                val = _signed_ugly(
-                    alpha - 1, c_tilde_beta(alpha + 1), alpha * n - 1, n - k, n % 2 == 1
-                )
-                full = (
-                    Fraction(math.factorial(n), math.factorial(k))
-                    * PiNumber.pi_power(2)
-                    * c_tilde_beta(alpha * n)
-                    * val
-                )
-                ok = ok and full == bJtilde_exact(n, k, alpha + n - 1)
-    out.append(_check("ugly-vs-fill-betaprime", ok, "both parity variants, n <= 8"))
+    # the bivariate route on the parity class that the Bernoulli fill produces;
+    # the beta' formula is the beta one at alpha - 1 with c~_beta = c_(beta - 3/2)
+    for name, exact, alphas, filled, shift, detail in (
+        ("ugly-vs-fill-beta", bJ_exact, lambda n: range(max(n - 3, 1), 8),
+         lambda n, k, alpha: alpha % 2 == 0 and (n - k) % 2 == 0, 0,
+         "bivariate route equals Bernoulli fill, n <= 8"),
+        ("ugly-vs-fill-betaprime", bJtilde_exact, lambda n: (1, 3),
+         lambda n, k, alpha: alpha * k % 2 == 1, 1, "both parity variants, n <= 8"),
+    ):
+        ok = True
+        for n in range(2, 9):
+            for alpha in alphas(n):
+                for k in range(1, n + 1):
+                    if not filled(n, k, alpha):
+                        continue
+                    val = _signed_ugly(
+                        alpha - shift, c_beta(alpha - 1 - shift), alpha * n + 2 - 3 * shift, n - k
+                    )
+                    full = (
+                        Fraction(math.factorial(n), math.factorial(k))
+                        * PiNumber.pi_power(2)
+                        * c_beta(alpha * n - 3 * shift)
+                        * val
+                    )
+                    ok = ok and full == exact(n, k, alpha + (2 * shift - 1) * (n - 1))
+        out.append(_check(name, ok, detail))
 
     ok = True
     inv_pi = PiNumber.pi_power(-2)
@@ -352,7 +343,7 @@ def crosscheck_suite() -> list[CheckResult]:
         for ell in range(d):
             if (d - ell) % 2 == 0:
                 continue
-            val = _signed_ugly(0, inv_pi, d + 1, ell, d % 2 == 1)
+            val = _signed_ugly(0, inv_pi, d + 1, ell)
             pref = Fraction(math.factorial(d), math.factorial(d - ell))
             ok = ok and pref * PiNumber.pi_power(2 * d) * val == fv.value(ell)
     out.append(_check("zero-cell-ugly-display", ok, "bivariate route matches filled entries, d <= 10"))

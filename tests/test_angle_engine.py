@@ -349,3 +349,19 @@ def test_provenance_tags_follow_dispatch_rule():
     assert provs == ["fill", "residue", "fill", "residue", "fill"]
     t = angle_table("beta", 5, F(-1, 2))  # alpha = 3, n odd
     assert all(t.provenance(k) == "residue" for k in range(1, 6))
+    # beta': alpha*k even is a residue, the rest is filled
+    t = angle_table("betaprime", 5, F(3))  # alpha = 2 even
+    assert all(t.provenance(k) == "residue" for k in range(1, 6))
+    t = angle_table("betaprime", 5, F(5, 2))  # alpha = 1 odd
+    provs = [t.provenance(k) for k in range(1, 6)]
+    assert provs == ["fill", "residue", "fill", "residue", "fill"]
+    # closed rows: beta n <= 3 even where alpha = 2 beta + n - 1 < 0, beta' n = 1
+    for n in (1, 2, 3):
+        t = angle_table("beta", n, F(-1))
+        assert all(t.provenance(k) == "closed" for k in range(1, n + 1))
+    t = angle_table("betaprime", 1, F(1, 2))
+    assert t.provenance(1) == "closed" and t.value(1) == PiNumber.one()
+    # an exact beta' row needs alpha = 2 beta - n + 1 >= 1, also at n = 1
+    for n, beta in ((4, F(3, 2)), (1, F(0))):
+        with pytest.raises(DomainError):
+            angle_table("betaprime", n, beta)

@@ -36,9 +36,9 @@ Each digest is the sha256 of the stdout of one exact command.
     reads ``sin_cos_residue`` and, through ``ugly_coefficient``,
     ``residue_rational(s, j, M)``.
 
-``test_exact_dump_slice`` pins the sha256 of the slice of
-``tests/exact_dump.py`` (every exact value with its provenance tag), recorded
-from the same even-derivative kernel.
+``test_exact_dump`` pins the sha256 of the full ``tests/exact_dump.py``
+(every exact value with its provenance tag), recorded from the same
+even-derivative kernel.
 """
 
 import hashlib
@@ -46,7 +46,7 @@ import hashlib
 import pytest
 
 from angleworks.cli import main
-from exact_dump import SLICE, dump_digest
+from exact_dump import dump_digest
 
 TRANSCRIPTS = [
     ("fvector --model beta --n 12 --d 10 --beta 0 --format json",
@@ -97,5 +97,5 @@ def test_stdout_digest(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_exact_dump_slice():
-    assert dump_digest(SLICE) == "f76a59af4bc524e8aceb8dfbb5809f3776b3d7d5b143866277ec172d078fae17"
+def test_exact_dump():
+    assert dump_digest() == "846c236942f873406b9222fdb4f7c3cac782e9b42309007e5c49fff13f172b15"
