@@ -36,17 +36,12 @@ def residue_rational(a: int, p: int, q: int) -> Fraction:
     """The rational residue behind every exact formula in this module:
     [x^-1] (int_0^x sin^a)^p / sin^q x.
 
-    In s = sin x the integral of sin^a is H(s) = s^(a+1) h_a(s^2), and
-    dx = dH / s^a, so integrating by parts turns the residue into
-    (q + a) / (p + 1) [y^N] h_a^(p+1) with N = (q - p(a+1) - 1) / 2: one
-    coefficient of one power (see ``series_kernel``).
+    In s = sin x it is one coefficient of one power of the integral of
+    sin^a (see ``series_kernel``).
     """
     if a < 0 or p < 0 or q < 1:
         raise DomainError(f"invalid residue parameters a={a}, p={p}, q={q}")
-    val = p * (a + 1) - q
-    if val >= 0 or val % 2 == 0:
-        return Fraction(0)
-    return residue_coefficient(a, p, q, (-1 - val) // 2)
+    return residue_coefficient(a, p, q)
 
 
 # -- residue formulas ---------------------------------------------------------

@@ -26,7 +26,6 @@ from .angle_engine import (
     residue_rational,
 )
 from .exact_scalars import DomainError, PiNumber, c_beta, exact_scaled, gamma_half
-from .series_kernel import residue_coefficient
 
 #: provenance of a sum of terms: the tag of its least direct term
 _PROV_RANK = {"closed": 0, "residue": 1, "tan_algebra": 2, "fill": 3, "numeric": 4}
@@ -122,10 +121,11 @@ def poisson_residue_entry(d: int, k: int, alpha: int) -> PiNumber:
 
 def x_over_sin_coeff(power: int, j: int) -> Fraction:
     """[x^j] (x / sin x)^power: the residue of x^(power-j-1) / sin^power x,
-    the case a = 0 of the residue kernel (int_0^x sin^0 = x)."""
-    if j < 0 or j % 2:
-        return Fraction(0)
-    return residue_coefficient(0, power - j - 1, power, j // 2)
+    the case a = 0 of the residue kernel (int_0^x sin^0 = x), for
+    j < power."""
+    if power < 1 or j >= power:
+        raise DomainError(f"x_over_sin_coeff needs j < power and power >= 1, got {power}, {j}")
+    return residue_rational(0, power - j - 1, power)
 
 
 def zero_cell_entry_even(d: int, ell: int) -> PiNumber:

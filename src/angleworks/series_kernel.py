@@ -7,25 +7,26 @@ ds/dx = 1 at 0.  There the integral becomes
     H(s) = int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2),
     [y^j] h_a = C(2j, j) / (4^j (a + 1 + 2j)),
 
-and dx = ds / sqrt(1 - s^2) = dH / s^a.  So for p != -1
+and dx = ds / sqrt(1 - s^2) = dH / s^a.  So for p >= 0
 
     Res H^p s^-q dx = Res s^-(q+a) H^p dH = Res s^-(q+a) d(H^(p+1)) / (p+1)
                     = (q + a) / (p + 1) Res H^(p+1) s^-(q+a+1) ds
                     = (q + a) / (p + 1) [y^N] h_a^(p+1),
 
 integrating by parts, with N = (q - p(a+1) - 1) / 2 (the residue is zero
-when that is not a nonnegative integer).  At p = -1 the residue is
-[y^N] h_a^-1 (1 - y)^(-1/2), one dot product with the central binomials.
-The series are held in z = y / 4, where [z^j] h_a(4z) = C(2j, j) / (a + 1 + 2j)
-and (1 - 4z)^(-1/2) = sum C(2j, j) z^j, so [y^N] = 4^-N [z^N].  Powers of any
-integer sign come from J.C.P. Miller's O(N^2) recurrence.  One cache keeps a
-prefix of h_a^P per (a, P), grown on demand: the residues of a Voronoi or
-Poisson f-vector, which share one a, build each h_a^P once, and P = 1 is h_a
-itself.  Each prefix is a list of integer numerators over one common
-denominator (h_a over lcm(a + 1, a + 3, ..., a + 2n - 1)), so the recurrence
-runs on Python ints and a ``Fraction`` is formed once per coefficient
-returned.  ``residue_coefficient`` and ``sin_cos_residue`` are the only entry
-points; the representation stays inside this module.
+when that is not a nonnegative integer).  The series are held in z = y / 4,
+where [z^j] h_a(4z) = C(2j, j) / (a + 1 + 2j) and
+(1 - 4z)^(-1/2) = sum C(2j, j) z^j, so [y^N] = 4^-N [z^N].  Differentiating
+H gives (a + 1) h_a + 2y h_a' = (1 - y)^(-1/2), so u = h_a^P satisfies
+2y u' + P(a+1) u = P (1 - y)^(-1/2) h_a^(P-1): each power is one
+convolution of the power below it with the central binomials.  One cache
+keeps a prefix of h_a^P per (a, P), grown on demand: the residues of a
+Voronoi or Poisson f-vector, which share one a, build each h_a^P once, and
+P = 1 is h_a itself.  Each prefix is a list of integer numerators over one
+common denominator (h_a over lcm(a + 1, a + 3, ..., a + 2n - 1)), so the
+convolutions run on Python ints and a ``Fraction`` is formed once per
+coefficient returned.  ``residue_coefficient`` and ``sin_cos_residue`` are
+the only entry points; the representation stays inside this module.
 
 Every coefficient returned is a ``Fraction``; pi-factors never enter a
 series, they are multiplied in by the callers.  The module also holds the
@@ -35,6 +36,7 @@ Bernoulli numbers.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,70 +62,57 @@ class _Series:
             self.den *= factor
 
 
-def _miller_extend(f: _Series, alpha: int, out: _Series, n: int) -> _Series:
-    """Extend ``out``, a prefix of the series f^alpha, in place to n
-    coefficients and return it.
-
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with P = f^alpha
-    and f_0 != 0, P_k = sum_{j=1..k} ((alpha+1) j - k) f_j P_{k-j} / (k f_0).
-    It holds for every integer alpha and needs only f_0 .. f_{n-1}, so a
-    prefix can be extended later without recomputing it.  The common
-    denominator of f cancels, so P_k = X / (den k f_0) with the integer
-    X = sum ((alpha+1) j - k) f_j p_{k-j}; when k f_0 does not divide X, the
-    prefix moves to a denominator that many times larger.  This also makes
-    the recurrence blind to a rescaling of f between calls.
-    """
-    fs, ps = f.nums, out.nums
-    if not ps:
-        p0 = Fraction(fs[0], f.den) ** alpha
-        ps.append(p0.numerator)
-        out.den = p0.denominator
-    a1 = alpha + 1
-    for k in range(len(ps), n):
-        x = sum((a1 * j - k) * fs[j] * ps[k - j] for j in range(1, k + 1))
-        d = k * fs[0]
-        g = math.gcd(x, d)
-        out.rescale(d // g)
-        ps.append(x // g)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _prefix(a: int, alpha: int) -> _Series:
+def _prefix(a: int, P: int) -> _Series:
     return _Series()
 
 
-def _power(a: int, alpha: int, n: int) -> _Series:
-    """At least the first n coefficients in z of h_a(4z)^alpha, for any
-    integer alpha, where int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2).
+def _power(a: int, P: int, n: int) -> _Series:
+    """At least the first n coefficients in z of h_a(4z)^P, P >= 1, where
+    int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2).
 
-    alpha = 1 is grown from the closed form, every other exponent by
-    Miller's recurrence from that.  The series is shared by every caller
-    with this a and exponent and grows in place; read it, never modify it.
+    h_a is grown from its closed form, then h_a^2 .. h_a^P in turn, each
+    from the one below it: with u = h_a^m and v = h_a^(m-1),
+    u_k = m sum_j C(2j, j) v_(k-j) / (2k + m(a+1)).  When u.den does not
+    hold u_k, u moves to the least denominator that does; ``v.den`` is read
+    at each step, so a v rescaled since ``u`` last grew stays correct.  The
+    series are shared by every caller with this a and power and grow in
+    place; read them, never modify them.
     """
-    out = _prefix(a, alpha)
+    out = _prefix(a, P)
     if len(out.nums) >= n:
         return out
-    if alpha != 1:
-        return _miller_extend(_power(a, 1, n), alpha, out, n)
-    # over lcm(a + 1, ..., a + 2n - 1), a multiple of the old denominator
-    L = math.lcm(*range(a + 1, a + 2 * n, 2))
-    out.rescale(L // out.den)
-    out.nums.extend(math.comb(2 * j, j) * (L // (a + 1 + 2 * j)) for j in range(len(out.nums), n))
+    v = _prefix(a, 1)
+    if len(v.nums) < n:
+        # over lcm(a + 1, ..., a + 2n - 1), a multiple of the old denominator
+        L = math.lcm(*range(a + 1, a + 2 * n, 2))
+        v.rescale(L // v.den)
+        v.nums.extend(math.comb(2 * j, j) * (L // (a + 1 + 2 * j)) for j in range(len(v.nums), n))
+    central = [math.comb(2 * j, j) for j in range(n)]
+    for m in range(2, P + 1):
+        u = _prefix(a, m)
+        for k in range(len(u.nums), n):
+            x = m * u.den * sum(map(operator.mul, central[: k + 1], v.nums[k::-1]))
+            d = v.den * (2 * k + m * (a + 1))
+            g = math.gcd(x, d)
+            u.rescale(d // g)
+            u.nums.append(x // g)
+        v = u
     return out
 
 
-def residue_coefficient(a: int, p: int, q: int, n: int) -> Fraction:
-    """The residue of (int_0^x sin^a)^p / sin^q x when
-    n = (q - p(a+1) - 1) / 2: (q + a) / (p + 1) [y^n] h_a^(p+1), or the
-    dot product [y^n] h_a^-1 (1 - y)^(-1/2) at p = -1, with y = 4z."""
-    if p != -1:
-        h = _power(a, p + 1, n + 1)
-        return Fraction((q + a) * h.nums[n], (p + 1) * h.den * 4**n)
-    # (1 - 4z)^(-1/2) = sum C(2j, j) z^j
-    h = _power(a, -1, n + 1)
-    dot = sum(math.comb(2 * j, j) * h.nums[n - j] for j in range(n + 1))
-    return Fraction(dot, h.den * 4**n)
+def residue_coefficient(a: int, p: int, q: int) -> Fraction:
+    """The residue of (int_0^x sin^a)^p / sin^q x for a, p >= 0:
+    (q + a) / (p + 1) [y^N] h_a^(p+1) with y = 4z and
+    N = (q - p(a+1) - 1) / 2, zero unless N is a nonnegative integer."""
+    if a < 0 or p < 0:
+        raise DomainError(f"residue_coefficient needs a, p >= 0, got a={a}, p={p}")
+    twice_N = q - p * (a + 1) - 1
+    if twice_N < 0 or twice_N % 2:
+        return Fraction(0)
+    N = twice_N // 2
+    h = _power(a, p + 1, N + 1)
+    return Fraction((q + a) * h.nums[N], (p + 1) * h.den * 4**N)
 
 
 def sin_cos_residue(p: int, q: int) -> Fraction:

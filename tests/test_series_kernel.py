@@ -366,11 +366,32 @@ def test_residue_matches_fraction_reference(spec):
     assert value == _residue_rational_reference(*spec)
 
 
+@st.composite
+def _power_and_half_index(draw):
+    """(power, k) with 1 <= power <= 240 and 2k < power."""
+    power = draw(st.integers(1, 240))
+    return power, draw(st.integers(0, (power - 1) // 2))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(st.integers(-240, 240), st.integers(0, 60))
-def test_x_over_sin_coeff_matches_fraction_reference(alpha, k):
-    # [x^(2k)] (sin x / x)^alpha, read as a negative power of x / sin x
-    assert x_over_sin_coeff(-alpha, 2 * k) == _sinc_coefficient_reference(alpha, k)
+@given(_power_and_half_index())
+def test_x_over_sin_coeff_matches_fraction_reference(spec):
+    # [x^(2k)] (x / sin x)^power, read as the negative power -power of
+    # sin x / x
+    power, k = spec
+    assert x_over_sin_coeff(power, 2 * k) == _sinc_coefficient_reference(-power, k)
+
+
+@pytest.mark.parametrize("power, j", [(3, 3), (3, 4), (1, 1), (0, -2), (-2, 0)])
+def test_x_over_sin_coeff_needs_j_below_a_positive_power(power, j):
+    with pytest.raises(DomainError):
+        x_over_sin_coeff(power, j)
+
+
+@pytest.mark.parametrize("a, p", [(0, -1), (3, -4), (-1, 2)])
+def test_residue_coefficient_needs_nonnegative_a_and_p(a, p):
+    with pytest.raises(DomainError):
+        residue_coefficient(a, p, 5)
 
 
 def _cos_power_reference(alpha: int, n: int) -> list[Fraction]:
@@ -391,18 +412,31 @@ def test_sin_cos_residue_matches_fraction_reference():
 def test_prefixes_grown_in_steps_match_reference():
     # one cache holds every h_a with its powers.  h_a is held over
     # lcm(a + 1, a + 3, ..., a + 2n - 1), so growing it rescales every
-    # numerator of h_a, and a power of h_a built before, negative ones
-    # included, must stay valid over the new denominator
+    # numerator of h_a, and a power of h_a built before must stay valid
+    # over the new denominator
+    def check(a, p, n):
+        q = p * (a + 1) + 2 * n - 1
+        assert residue_coefficient(a, p, q) == _residue_rational_reference(a, p, q)
+
+    # x_over_sin_coeff reads residue_rational, whose cache would hide the kernel
+    residue_rational.cache_clear()
     series_kernel._prefix.cache_clear()
     h3_dens = set()
     for n in (1, 2, 3, 7, 8, 20, 45):
-        for alpha in (-31, -5, 0, 1, 2, 9):
-            want = _sinc_coefficient_reference(alpha, n - 1)
-            assert x_over_sin_coeff(-alpha, 2 * n - 2) == want
-        for a, p in ((3, 1), (3, 2), (3, 5), (3, -4), (3, -1), (0, 2), (0, -3)):
-            q = p * (a + 1) + 2 * n - 1
-            assert residue_coefficient(a, p, q, n - 1) == _residue_rational_reference(a, p, q)
+        for power in (31, 5):
+            if 2 * n - 2 < power:
+                want = _sinc_coefficient_reference(-power, n - 1)
+                assert x_over_sin_coeff(power, 2 * n - 2) == want
+        for a, p in ((3, 1), (3, 2), (3, 5), (0, 2)):
+            check(a, p, n)
         h3_dens.add(series_kernel._prefix(3, 1).den)
-    # h_3 itself was rescaled between the steps that extended h_3^2, h_3^6
-    # and h_3^-3
+    # h_3 itself was rescaled between the steps that extended h_3^2 .. h_3^6
     assert len(h3_dens) > 1
+
+    series_kernel._prefix.cache_clear()
+    check(3, 5, 10)  # h_3^6, and with it h_3^2 .. h_3^5, to 10 coefficients
+    den = series_kernel._prefix(3, 1).den
+    check(3, 0, 30)  # h_3 alone to 30 coefficients, which rescales it
+    assert series_kernel._prefix(3, 1).den != den
+    check(3, 1, 20)  # h_3^2 extended from 10 to 20 over the new denominator
+    assert len(series_kernel._prefix(3, 2).nums) == 20
