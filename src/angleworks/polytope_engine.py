@@ -5,6 +5,11 @@ The primary computational route for every family is the parity-restricted
 sum  E f_{k-1} = 2 * sum over m of (external angle sum) * (internal angle
 sum): it has no parity gaps.  The direct residue formulas are kept as
 independent cross-checks.
+
+An exact beta or beta' hull of n points at alpha reads its external sums
+from the inversion relations when n <= alpha + 3, so it needs only exact
+internal rows, and from the Fourier kernel of ``trig_algebra`` when it has
+more points.
 """
 
 from __future__ import annotations

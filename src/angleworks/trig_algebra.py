@@ -17,6 +17,11 @@ Each beta' quantity is its beta counterpart with both cosine exponents
 lowered by a shift s = 1 (s = 0 for beta) and c~_beta = c_(beta - 3/2), so
 one shifted body serves both families.
 
+The kernel serves the external angle sums of simplices with many points,
+n > alpha + 3.  For n <= alpha + 3 they are solved from the inversion
+relations with the exact internal rows, and the kernel stays as their
+cross-check.
+
 The module also holds the tangent-polynomial route for the one parity case
 whose internal angles are not reachable by residues.  There the powers of
 the tangent polynomial T are integer numerators over L^j, L = lcm(1, 3,
@@ -198,33 +203,65 @@ def external_lB(nu: Fraction | int, kappa: Fraction | int, alpha: int, shift: in
 
 
 @lru_cache(maxsize=None)
-def _external_bI(n: int, k: int, alpha: int, shift: int) -> PiNumber:
+def external_bI_fourier(n: int, k: int, alpha: int, shift: int) -> PiNumber:
     """C(n, k) c_beta(alpha k - 1 - shift) c_beta(alpha - 1 - shift)^r
     (arguments doubled) times the kernel at cos^(alpha k - shift), F of
-    cos^(alpha - shift), r = n - k: bold-I for shift 0, bold-I~ for shift 1."""
+    cos^(alpha - shift), r = n - k: bold-I for shift 0, bold-I~ for shift 1.
+
+    The primary route for n > alpha + 3, and for n <= alpha + 3 the
+    cross-check that ``verify`` holds the inversion row against."""
     r = n - k
     raw = _cos_F_integral(alpha * k - shift, alpha - shift, r)
     return math.comb(n, k) * c_beta(alpha * k - 1 - shift) * c_beta(alpha - 1 - shift) ** r * raw
 
 
+@lru_cache(maxsize=None)
+def _inversion_row(n: int, alpha: int, shift: int) -> tuple[PiNumber, ...]:
+    """bold-I_{n,1..n} (shift 0) or bold-I~_{n,1..n} (shift 1) from the
+    inversion relations sum_{m=k..n} (-1)^m I_{n,m} J_{m,k}(beta_m) = 0,
+    k < n, by back-substitution from I_{n,n} = 1, with 2 beta_m =
+    alpha - m + 1 (beta) or alpha + m - 1 (beta').  Every internal row it
+    reads sits at the same internal alpha; the beta rows exist for
+    n <= alpha + 3."""
+    from .angle_engine import bJ_exact, bJtilde_exact  # angle_engine imports this module
+
+    internal = bJtilde_exact if shift else bJ_exact
+    sigma = 2 * shift - 1
+    row = [PiNumber.one()] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        acc = PiNumber.zero()
+        for m in range(k + 1, n + 1):
+            term = row[m] * internal(m, k, alpha + sigma * (m - 1))
+            acc = acc + term if (m - k) % 2 else acc - term
+        row[k] = acc
+    return tuple(row[1:])
+
+
+def _external_entry(n: int, k: int, alpha: int, shift: int) -> PiNumber:
+    """Checked bold-I or bold-I~: the inversion row for n <= alpha + 3 (its
+    back-substitution builds the internal rows of every m <= n, which is
+    cheap only there), the Fourier kernel beyond."""
+    if not isinstance(alpha, int):
+        raise DomainError(f"exact external angles need an integer alpha, got {alpha!r}")
+    if not 1 <= k <= n:
+        raise DomainError("need 1 <= k <= n")
+    if alpha < shift:
+        raise DomainError(f"exact external angles need integer alpha >= {shift}")
+    if n <= alpha + 3:
+        return _inversion_row(n, alpha, shift)[k - 1]
+    return external_bI_fourier(n, k, alpha, shift)
+
+
 def external_bI(n: int, k: int, alpha: int) -> PiNumber:
     """Expected external angle sum of the beta simplex (bold-I_{n,k}(alpha)),
     exact for integer alpha >= 0."""
-    if not 1 <= k <= n:
-        raise DomainError("need 1 <= k <= n")
-    if alpha < 0:
-        raise DomainError("exact external angles need integer alpha >= 0")
-    return _external_bI(n, k, alpha, 0)
+    return _external_entry(n, k, alpha, 0)
 
 
 def external_bI_tilde(n: int, k: int, alpha: int) -> PiNumber:
     """Expected external angle sum of the beta' simplex (bold-I~_{n,k}(alpha)),
     exact for integer alpha >= 1."""
-    if not 1 <= k <= n:
-        raise DomainError("need 1 <= k <= n")
-    if alpha < 1:
-        raise DomainError("betaprime external angles need integer alpha >= 1")
-    return _external_bI(n, k, alpha, 1)
+    return _external_entry(n, k, alpha, 1)
 
 
 # -- tangent-polynomial route (internal angles, alpha odd / n even) ----------

@@ -194,6 +194,19 @@ def test_betaprime_polytope_examples():
         assert fv.value(d - 2) == F(d, 2) * fv.value(d - 1)
 
 
+def test_many_point_hull_keeps_the_fourier_route():
+    # alpha = 3 for each hull: the inversion row would build every internal
+    # row up to n, so only n <= alpha + 3 reads it
+    from angleworks.trig_algebra import _inversion_row
+
+    _inversion_row.cache_clear()
+    betaprime_polytope_fvector(110, 2, F(5, 2))
+    betaprime_polytope_fvector(7, 2, F(5, 2))
+    assert _inversion_row.cache_info().currsize == 0
+    betaprime_polytope_fvector(6, 2, F(5, 2))
+    assert _inversion_row.cache_info().currsize == 1
+
+
 def test_betaprime_numeric_path():
     ex = betaprime_polytope_fvector(4, 2, F(5, 2))
     num = betaprime_polytope_fvector(4, 2, 2.5)

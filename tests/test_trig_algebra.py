@@ -15,6 +15,7 @@ from angleworks.trig_algebra import (
     _tan_power,
     bJ_exact_case_iii,
     external_bI,
+    external_bI_fourier,
     external_bI_tilde,
     external_lB,
     inner_tan_antiderivative,
@@ -369,6 +370,24 @@ def test_external_sums_match_fourier_reference():
                 want = (math.comb(n, k) * c_tilde_beta(alpha * k + 1) * c_tilde_beta(alpha + 1) ** r
                         * _cos_F_integral_reference(alpha * k - 1, alpha - 1, r))
                 assert external_bI_tilde(n, k, alpha) == want, (n, k, alpha)
+
+
+def test_inversion_rows_match_fourier_kernel():
+    # inside the rule n <= alpha + 3 every entry comes from the inversion
+    # relations; from alpha = 9 on, that is every n <= 12
+    for shift, external in ((0, external_bI), (1, external_bI_tilde)):
+        for alpha in range(shift, 11):
+            for n in range(1, min(12, alpha + 3) + 1):
+                for k in range(1, n + 1):
+                    assert external(n, k, alpha) == external_bI_fourier(n, k, alpha, shift), (
+                        n, k, alpha, shift)
+
+
+@pytest.mark.parametrize("external", [external_bI, external_bI_tilde])
+@pytest.mark.parametrize("alpha", [2.0, F(5, 2), F(4)])
+def test_external_sums_reject_non_integer_alpha(external, alpha):
+    with pytest.raises(DomainError, match="integer alpha"):
+        external(4, 2, alpha)
 
 
 @pytest.mark.parametrize("j, m, kind", [
