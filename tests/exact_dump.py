@@ -17,16 +17,27 @@ The dump covers
   - the beta hulls at beta in {0, 1/2} and the beta' hulls at
     beta = (d + 1)/2 and (d + 2)/2, d <= 10 and n in {d+1, d+2, d+4}.
 
-Run it as a script to print the dump's sha256 (and with ``--print`` the
-dump itself):
+The wide dump reaches past it, into the sizes where a kernel rewrite can
+go wrong without the committed dump noticing:
+  - the typical Poisson-Voronoi cell and the Poisson zero cell, d <= 32;
+  - the beta rows n <= 32 at beta in {0, 1/2};
+  - the same four hull families, d <= 12 and n in {d+1, d+2, d+4, 4d};
+  - the many-point hulls: beta (100, 6, 0) and beta' (110, 2, 5/2).
+It takes about 25 s on a 2-core machine and stays out of the test suite;
+its sha256 is pinned in ``WIDE_DIGEST``.
 
-    PYTHONPATH=src python tests/exact_dump.py [--print]
+Run it as a script to print the dump's sha256 (and with ``--print`` the
+dump itself); ``--wide`` takes the wide dump instead and exits 1 unless its
+sha256 is ``WIDE_DIGEST``:
+
+    PYTHONPATH=src python tests/exact_dump.py [--wide] [--print]
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 from fractions import Fraction
 from typing import Iterator
 
@@ -40,6 +51,8 @@ from angleworks import (
 )
 
 CELL_D, ROW_N, POISSON_D, HULL_D = 22, 19, 12, 10
+WIDE_CELL_D, WIDE_ROW_N, WIDE_HULL_D = 32, 32, 12
+WIDE_DIGEST = "5585cc4c65086b317a4fde2e07817ab23b0c1861ccc40b9788891305d258ae1e"
 
 
 def _value(x) -> str:
@@ -51,11 +64,25 @@ def _entries(label: str, entries) -> Iterator[str]:
         yield f"{label} {i} {tag} {_value(value)}"
 
 
-def dump_lines() -> Iterator[str]:
-    """The dump, one line per exact entry, in a fixed order."""
-    for d in range(1, CELL_D + 1):
+def _cells(max_d: int) -> Iterator[str]:
+    for d in range(1, max_d + 1):
         yield from _entries(f"voronoi d={d}", typical_voronoi_fvector(d).entries)
         yield from _entries(f"zerocell d={d}", zero_cell_fvector(d).entries)
+
+
+def _hulls(d: int, ns) -> Iterator[str]:
+    for n in ns:
+        for beta in (Fraction(0), Fraction(1, 2)):
+            fv = beta_polytope_fvector(n, d, beta)
+            yield from _entries(f"beta-hull n={n} d={d} beta={beta}", fv.entries)
+        for beta in (Fraction(d + 1, 2), Fraction(d + 2, 2)):
+            fv = betaprime_polytope_fvector(n, d, beta)
+            yield from _entries(f"betaprime-hull n={n} d={d} beta={beta}", fv.entries)
+
+
+def dump_lines() -> Iterator[str]:
+    """The dump, one line per exact entry, in a fixed order."""
+    yield from _cells(CELL_D)
     for n in range(1, ROW_N + 1):
         for beta in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)):
             yield from _entries(f"beta n={n} beta={beta}", angle_table("beta", n, beta).entries)
@@ -70,17 +97,24 @@ def dump_lines() -> Iterator[str]:
                 f"poisson d={d} alpha={alpha}", poisson_polytope_fvector(d, alpha).entries
             )
     for d in range(1, HULL_D + 1):
-        for n in (d + 1, d + 2, d + 4):
-            for beta in (Fraction(0), Fraction(1, 2)):
-                fv = beta_polytope_fvector(n, d, beta)
-                yield from _entries(f"beta-hull n={n} d={d} beta={beta}", fv.entries)
-            for beta in (Fraction(d + 1, 2), Fraction(d + 2, 2)):
-                fv = betaprime_polytope_fvector(n, d, beta)
-                yield from _entries(f"betaprime-hull n={n} d={d} beta={beta}", fv.entries)
+        yield from _hulls(d, (d + 1, d + 2, d + 4))
 
 
-def dump_text() -> str:
-    return "".join(line + "\n" for line in dump_lines())
+def wide_dump_lines() -> Iterator[str]:
+    """The wide dump, one line per exact entry, in a fixed order."""
+    yield from _cells(WIDE_CELL_D)
+    for n in range(1, WIDE_ROW_N + 1):
+        for beta in (Fraction(0), Fraction(1, 2)):
+            yield from _entries(f"beta n={n} beta={beta}", angle_table("beta", n, beta).entries)
+    for d in range(1, WIDE_HULL_D + 1):
+        yield from _hulls(d, (d + 1, d + 2, d + 4, 4 * d))
+    yield from _entries("beta-hull n=100 d=6 beta=0", beta_polytope_fvector(100, 6, Fraction(0)).entries)
+    fv = betaprime_polytope_fvector(110, 2, Fraction(5, 2))
+    yield from _entries("betaprime-hull n=110 d=2 beta=5/2", fv.entries)
+
+
+def dump_text(wide: bool = False) -> str:
+    return "".join(line + "\n" for line in (wide_dump_lines() if wide else dump_lines()))
 
 
 def dump_digest() -> str:
@@ -90,11 +124,15 @@ def dump_digest() -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--print", action="store_true", help="print the dump before its sha256")
+    parser.add_argument("--wide", action="store_true", help="the wide dump, checked against WIDE_DIGEST")
     args = parser.parse_args()
-    text = dump_text()
+    text = dump_text(args.wide)
     if args.print:
         print(text, end="")
-    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {text.count(chr(10))} lines")
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    print(f"{digest}  {text.count(chr(10))} lines")
+    if args.wide and digest != WIDE_DIGEST:
+        sys.exit(f"wide dump sha256 differs from WIDE_DIGEST {WIDE_DIGEST}")
 
 
 if __name__ == "__main__":
