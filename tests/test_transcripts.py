@@ -36,6 +36,11 @@ Each digest is the sha256 of the stdout of one exact command.
     reads ``sin_cos_residue`` and, through ``ugly_coefficient``,
     ``residue_rational(s, j, M)``.
 
+  The ``verify --suite relations`` digest was re-recorded once since, when
+  the detail text of the two inversion checks changed from "identities" to
+  "N entries against the Fourier kernel, M identities"; every other line of
+  that stdout is as recorded.
+
 ``test_exact_dump`` pins the sha256 of the full ``tests/exact_dump.py``
 (every exact value with its provenance tag), recorded from the same
 even-derivative kernel.
@@ -84,7 +89,7 @@ TRANSCRIPTS = [
     ("reitzner --surface ball --d 8",
      "536a8b44e5b8d850b60267dcb7805c69f2d081e83d14b507f4187c2b4b2ac88e"),
     ("verify --suite relations",
-     "6d0dfb9ffb24e26aeacdfcff73bd5da2a2f653ca81075b11fadebde0bfd07bd2"),
+     "c32fbcb3c45b653f7f406cbae58201bf9efeeccfd2f01aa8831ec7bfbd8e2b84"),
     ("verify --suite crosscheck",
      "980445001215de52934c3221abb37c02f94c0bb10faed05b59fa97c2026a1db1"),
 ]
