@@ -16,17 +16,24 @@ and dx = ds / sqrt(1 - s^2) = dH / s^a.  So for p >= 0
 integrating by parts, with N = (q - p(a+1) - 1) / 2 (the residue is zero
 when that is not a nonnegative integer).  The series are held in z = y / 4,
 where [z^j] h_a(4z) = C(2j, j) / (a + 1 + 2j) and
-(1 - 4z)^(-1/2) = sum C(2j, j) z^j, so [y^N] = 4^-N [z^N].  Differentiating
-H gives (a + 1) h_a + 2y h_a' = (1 - y)^(-1/2), so u = h_a^P satisfies
-2y u' + P(a+1) u = P (1 - y)^(-1/2) h_a^(P-1): each power is one
-convolution of the power below it with the central binomials.  One cache
-keeps a prefix of h_a^P per (a, P), grown on demand: the residues of a
-Voronoi or Poisson f-vector, which share one a, build each h_a^P once, and
-P = 1 is h_a itself.  Each prefix is a list of integer numerators over one
-common denominator (h_a over lcm(a + 1, a + 3, ..., a + 2n - 1)), so the
-convolutions run on Python ints and a ``Fraction`` is formed once per
-coefficient returned.  ``residue_coefficient`` and ``sin_cos_residue`` are
-the only entry points; the representation stays inside this module.
+(1 - 4z)^(-1/2) = sum C(2j, j) z^j, so [y^N] = 4^-N [z^N].
+
+Each power is grown from the one below it by a two-term recurrence.  Pair
+A_j = h_a(4z)^j with B_j = (1 - 4z)^(-1/2) A_j.  Differentiating H gives
+(a + 1) h_a + 2y h_a' = (1 - y)^(-1/2), and from it, with c = 2k + j(a+1)
+and primes marking the coefficients of A_(j-1) and B_(j-1),
+
+    a_k = j b'_k / c,    b_k = (j a'_k + 4 (c - 1) b_(k-1)) / c,
+
+from the seeds A_0 = 1 and B_0 = sum C(2k, k) z^k.  So each coefficient
+costs a few products, whatever its index, and h_a itself is A_1.  One
+cache keeps the prefixes of the pair per (a, j), grown on demand: the
+residues of a Voronoi or Poisson f-vector, which share one a, build each
+h_a^j once.  A pair is two lists of integer numerators over one common
+denominator, the least that holds its A prefix, so the recurrence runs on
+Python ints and a ``Fraction`` is formed once per coefficient returned.
+``residue_coefficient`` and ``sin_cos_residue`` are the only entry points;
+the representation stays inside this module.
 
 Every coefficient returned is a ``Fraction``; pi-factors never enter a
 series, they are multiplied in by the callers.  The module also holds the
@@ -36,7 +43,6 @@ Bernoulli numbers.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,58 +52,55 @@ from .exact_scalars import DomainError
 # -- power series in z = s^2 / 4 ----------------------------------------------
 
 
-class _Series:
-    """A prefix f_0 .. f_(n-1) of a power series: f_k = nums[k] / den."""
-
-    __slots__ = ("nums", "den")
+class _Pair:
+    """Prefixes of A_j = h_a(4z)^j and B_j = (1 - 4z)^(-1/2) A_j over one
+    denominator: a_k = A[k] / den and b_k = B[k] / den."""
 
     def __init__(self) -> None:
-        self.nums: list[int] = []
+        self.A: list[int] = []
+        self.B: list[int] = []
         self.den = 1
-
-    def rescale(self, factor: int) -> None:
-        """The same values over den * factor."""
-        if factor != 1:
-            self.nums[:] = [c * factor for c in self.nums]
-            self.den *= factor
 
 
 @lru_cache(maxsize=None)
-def _prefix(a: int, P: int) -> _Series:
-    return _Series()
+def _pair(a: int, j: int) -> _Pair:
+    return _Pair()
 
 
-def _power(a: int, P: int, n: int) -> _Series:
-    """At least the first n coefficients in z of h_a(4z)^P, P >= 1, where
-    int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2).
+def _power(a: int, P: int, n: int) -> _Pair:
+    """A pair whose A holds at least the first n coefficients in z of
+    h_a(4z)^P, P >= 1, where int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2).
 
-    h_a is grown from its closed form, then h_a^2 .. h_a^P in turn, each
-    from the one below it: with u = h_a^m and v = h_a^(m-1),
-    u_k = m sum_j C(2j, j) v_(k-j) / (2k + m(a+1)).  When u.den does not
-    hold u_k, u moves to the least denominator that does; ``v.den`` is read
-    at each step, so a v rescaled since ``u`` last grew stays correct.  The
-    series are shared by every caller with this a and power and grow in
-    place; read them, never modify them.
+    Coefficient k of A_j needs coefficient k of B_(j-1), and coefficient k
+    of B_j needs coefficient k of A_(j-1) and coefficient k - 1 of B_j, so
+    the pairs j < P and A_P grow to n in turn.  Each growth of A_j moves the
+    pair to the least denominator that holds the new coefficients, with
+    one rescale; that denominator also holds B_j = B_0 A_j, whose
+    coefficients are integer combinations of those of A_j, so B_j grows by
+    exact integer division.  The pairs are shared by every caller with this
+    a and grow in place; read them, never modify them.
     """
-    out = _prefix(a, P)
-    if len(out.nums) >= n:
+    out = _pair(a, P)
+    if len(out.A) >= n:
         return out
-    v = _prefix(a, 1)
-    if len(v.nums) < n:
-        # over lcm(a + 1, ..., a + 2n - 1), a multiple of the old denominator
-        L = math.lcm(*range(a + 1, a + 2 * n, 2))
-        v.rescale(L // v.den)
-        v.nums.extend(math.comb(2 * j, j) * (L // (a + 1 + 2 * j)) for j in range(len(v.nums), n))
-    central = [math.comb(2 * j, j) for j in range(n)]
-    for m in range(2, P + 1):
-        u = _prefix(a, m)
-        for k in range(len(u.nums), n):
-            x = m * u.den * sum(map(operator.mul, central[: k + 1], v.nums[k::-1]))
-            d = v.den * (2 * k + m * (a + 1))
-            g = math.gcd(x, d)
-            u.rescale(d // g)
-            u.nums.append(x // g)
-        v = u
+    lo = _pair(a, 0)
+    lo.A.extend(int(k == 0) for k in range(len(lo.A), n))
+    lo.B.extend(math.comb(2 * k, k) for k in range(len(lo.B), n))
+    for j in range(1, P + 1):
+        hi = _pair(a, j)
+        new = [(j * lo.B[k], (2 * k + j * (a + 1)) * lo.den) for k in range(len(hi.A), n)]
+        den = math.lcm(hi.den, *(d // math.gcd(x, d) for x, d in new))
+        if den != hi.den:
+            f = den // hi.den
+            hi.A[:] = [x * f for x in hi.A]
+            hi.B[:] = [x * f for x in hi.B]
+            hi.den = den
+        hi.A.extend(x * den // d for x, d in new)
+        for k in range(len(hi.B), n if j < P else 0):
+            c = 2 * k + j * (a + 1)
+            x = j * lo.A[k] * den + (4 * (c - 1) * hi.B[k - 1] * lo.den if k else 0)
+            hi.B.append(x // (c * lo.den))
+        lo = hi
     return out
 
 
@@ -112,7 +115,7 @@ def residue_coefficient(a: int, p: int, q: int) -> Fraction:
         return Fraction(0)
     N = twice_N // 2
     h = _power(a, p + 1, N + 1)
-    return Fraction((q + a) * h.nums[N], (p + 1) * h.den * 4**N)
+    return Fraction((q + a) * h.A[N], (p + 1) * h.den * 4**N)
 
 
 def sin_cos_residue(p: int, q: int) -> Fraction:

@@ -410,33 +410,40 @@ def test_sin_cos_residue_matches_fraction_reference():
 
 
 def test_prefixes_grown_in_steps_match_reference():
-    # one cache holds every h_a with its powers.  h_a is held over
-    # lcm(a + 1, a + 3, ..., a + 2n - 1), so growing it rescales every
-    # numerator of h_a, and a power of h_a built before must stay valid
-    # over the new denominator
-    def check(a, p, n):
-        q = p * (a + 1) + 2 * n - 1
-        assert residue_coefficient(a, p, q) == _residue_rational_reference(a, p, q)
+    # one cache holds the pair A_j = h_a^j, B_j = (1 - y)^(-1/2) h_a^j per
+    # (a, j) over one denominator, and coefficient k of a pair reads
+    # coefficient k of the pair below it.  Growing a pair can move it to a
+    # larger denominator, which rescales both of its lists, so the pairs
+    # above it must stay valid, and a pair grown later must read the
+    # current denominator of the one below
+    def check(a, p, Ns):
+        # the residues that read [y^N] h_a^(p+1)
+        for N in Ns:
+            q = p * (a + 1) + 2 * N + 1
+            assert residue_coefficient(a, p, q) == _residue_rational_reference(a, p, q), (a, p, N)
 
     # x_over_sin_coeff reads residue_rational, whose cache would hide the kernel
     residue_rational.cache_clear()
-    series_kernel._prefix.cache_clear()
+    series_kernel._pair.cache_clear()
     h3_dens = set()
     for n in (1, 2, 3, 7, 8, 20, 45):
         for power in (31, 5):
             if 2 * n - 2 < power:
                 want = _sinc_coefficient_reference(-power, n - 1)
                 assert x_over_sin_coeff(power, 2 * n - 2) == want
-        for a, p in ((3, 1), (3, 2), (3, 5), (0, 2)):
-            check(a, p, n)
-        h3_dens.add(series_kernel._prefix(3, 1).den)
+        for a, p in ((3, 5), (3, 2), (3, 1), (0, 2)):
+            check(a, p, [n - 1])
+        h3_dens.add(series_kernel._pair(3, 1).den)
     # h_3 itself was rescaled between the steps that extended h_3^2 .. h_3^6
     assert len(h3_dens) > 1
 
-    series_kernel._prefix.cache_clear()
-    check(3, 5, 10)  # h_3^6, and with it h_3^2 .. h_3^5, to 10 coefficients
-    den = series_kernel._prefix(3, 1).den
-    check(3, 0, 30)  # h_3 alone to 30 coefficients, which rescales it
-    assert series_kernel._prefix(3, 1).den != den
-    check(3, 1, 20)  # h_3^2 extended from 10 to 20 over the new denominator
-    assert len(series_kernel._prefix(3, 2).nums) == 20
+    # for odd a the denominators stay small; for even a they grow with n
+    series_kernel._pair.cache_clear()
+    check(4, 7, range(10))  # high powers first: h_4^8, and every pair below
+    den = series_kernel._pair(4, 1).den
+    check(4, 0, range(30))  # then a low one: h_4 alone to 30 coefficients
+    check(4, 1, range(30))  # and h_4^2, from B_1, which was still at 10
+    assert series_kernel._pair(4, 1).den != den
+    check(4, 7, range(10, 40))  # then the high ones again, over the rescaled pairs
+    assert len(series_kernel._pair(4, 8).A) == 40
+    assert len(series_kernel._pair(4, 7).B) == 40
