@@ -23,7 +23,7 @@ go wrong without the committed dump noticing:
   - the beta rows n <= 32 at beta in {0, 1/2};
   - the same four hull families, d <= 12 and n in {d+1, d+2, d+4, 4d};
   - the many-point hulls: beta (100, 6, 0) and beta' (110, 2, 5/2).
-It takes about 25 s on a 2-core machine and stays out of the test suite;
+It takes about 15 s on a 2-core machine and stays out of the test suite;
 its sha256 is pinned in ``WIDE_DIGEST``.
 
 Run it as a script to print the dump's sha256 (and with ``--print`` the
