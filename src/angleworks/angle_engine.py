@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import quadrature, trig_algebra
-from .exact_scalars import PI, DomainError, PiNumber, c_beta, exact_scaled
+from .exact_scalars import PI, DomainError, PiNumber, c_beta, exact_scaled, linear_combination
 from .series_kernel import bernoulli, residue_coefficient
 
 
@@ -106,14 +106,12 @@ def bernoulli_fill(z: Sequence[Optional[PiNumber]]) -> list[PiNumber]:
 
     ``z`` is indexed 0..n; known entries are PiNumbers, unknown are None.
     Every unknown z_k is produced from the opposite parity class via the
-    Bernoulli-number formulas; entries above index n count as zero.
+    Bernoulli-number formulas.
     """
     n = len(z) - 1
     out: list[Optional[PiNumber]] = list(z)
 
     def known(i: int) -> PiNumber:
-        if i > n:
-            return PiNumber.zero()
         v = out[i]
         if v is None:
             raise DomainError(f"fill requires entry {i} of the opposite parity class")
@@ -122,18 +120,13 @@ def bernoulli_fill(z: Sequence[Optional[PiNumber]]) -> list[PiNumber]:
     for k in range(n, 0, -1):
         if out[k] is not None:
             continue
-        acc = PiNumber.zero()
-        if (n - k) % 2 == 0:
-            acc = acc + known(k - 1) * Fraction(1, k)
-        r = 1
-        while k + r <= n:
-            B = bernoulli(r + 1)
-            w = Fraction(math.factorial(k + r), math.factorial(r + 1) * math.factorial(k)) * B
+        pairs = [(known(k - 1), Fraction(1, k))] if (n - k) % 2 == 0 else []
+        for r in range(1, n - k + 1, 2):
+            w = Fraction(math.factorial(k + r), math.factorial(r + 1) * math.factorial(k)) * bernoulli(r + 1)
             if (n - k) % 2 == 1:
                 w *= 2 ** (r + 1) - 1
-            acc = acc + known(k + r) * w
-            r += 2
-        out[k] = acc * 2
+            pairs.append((known(k + r), w))
+        out[k] = linear_combination(pairs) * 2
     assert all(v is not None for v in out[1:])
     return [v if v is not None else PiNumber.zero() for v in out]
 
@@ -159,13 +152,11 @@ def relations_hold(z: Sequence[PiNumber]) -> bool:
     for every m: the Poincare relations of an angle row and the
     Dehn-Sommerville relations of a simplicial f-vector."""
     n = len(z) - 1
-    for m in range(n + 1):
-        total = PiNumber.zero()
-        for k in range(m, n + 1):
-            total = total + Fraction((-1) ** k * math.comb(k, m)) * z[k]
-        if total != Fraction((-1) ** n) * z[m]:
-            return False
-    return True
+    return all(
+        linear_combination((z[k], (-1) ** k * math.comb(k, m)) for k in range(m, n + 1))
+        == (-1) ** n * z[m]
+        for m in range(n + 1)
+    )
 
 
 # -- exact dispatchers ---------------------------------------------------------

@@ -263,6 +263,25 @@ class PiNumber:
 PI = PiNumber.pi_power(2)
 
 
+def linear_combination(pairs: Iterable[tuple[PiNumber, Scalar | PiNumber]]) -> PiNumber:
+    """The sum of ``x * w`` over ``pairs``: the one accumulator for linear
+    combinations of exact values.  Each pi-exponent keeps one integer
+    numerator over the lcm of its terms' denominators; products stay
+    unreduced, so a term costs one gcd and each exponent one ``Fraction``."""
+    acc: dict[int, tuple[int, int]] = {}
+    for x, w in pairs:
+        for e2, c2 in PiNumber._coerce(w)._terms.items():
+            for e1, c1 in x._terms.items():
+                e, num, den = e1 + e2, c1.numerator * c2.numerator, c1.denominator * c2.denominator
+                if e in acc:
+                    n0, d0 = acc[e]
+                    g = math.gcd(d0, den)
+                    q = den // g  # 1 when den divides d0: then d0 is the lcm
+                    num, den = n0 * q + num * (d0 // g), d0 * q
+                acc[e] = (num, den)
+    return PiNumber._wrap({e: Fraction(n, d) for e, (n, d) in acc.items() if n})
+
+
 def exact_scaled(x, scale: int = 2) -> int | None:
     """``scale * x`` as an int when ``x`` is an int or Fraction that makes
     it one, else None: the one test that sends a parameter to the exact

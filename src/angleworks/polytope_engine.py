@@ -30,7 +30,7 @@ from .angle_engine import (
     relations_hold,
     residue_rational,
 )
-from .exact_scalars import DomainError, PiNumber, c_beta, exact_scaled, gamma_half
+from .exact_scalars import DomainError, PiNumber, c_beta, exact_scaled, gamma_half, linear_combination
 
 #: provenance of a sum of terms: the tag of its least direct term
 _PROV_RANK = {"closed": 0, "residue": 1, "tan_algebra": 2, "fill": 3, "numeric": 4}
@@ -73,13 +73,12 @@ def _parity_sum(d: int, external, internal) -> tuple:
     terms = {m: (external(m), internal(m)) for m in range(d, 0, -2)}
     entries = []
     for k in range(1, d + 1):
-        total, tags = 0, []
-        for m in range(k, d + 1):
-            if (d - m) % 2 == 0:
-                ext, row = terms[m]
-                total = total + ext * row[k - 1][0]
-                tags.append(row[k - 1][1])
-        entries.append((2 * total, max(tags, key=_PROV_RANK.__getitem__)))
+        used = [terms[m] for m in range(k + (d - k) % 2, d + 1, 2)]
+        pairs = [(ext, row[k - 1][0]) for ext, row in used]
+        tag = max((row[k - 1][1] for _, row in used), key=_PROV_RANK.__getitem__)
+        exact = isinstance(pairs[0][0], PiNumber)
+        total = linear_combination(pairs) if exact else sum(x * z for x, z in pairs)
+        entries.append((2 * total, tag))
     return tuple(entries)
 
 
@@ -267,8 +266,7 @@ def euler_relation_holds(fv: FVector) -> bool:
     want = 1 - (-1) ** fv.d
     values = fv.values()
     if all(isinstance(v, PiNumber) for v in values):
-        total = sum((Fraction((-1) ** l) * v for l, v in enumerate(values)), PiNumber.zero())
-        return total == PiNumber.from_rational(want)
+        return linear_combination((v, (-1) ** l) for l, v in enumerate(values)) == want
     return abs(sum((-1) ** l * v for l, v in enumerate(values)) - want) < 1e-8
 
 

@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_scalars import DomainError, PiNumber, c_beta, gamma_half
+from .exact_scalars import DomainError, PiNumber, c_beta, gamma_half, linear_combination
 
 Key = tuple[int, int, str]  # (u-power j, frequency m, "cos" | "sin")
 Terms = dict[Key, int]  # numerators of coeff * u^j * cos(mu) or sin(mu)
@@ -229,11 +229,10 @@ def _inversion_row(n: int, alpha: int, shift: int) -> tuple[PiNumber, ...]:
     sigma = 2 * shift - 1
     row = [PiNumber.one()] * (n + 1)
     for k in range(n - 1, 0, -1):
-        acc = PiNumber.zero()
-        for m in range(k + 1, n + 1):
-            term = row[m] * internal(m, k, alpha + sigma * (m - 1))
-            acc = acc + term if (m - k) % 2 else acc - term
-        row[k] = acc
+        row[k] = linear_combination(
+            (row[m] if (m - k) % 2 else -row[m], internal(m, k, alpha + sigma * (m - 1)))
+            for m in range(k + 1, n + 1)
+        )
     return tuple(row[1:])
 
 
@@ -358,8 +357,8 @@ def bJ_exact_case_iii(n: int, k: int, alpha: int) -> PiNumber:
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
     m = n - k
-    real = PiNumber.zero()
-    for j in range(0, m + 1, 2):
-        weight = Fraction((-1) ** (j // 2) * math.comb(m, j), 2 ** (m - j))
-        real = real + _tan_moment(alpha, alpha * n + 1, j) * weight
+    real = linear_combination(
+        (_tan_moment(alpha, alpha * n + 1, j), Fraction((-1) ** (j // 2) * math.comb(m, j), 2 ** (m - j)))
+        for j in range(0, m + 1, 2)
+    )
     return math.comb(n, k) * c_beta(alpha * n) * real

@@ -16,6 +16,7 @@ from angleworks.exact_scalars import (
     exact_scaled,
     format_pinumber,
     gamma_half,
+    linear_combination,
     normalizing_constant,
     parse_pinumber,
     pinumber_from_json,
@@ -222,6 +223,46 @@ def test_powers_of_other_values_match_repeated_products(terms, p):
     for _ in range(p):
         want = _ref_product(want, x.terms)
     assert _canonical(x**p) == want
+
+
+# denominators that share factors (2, 3, 4, 6, 12) and that are coprime to them
+_MIXED_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 6, 12, 5, 7, 143])
+_MIXED_COEFFICIENTS = st.builds(F, st.integers(-30, 30), _MIXED_DENOMINATORS)
+_MIXED_VALUES = st.dictionaries(st.integers(-6, 6), _MIXED_COEFFICIENTS, max_size=4).map(PiNumber)
+_WEIGHTS = st.one_of(st.integers(-5, 5), _MIXED_COEFFICIENTS, _MIXED_VALUES)
+
+
+def _fold(pairs):
+    total = PiNumber.zero()
+    for x, w in pairs:
+        total = total + x * w
+    return total
+
+
+def _reduced(x):
+    """The terms of ``x``, canonical and each in lowest terms."""
+    terms = _canonical(x)
+    assert all(math.gcd(c.numerator, c.denominator) == 1 for c in terms.values())
+    return terms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_MIXED_VALUES, _WEIGHTS), max_size=6))
+def test_linear_combination_matches_a_fold_of_ring_operations(pairs):
+    want = _fold(pairs).terms
+    assert _reduced(linear_combination(pair for pair in pairs)) == want
+    # cancellation: of every term, and of one pi-exponent at a time
+    assert _reduced(linear_combination(pairs + [(x, -w) for x, w in pairs])) == {}
+    for e, c in want.items():
+        rest = linear_combination(pairs + [(PiNumber({e: c}), -1)])
+        assert _reduced(rest) == {f: d for f, d in want.items() if f != e}
+
+
+def test_linear_combination_of_nothing_is_zero():
+    assert linear_combination([]).is_zero()
+    assert linear_combination(iter(())).is_zero()
+    pi = PiNumber.pi_power(2)
+    assert linear_combination([(pi, 0), (pi, F(0)), (pi, PiNumber.zero())]).is_zero()
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 8, 13])

@@ -1,4 +1,5 @@
 """Module boundaries: no module reaches into another's private names, no
+module sums exact values in a loop of its own instead of the one kernel, no
 file of the package or its tests imports a name it never reads, and every
 public name of the package is read somewhere in it."""
 
@@ -56,6 +57,70 @@ def test_checker_flags_private_access(tmp_path):
         "line 2: from .angle_engine import _bJ_row",
         "line 3: quadrature._c_beta_float",
     ]
+
+
+def _is_zero_seed(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "zero"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "PiNumber"
+    )
+
+
+def _hand_rolled_sums(path: Path) -> list[str]:
+    """Loops that rebind a name seeded from ``PiNumber.zero()`` with ``+``,
+    ``-``, ``+=`` or ``-=``: linear combinations that bypass
+    ``exact_scalars.linear_combination``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    seeded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                else:
+                    pairs = [(target, node.value)]
+                seeded |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_zero_seed(v)}
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.AugAssign):
+                names, ops = [node.target], [node.op]
+            elif isinstance(node, ast.Assign):
+                names = node.targets
+                ops = [sub.op for sub in ast.walk(node.value) if isinstance(sub, ast.BinOp)]
+            else:
+                continue
+            if any(isinstance(op, (ast.Add, ast.Sub)) for op in ops):
+                found |= {(node.lineno, t.id) for t in names if isinstance(t, ast.Name) and t.id in seeded}
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_rolled_linear_combinations(path):
+    assert _hand_rolled_sums(path) == []
+
+
+def test_checker_flags_hand_rolled_sums(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(xs, ws):\n"
+        "    acc = PiNumber.zero()\n"
+        "    total, n = PiNumber.zero(), 0\n"
+        "    for x, w in zip(xs, ws):\n"
+        "        acc = acc + x * w\n"
+        "        total += x\n"
+        "        n = n + 1\n"
+        "    while xs:\n"
+        "        acc = acc - xs.pop() if n else acc\n"
+        "    acc = acc * 2\n"
+        "    return acc + 1, total, linear_combination(zip(xs, ws))\n"
+    )
+    assert _hand_rolled_sums(bad) == ["line 5: acc", "line 6: total", "line 9: acc"]
 
 
 def _unused_imports(path: Path) -> list[str]:
