@@ -4,7 +4,6 @@ f-vectors of random polytopes, with a Monte Carlo verification oracle."""
 from .exact_scalars import (
     DomainError,
     PiNumber,
-    Rational,
     c_beta,
     c_tilde_beta,
     format_pinumber,
@@ -17,18 +16,12 @@ from .exact_scalars import (
 )
 from .angle_engine import (
     AngleTable,
-    ParityError,
     angle_table,
     bJ_exact,
-    bJ_residue,
     bJtilde_exact,
-    bJtilde_residue,
     bernoulli_fill,
     fill_row,
-    lA_residue,
-    p_alpha_k_value,
     residue_rational,
-    rm_value,
 )
 from .polytope_engine import (
     FVector,

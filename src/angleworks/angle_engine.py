@@ -11,6 +11,12 @@ Exact values are reached through three routes, preferred in this order:
                      one parity case the residues miss (odd concentration
                      parameter, even number of vertices).
 
+On the tangent route the powers of the tangent polynomial T are integer
+numerators over L^j, L = lcm(1, 3, ..., alpha), and each moment is one
+integer dot product against the ratios I(p + 2) / I(p) = (p + 1) /
+(q - p - 1) of the integrals of sin^p cos^(q-p), so a ``PiNumber`` is
+formed once per moment.
+
 Non-half-integer parameters fall back to numerical quadrature.
 """
 
@@ -22,13 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from . import quadrature, trig_algebra
-from .exact_scalars import PI, DomainError, PiNumber, c_beta, exact_scaled, linear_combination
+from . import quadrature
+from .exact_scalars import PI, DomainError, PiNumber, c_beta, exact_scaled, gamma_half, linear_combination
 from .series_kernel import bernoulli, residue_coefficient
-
-
-class ParityError(DomainError):
-    """The residue formula does not apply at these parities."""
 
 
 @lru_cache(maxsize=None)
@@ -54,32 +56,6 @@ def _residue_applies(n: int, k: int, alpha: int, shift: int) -> bool:
     if shift:
         return alpha * k % 2 == 0
     return alpha % 2 == 0 and (n - k) % 2 == 1 or alpha % 2 == 1 and n % 2 == 1
-
-
-def bJ_residue(n: int, k: int, alpha: int) -> PiNumber:
-    """bold-J_{n,k}((alpha-n+1)/2) if alpha is even and n-k odd, or both
-    alpha and n are odd."""
-    if not (n >= 3 and 1 <= k <= n):
-        raise DomainError("need n >= 3 and 1 <= k <= n")
-    if alpha < max(n - 3, 1):
-        raise DomainError(f"need alpha >= max(n-3, 1), got alpha={alpha}")
-    if not _residue_applies(n, k, alpha, 0):
-        raise ParityError(
-            f"residue route needs (alpha even, n-k odd) or (alpha, n odd); "
-            f"got n={n}, k={k}, alpha={alpha}"
-        )
-    return _bJ_residue(n, k, alpha, 0)
-
-
-def bJtilde_residue(n: int, k: int, alpha: int) -> PiNumber:
-    """bold-J~_{n,k}((alpha+n-1)/2) whenever alpha*k is even."""
-    if not (n >= 1 and 1 <= k <= n):
-        raise DomainError("need 1 <= k <= n")
-    if alpha < 1:
-        raise DomainError("need integer alpha >= 1")
-    if not _residue_applies(n, k, alpha, 1):
-        raise ParityError(f"residue route needs alpha*k even; got {alpha}*{k}")
-    return _bJ_residue(n, k, alpha, 1)
 
 
 def _bJ_residue(n: int, k: int, alpha: int, shift: int) -> PiNumber:
@@ -147,16 +123,105 @@ def fill_row(
     )
 
 
-def relations_hold(z: Sequence[PiNumber]) -> bool:
-    """Whether (z_0, .., z_n) satisfies sum_k (-1)^k C(k,m) z_k = (-1)^n z_m
-    for every m: the Poincare relations of an angle row and the
-    Dehn-Sommerville relations of a simplicial f-vector."""
-    n = len(z) - 1
-    return all(
-        linear_combination((z[k], (-1) ** k * math.comb(k, m)) for k in range(m, n + 1))
-        == (-1) ** n * z[m]
-        for m in range(n + 1)
+# -- tangent-polynomial route (alpha odd, n even) ------------------------------
+
+
+def inner_tan_antiderivative(alpha: int) -> dict[int, Fraction]:
+    """The odd polynomial T with  integral_0^x (cos y)^(-alpha-1) dy = T(tan x),
+    for odd alpha (so the integrand is an even power of sec), as
+    {power of tan x: coefficient}."""
+    if alpha < 1 or alpha % 2 == 0:
+        raise DomainError(
+            "inner tangent antiderivative needs odd alpha (even alpha is logarithmic)"
+        )
+    s = (alpha + 1) // 2  # integrand = sec^{2s} = (1+t^2)^{s-1} dt
+    return {2 * i + 1: Fraction(math.comb(s - 1, i), 2 * i + 1) for i in range(s)}
+
+
+@lru_cache(maxsize=None)
+def _tan_powers(alpha: int) -> list[list[int]]:
+    return [[1]]
+
+
+def _tan_power(alpha: int, j: int) -> list[int]:
+    """T^j, T = inner_tan_antiderivative(alpha), as integer numerators over
+    L^j, L = lcm(1, 3, ..., alpha): entry i is the coefficient of
+    tan^(j + 2i) x (T is odd, so T^j has only powers of the parity of j).
+
+    The powers of one alpha are kept in one list, each built from the one
+    before it, and shared by every k and n."""
+    powers = _tan_powers(alpha)
+    if len(powers) <= j:
+        L = math.lcm(*range(1, alpha + 1, 2))
+        T = [int(c * L) for c in inner_tan_antiderivative(alpha).values()]
+        while len(powers) <= j:
+            prev = powers[-1]
+            nxt = [0] * (len(prev) + len(T) - 1)
+            for i, c in enumerate(prev):
+                for l, t in enumerate(T):
+                    nxt[i + l] += c * t
+            powers.append(nxt)
+    return powers[j]
+
+
+@lru_cache(maxsize=None)
+def _tan_moment(alpha: int, q: int, j: int) -> PiNumber:
+    """The integral over [-pi/2, pi/2] of (c T(tan x))^j cos^q x, with
+    c = c_beta(alpha - 1): term j of every entry of a case-iii row.
+
+    With I(p) the integral of sin^p cos^(q-p), it is c^j sum_p t_p I(p) over
+    the coefficients t_p of T^j.  I(p) vanishes for odd p, and for even p
+    I(p + 2) = I(p) (p + 1) / (q - p - 1), so I(p) = I(0) w_p / W with
+    integers w_p and W = (q - 1)(q - 3)...: the sum is one integer dot
+    product times I(0)."""
+    nums = _tan_power(alpha, j)
+    top = j + 2 * (len(nums) - 1)  # the highest power of tan
+    if top > q:
+        raise DomainError("tangent power exceeds available cosine power")
+    if j % 2:  # only odd powers of tan
+        return PiNumber.zero()
+    # w[i] = (1 * 3 * ... * (2i - 1)) * ((q - 2i - 1) * ... * (q - top + 1))
+    heads, tails = [1], [1]
+    for e in range(0, top, 2):
+        heads.append(heads[-1] * (e + 1))
+        tails.append(tails[-1] * (q - top + e + 1))
+    tails.reverse()
+    dot = sum(c * heads[j // 2 + i] * tails[j // 2 + i] for i, c in enumerate(nums))
+    L = math.lcm(*range(1, alpha + 1, 2))
+    ratio = Fraction(dot, L**j * tails[0])
+    return (c_beta(alpha - 1) ** j) * (sin_cos_integral(0, q) * ratio)
+
+
+@lru_cache(maxsize=None)
+def sin_cos_integral(p: int, q: int) -> PiNumber:
+    """Exact integral of sin^p cos^q over [-pi/2, pi/2] (p, q >= 0)."""
+    if p < 0 or q < 0:
+        raise DomainError("powers must be nonnegative")
+    if p % 2 == 1:
+        return PiNumber.zero()
+    return gamma_half(p + 1) * gamma_half(q + 1) / gamma_half(p + q + 2)
+
+
+def bJ_exact_case_iii(n: int, k: int, alpha: int) -> PiNumber:
+    """Exact bold-J_{n,k}((alpha-n+1)/2) for odd alpha and even n.
+
+    Expands (1/2 + i c T(tan x))^(n-k) binomially.  The odd powers of
+    tan, which carry the imaginary part, integrate to zero against
+    cos^(alpha n + 1), so only the even powers are summed; they reduce to
+    Beta-function values in Q[pi^(1/2), pi^(-1/2)].
+    """
+    if n % 2 != 0 or alpha % 2 != 1:
+        raise DomainError("this route needs even n and odd alpha")
+    if alpha < max(n - 3, 1):
+        raise DomainError(f"alpha >= n-3 required (alpha={alpha}, n={n})")
+    if not 1 <= k <= n:
+        raise DomainError("need 1 <= k <= n")
+    m = n - k
+    real = linear_combination(
+        (_tan_moment(alpha, alpha * n + 1, j), Fraction((-1) ** (j // 2) * math.comb(m, j), 2 ** (m - j)))
+        for j in range(0, m + 1, 2)
     )
+    return math.comb(n, k) * c_beta(alpha * n) * real
 
 
 # -- exact dispatchers ---------------------------------------------------------
@@ -191,7 +256,7 @@ def _bJ_row(n: int, twice_beta: int, shift: int) -> tuple[tuple[PiNumber, str], 
     alpha = twice_beta - n + 1 if shift else twice_beta + n - 1
     if shift == 0 and alpha % 2 == 1 and n % 2 == 0:
         return tuple(
-            (trig_algebra.bJ_exact_case_iii(n, k, alpha), "tan_algebra")
+            (bJ_exact_case_iii(n, k, alpha), "tan_algebra")
             for k in range(1, n + 1)
         )
     return fill_row(
@@ -212,57 +277,6 @@ def bJtilde_exact(n: int, k: int, twice_beta: int) -> PiNumber:
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
     return _bJ_row(n, twice_beta, 1)[k - 1][0]
-
-
-# -- the a[nu, kappa] residue evaluations --------------------------------------
-
-
-def lA_residue(nu_num: int, kappa_num: int, alpha: int, shift: int) -> PiNumber:
-    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) with
-    nu = nu_num/alpha, kappa = kappa_num/alpha, via the rational residue:
-    alpha^(r+1)/(2 r!) times the residue at sin^(alpha - shift) and
-    q = nu_num + shift.  Shift 0 requires alpha*kappa + nu - kappa odd,
-    shift 1 requires alpha*kappa even."""
-    if alpha < 1:
-        raise DomainError("alpha must be a positive integer")
-    if (nu_num - kappa_num) % alpha != 0:
-        raise DomainError("nu - kappa must be a nonnegative integer")
-    r = (nu_num - kappa_num) // alpha
-    if r < 0:
-        return PiNumber.zero()
-    if shift == 0 and (kappa_num + r) % 2 == 0:
-        raise ParityError(
-            "a[nu, kappa] residue form needs alpha*kappa + (nu - kappa) odd"
-        )
-    if shift == 1 and kappa_num % 2 != 0:
-        raise ParityError("a~[nu, kappa] residue form needs alpha*kappa even")
-    res = residue_rational(alpha - shift, r, nu_num + shift)
-    return PiNumber.from_rational(
-        Fraction(alpha ** (r + 1), 2 * math.factorial(r)) * res
-    )
-
-
-# -- pointwise rational-structure checks ---------------------------------------
-
-
-def rm_value(m: int, n: int) -> Fraction:
-    """The scalar R_m(n) in the closed form of bold-J_{n,1}(m - 1/2)."""
-    if m < 0 or n < 3:
-        raise DomainError("need m >= 0 and n >= 3")
-    a = n + 2 * m - 2
-    res = residue_rational(a, n - 1, a * n + 2)
-    return Fraction(n + 2 * m - 1) ** (n - 1) * res
-
-
-def p_alpha_k_value(alpha: int, k: int, n: int) -> Fraction:
-    """The polynomial value P_{alpha,k}(n) in the closed form of
-    bold-J~_{n,k}((alpha+n-1)/2); requires alpha*k even."""
-    if alpha < 1 or k < 1 or n < k:
-        raise DomainError("need alpha >= 1 and n >= k >= 1")
-    if (alpha * k) % 2 != 0:
-        raise ParityError("P_{alpha,k} requires alpha*k even")
-    res = residue_rational(alpha - 1, n - k, alpha * n - 1)
-    return Fraction(alpha) ** (n - k) * res
 
 
 # -- angle tables ---------------------------------------------------------------

@@ -22,9 +22,6 @@ from typing import Iterable, Mapping, Union
 
 import mpmath
 
-#: The exact rational scalar type used throughout the package.
-Rational = Fraction
-
 #: Hard cap for ``to_decimal`` requests.
 MAX_DECIMAL_DIGITS = 200
 

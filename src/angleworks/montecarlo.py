@@ -37,8 +37,17 @@ class McEstimate:
     trials: int
     seed: int
 
+    def z(self, target: float) -> float:
+        """|mean - target| in standard errors; an estimate without spread
+        must equal the target (z = 0) or fails (z = inf)."""
+        if self.mean == target:
+            return 0.0
+        if self.stderr == 0.0:
+            return math.inf
+        return abs(self.mean - target) / self.stderr
+
     def agrees(self, target: float, sigmas: float = 4.0) -> bool:
-        return abs(self.mean - target) <= sigmas * max(self.stderr, 1e-300)
+        return self.z(target) <= sigmas
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -3,8 +3,10 @@ constants.
 
 The primary computational route for every family is the parity-restricted
 sum  E f_{k-1} = 2 * sum over m of (external angle sum) * (internal angle
-sum): it has no parity gaps.  The direct residue formulas are kept as
-independent cross-checks.
+sum): it has no parity gaps.  The direct residue forms of the Poisson
+entries and the Reitzner constants, the zero cell's product formula and the
+Euler and Dehn-Sommerville predicates live in ``verify`` as its
+cross-checks.
 
 An exact beta or beta' hull of n points at alpha reads its external sums
 from the inversion relations when n <= alpha + 3, so it needs only exact
@@ -23,13 +25,7 @@ from typing import Optional
 import mpmath
 
 from . import quadrature, trig_algebra
-from .angle_engine import (
-    angle_table,
-    bJ_exact,
-    fill_row,
-    relations_hold,
-    residue_rational,
-)
+from .angle_engine import angle_table, bJ_exact, fill_row, residue_rational
 from .exact_scalars import DomainError, PiNumber, c_beta, exact_scaled, gamma_half, linear_combination
 
 #: provenance of a sum of terms: the tag of its least direct term
@@ -110,16 +106,6 @@ def poisson_polytope_fvector(d: int, alpha) -> FVector:
     return FVector(d, "poisson", {"alpha": a}, entries)
 
 
-def poisson_residue_entry(d: int, k: int, alpha: int) -> PiNumber:
-    """Direct residue form of E f_{k-1} (valid when alpha*k is even);
-    used as a cross-check of the summed route."""
-    if (alpha * k) % 2 != 0:
-        raise DomainError("residue form requires alpha*k even")
-    pref = (gamma_half(1) * gamma_half(alpha) / gamma_half(alpha + 1)) ** k
-    res = residue_rational(alpha - 1, d - k, alpha * d + 1)
-    return Fraction(alpha**d * math.comb(d, k)) * pref * res
-
-
 # -- Poisson zero cell --------------------------------------------------------
 
 
@@ -139,29 +125,6 @@ def zero_cell_entry_even(d: int, ell: int) -> PiNumber:
         raise DomainError("this form needs even d - ell")
     m = d - ell
     return PiNumber.pi_power(2 * m, math.comb(d, ell) * x_over_sin_coeff(d + 1, m))
-
-
-def parity_product_coeff(d: int, m: int) -> Fraction:
-    """[x^m] prod (1 + j^2 x^2) over 0 < j < d of parity opposite to d."""
-    poly = [Fraction(1)]
-    for j in range(1, d):
-        if j % 2 != d % 2:
-            # multiply by (1 + j^2 x^2)
-            nxt = poly + [Fraction(0), Fraction(0)]
-            for i, c in enumerate(poly):
-                nxt[i + 2] += c * j * j
-            poly = nxt
-    return poly[m] if m < len(poly) else Fraction(0)
-
-
-def zero_cell_entry_product(d: int, ell: int) -> PiNumber:
-    """Independent product-formula form of E f_ell (even d - ell):
-    pi^(d-ell)/(d-ell)! * [x^(d-ell)] prod (1 + j^2 x^2) over j < d of
-    opposite parity."""
-    if (d - ell) % 2 != 0:
-        raise DomainError("this form needs even d - ell")
-    m = d - ell
-    return PiNumber.pi_power(2 * m, parity_product_coeff(d, m) / math.factorial(m))
 
 
 def zero_cell_fvector(d: int) -> FVector:
@@ -257,29 +220,6 @@ def _hull_fvector(model: str, n: int, d: int, beta, alpha) -> FVector:
     return FVector(d, model, {"n": n, "beta": beta}, entries)
 
 
-# -- consistency relations -------------------------------------------------------
-
-
-def euler_relation_holds(fv: FVector) -> bool:
-    """Euler relation sum (-1)^ell f_ell = 1 - (-1)^d: exact for exact
-    entries, to 1e-8 for numeric ones."""
-    want = 1 - (-1) ** fv.d
-    values = fv.values()
-    if all(isinstance(v, PiNumber) for v in values):
-        return linear_combination((v, (-1) ** l) for l, v in enumerate(values)) == want
-    return abs(sum((-1) ** l * v for l, v in enumerate(values)) - want) < 1e-8
-
-
-def dehn_sommerville_holds(fv: FVector) -> bool:
-    """All Dehn-Sommerville relations, exactly, on the vector (z_0..z_d) of
-    the simplicial f-vector: directly for the simplicial models, through the
-    dual for the simple ones."""
-    values = list(fv.values())
-    if fv.model in ("zerocell", "voronoi"):
-        values.reverse()
-    return relations_hold([PiNumber.one()] + values)
-
-
 # -- Reitzner constants -----------------------------------------------------------
 
 
@@ -322,27 +262,6 @@ def reitzner_ball(d: int, k: int) -> ReitznerConstant:
     return ReitznerConstant(value, J)
 
 
-def reitzner_ball_residue(d: int, k: int) -> float:
-    """Residue form of C_{d,k}; valid when d is odd or both d, d-k even."""
-    if not (d % 2 == 1 or (d % 2 == 0 and (d - k) % 2 == 0)):
-        raise DomainError("parity conditions of the residue form not met")
-    res = residue_rational(d, d - k - 1, d * d + 2)
-    with mpmath.workdps(_MP_DPS):
-        dd = mpmath.mpf(d)
-        pref = (
-            (dd * dd + 1)
-            / mpmath.factorial(d)
-            * mpmath.power(dd + 1, (dd * dd - dd) / (dd + 1))
-            * math.comb(d, k + 1)
-            * mpmath.gamma((dd * dd + 1) / (dd + 1))
-            * mpmath.power(
-                mpmath.sqrt(mpmath.pi) * mpmath.gamma((dd + 1) / 2) / mpmath.gamma((dd + 2) / 2),
-                k + mpmath.mpf(2) / (dd + 1),
-            )
-        )
-        return float(pref * mpmath.mpf(res.numerator) / res.denominator)
-
-
 def reitzner_sphere(d: int, k: int) -> ReitznerConstant:
     """C*_{d,k}: the per-point face-number constant of random inscribed
     polytopes; lies in the pi-ring, so the exact value is returned too."""
@@ -357,19 +276,3 @@ def reitzner_sphere(d: int, k: int) -> ReitznerConstant:
     )
     exact = pref * J
     return ReitznerConstant(float(exact.evaluate(_MP_DPS)), J, exact)
-
-
-def reitzner_sphere_residue(d: int, k: int) -> PiNumber:
-    """Residue form of C*_{d,k}; valid when d is odd or both d, d-k even.
-
-    Prefactor re-derived from the angle form: (d-1)^(d-1)/d * C(d, k+1) *
-    (sqrt(pi) Gamma((d-1)/2) / Gamma(d/2))^k; reproduces C*_{d,0} = 1 and
-    C*_{3,2} = 2.
-    """
-    if not (d % 2 == 1 or (d % 2 == 0 and (d - k) % 2 == 0)):
-        raise DomainError("parity conditions of the residue form not met")
-    res = residue_rational(d - 2, d - k - 1, d * d - 2 * d + 2)
-    pref = Fraction((d - 1) ** (d - 1) * math.comb(d, k + 1), d) * (
-        gamma_half(1) * gamma_half(d - 1) / gamma_half(d)
-    ) ** k
-    return pref * res

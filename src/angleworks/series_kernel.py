@@ -32,8 +32,8 @@ residues of a Voronoi or Poisson f-vector, which share one a, build each
 h_a^j once.  A pair is two lists of integer numerators over one common
 denominator, the least that holds its A prefix, so the recurrence runs on
 Python ints and a ``Fraction`` is formed once per coefficient returned.
-``residue_coefficient`` and ``sin_cos_residue`` are the only entry points;
-the representation stays inside this module.
+``residue_coefficient`` is the only entry point; the representation stays
+inside this module.
 
 Every coefficient returned is a ``Fraction``; pi-factors never enter a
 series, they are multiplied in by the callers.  The module also holds the
@@ -116,18 +116,6 @@ def residue_coefficient(a: int, p: int, q: int) -> Fraction:
     N = twice_N // 2
     h = _power(a, p + 1, N + 1)
     return Fraction((q + a) * h.A[N], (p + 1) * h.den * 4**N)
-
-
-def sin_cos_residue(p: int, q: int) -> Fraction:
-    """[x^-1] 1 / (sin^p x cos^q x) for odd p >= 1 and any integer q.
-
-    In s = sin x this is [s^(p-1)] (1 - s^2)^(-(q+1)/2) =
-    (-1)^n C(-(q+1)/2, n), n = (p - 1) / 2, that is
-    (q+1)(q+3)...(q+2n-1) / (2^n n!)."""
-    if p < 1 or p % 2 == 0:
-        raise DomainError(f"sin_cos_residue needs an odd p >= 1, got p={p}")
-    n = (p - 1) // 2
-    return Fraction(math.prod(range(q + 1, q + 2 * n, 2)), 2**n * math.factorial(n))
 
 
 # -- Bernoulli numbers -------------------------------------------------------

@@ -21,13 +21,6 @@ The kernel serves the external angle sums of simplices with many points,
 n > alpha + 3.  For n <= alpha + 3 they are solved from the inversion
 relations with the exact internal rows, and the kernel stays as their
 cross-check.
-
-The module also holds the tangent-polynomial route for the one parity case
-whose internal angles are not reachable by residues.  There the powers of
-the tangent polynomial T are integer numerators over L^j, L = lcm(1, 3,
-..., alpha), and each moment is one integer dot product against the
-ratios I(p + 2) / I(p) = (p + 1) / (q - p - 1) of the integrals of
-sin^p cos^(q-p), so a ``PiNumber`` is formed once per moment.
 """
 
 from __future__ import annotations
@@ -36,7 +29,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_scalars import DomainError, PiNumber, c_beta, gamma_half, linear_combination
+from .angle_engine import bJ_exact, bJtilde_exact
+from .exact_scalars import DomainError, PiNumber, c_beta, linear_combination
 
 Key = tuple[int, int, str]  # (u-power j, frequency m, "cos" | "sin")
 Terms = dict[Key, int]  # numerators of coeff * u^j * cos(mu) or sin(mu)
@@ -223,8 +217,6 @@ def _inversion_row(n: int, alpha: int, shift: int) -> tuple[PiNumber, ...]:
     alpha - m + 1 (beta) or alpha + m - 1 (beta').  Every internal row it
     reads sits at the same internal alpha; the beta rows exist for
     n <= alpha + 3."""
-    from .angle_engine import bJ_exact, bJtilde_exact  # angle_engine imports this module
-
     internal = bJtilde_exact if shift else bJ_exact
     sigma = 2 * shift - 1
     row = [PiNumber.one()] * (n + 1)
@@ -261,104 +253,3 @@ def external_bI_tilde(n: int, k: int, alpha: int) -> PiNumber:
     """Expected external angle sum of the beta' simplex (bold-I~_{n,k}(alpha)),
     exact for integer alpha >= 1."""
     return _external_entry(n, k, alpha, 1)
-
-
-# -- tangent-polynomial route (internal angles, alpha odd / n even) ----------
-
-
-def inner_tan_antiderivative(alpha: int) -> dict[int, Fraction]:
-    """The odd polynomial T with  integral_0^x (cos y)^(-alpha-1) dy = T(tan x),
-    for odd alpha (so the integrand is an even power of sec), as
-    {power of tan x: coefficient}."""
-    if alpha < 1 or alpha % 2 == 0:
-        raise DomainError(
-            "inner tangent antiderivative needs odd alpha (even alpha is logarithmic)"
-        )
-    s = (alpha + 1) // 2  # integrand = sec^{2s} = (1+t^2)^{s-1} dt
-    return {2 * i + 1: Fraction(math.comb(s - 1, i), 2 * i + 1) for i in range(s)}
-
-
-@lru_cache(maxsize=None)
-def _tan_powers(alpha: int) -> list[list[int]]:
-    return [[1]]
-
-
-def _tan_power(alpha: int, j: int) -> list[int]:
-    """T^j, T = inner_tan_antiderivative(alpha), as integer numerators over
-    L^j, L = lcm(1, 3, ..., alpha): entry i is the coefficient of
-    tan^(j + 2i) x (T is odd, so T^j has only powers of the parity of j).
-
-    The powers of one alpha are kept in one list, each built from the one
-    before it, and shared by every k and n."""
-    powers = _tan_powers(alpha)
-    if len(powers) <= j:
-        L = math.lcm(*range(1, alpha + 1, 2))
-        T = [int(c * L) for c in inner_tan_antiderivative(alpha).values()]
-        while len(powers) <= j:
-            prev = powers[-1]
-            nxt = [0] * (len(prev) + len(T) - 1)
-            for i, c in enumerate(prev):
-                for l, t in enumerate(T):
-                    nxt[i + l] += c * t
-            powers.append(nxt)
-    return powers[j]
-
-
-@lru_cache(maxsize=None)
-def _tan_moment(alpha: int, q: int, j: int) -> PiNumber:
-    """The integral over [-pi/2, pi/2] of (c T(tan x))^j cos^q x, with
-    c = c_beta(alpha - 1): term j of every entry of a case-iii row.
-
-    With I(p) the integral of sin^p cos^(q-p), it is c^j sum_p t_p I(p) over
-    the coefficients t_p of T^j.  I(p) vanishes for odd p, and for even p
-    I(p + 2) = I(p) (p + 1) / (q - p - 1), so I(p) = I(0) w_p / W with
-    integers w_p and W = (q - 1)(q - 3)...: the sum is one integer dot
-    product times I(0)."""
-    nums = _tan_power(alpha, j)
-    top = j + 2 * (len(nums) - 1)  # the highest power of tan
-    if top > q:
-        raise DomainError("tangent power exceeds available cosine power")
-    if j % 2:  # only odd powers of tan
-        return PiNumber.zero()
-    # w[i] = (1 * 3 * ... * (2i - 1)) * ((q - 2i - 1) * ... * (q - top + 1))
-    heads, tails = [1], [1]
-    for e in range(0, top, 2):
-        heads.append(heads[-1] * (e + 1))
-        tails.append(tails[-1] * (q - top + e + 1))
-    tails.reverse()
-    dot = sum(c * heads[j // 2 + i] * tails[j // 2 + i] for i, c in enumerate(nums))
-    L = math.lcm(*range(1, alpha + 1, 2))
-    ratio = Fraction(dot, L**j * tails[0])
-    return (c_beta(alpha - 1) ** j) * (sin_cos_integral(0, q) * ratio)
-
-
-@lru_cache(maxsize=None)
-def sin_cos_integral(p: int, q: int) -> PiNumber:
-    """Exact integral of sin^p cos^q over [-pi/2, pi/2] (p, q >= 0)."""
-    if p < 0 or q < 0:
-        raise DomainError("powers must be nonnegative")
-    if p % 2 == 1:
-        return PiNumber.zero()
-    return gamma_half(p + 1) * gamma_half(q + 1) / gamma_half(p + q + 2)
-
-
-def bJ_exact_case_iii(n: int, k: int, alpha: int) -> PiNumber:
-    """Exact bold-J_{n,k}((alpha-n+1)/2) for odd alpha and even n.
-
-    Expands (1/2 + i c T(tan x))^(n-k) binomially.  The odd powers of
-    tan, which carry the imaginary part, integrate to zero against
-    cos^(alpha n + 1), so only the even powers are summed; they reduce to
-    Beta-function values in Q[pi^(1/2), pi^(-1/2)].
-    """
-    if n % 2 != 0 or alpha % 2 != 1:
-        raise DomainError("this route needs even n and odd alpha")
-    if alpha < max(n - 3, 1):
-        raise DomainError(f"alpha >= n-3 required (alpha={alpha}, n={n})")
-    if not 1 <= k <= n:
-        raise DomainError("need 1 <= k <= n")
-    m = n - k
-    real = linear_combination(
-        (_tan_moment(alpha, alpha * n + 1, j), Fraction((-1) ** (j // 2) * math.comb(m, j), 2 ** (m - j)))
-        for j in range(0, m + 1, 2)
-    )
-    return math.comb(n, k) * c_beta(alpha * n) * real

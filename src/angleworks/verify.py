@@ -1,11 +1,20 @@
-"""Named verification suites behind ``angleworks verify``.
+"""Named verification suites behind ``angleworks verify``, and every second
+route they hold the engines against.
 
 Each check returns a ``CheckResult``; a suite is a list of them.  The
 relations suite replays the linear identities every exact table must
-satisfy, the crosscheck suite pits independent computation routes against
-each other (among them the bivariate extraction ``ugly_coefficient``
-against the Bernoulli fill), and the montecarlo suite compares seeded
-stochastic estimates with the exact engine.
+satisfy (``relations_hold``, ``euler_relation_holds``,
+``dehn_sommerville_holds``), the crosscheck suite pits independent
+computation routes against each other, and the montecarlo suite compares
+seeded stochastic estimates with the exact engine, each gated by
+``McEstimate.z``.
+
+The second routes live here and nowhere else: the closed sin/cos residue,
+the a[nu, kappa] residues, R_m and P_{alpha,k}, the direct residue forms of
+the Poisson entries and of the Reitzner constants, the zero cell's product
+formula, and the bivariate extraction ``ugly_coefficient`` against the
+Bernoulli fill.  The engines compute each quantity by one primary route and
+never call these.
 """
 
 from __future__ import annotations
@@ -13,40 +22,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
+
+import mpmath
 
 from . import montecarlo, quadrature
-from .angle_engine import (
-    angle_table,
-    bJ_exact,
-    bJtilde_exact,
-    lA_residue,
-    p_alpha_k_value,
-    relations_hold,
-    residue_rational,
-    rm_value,
-)
-from .exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta, linear_combination
+from .angle_engine import angle_table, bJ_exact, bJtilde_exact, residue_rational
+from .exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta, gamma_half, linear_combination
 from .polytope_engine import (
     FVector,
     beta_polytope_fvector,
     betaprime_polytope_fvector,
-    dehn_sommerville_holds,
-    euler_relation_holds,
-    parity_product_coeff,
     poisson_polytope_fvector,
-    poisson_residue_entry,
     reitzner_ball,
-    reitzner_ball_residue,
     reitzner_sphere,
-    reitzner_sphere_residue,
     typical_voronoi_fvector,
     x_over_sin_coeff,
     zero_cell_entry_even,
-    zero_cell_entry_product,
     zero_cell_fvector,
 )
-from .series_kernel import bernoulli, sin_cos_residue
+from .series_kernel import bernoulli
 from .trig_algebra import external_bI, external_bI_fourier, external_bI_tilde, external_lB
 
 
@@ -59,6 +54,41 @@ class CheckResult:
 
 def _check(name: str, cond: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(cond), detail)
+
+
+# -- relation predicates ---------------------------------------------------------
+
+
+def relations_hold(z: Sequence[PiNumber]) -> bool:
+    """Whether (z_0, .., z_n) satisfies sum_k (-1)^k C(k,m) z_k = (-1)^n z_m
+    for every m: the Poincare relations of an angle row and the
+    Dehn-Sommerville relations of a simplicial f-vector."""
+    n = len(z) - 1
+    return all(
+        linear_combination((z[k], (-1) ** k * math.comb(k, m)) for k in range(m, n + 1))
+        == (-1) ** n * z[m]
+        for m in range(n + 1)
+    )
+
+
+def euler_relation_holds(fv: FVector) -> bool:
+    """Euler relation sum (-1)^ell f_ell = 1 - (-1)^d: exact for exact
+    entries, to 1e-8 for numeric ones."""
+    want = 1 - (-1) ** fv.d
+    values = fv.values()
+    if all(isinstance(v, PiNumber) for v in values):
+        return linear_combination((v, (-1) ** l) for l, v in enumerate(values)) == want
+    return abs(sum((-1) ** l * v for l, v in enumerate(values)) - want) < 1e-8
+
+
+def dehn_sommerville_holds(fv: FVector) -> bool:
+    """All Dehn-Sommerville relations, exactly, on the vector (z_0..z_d) of
+    the simplicial f-vector: directly for the simplicial models, through the
+    dual for the simple ones."""
+    values = list(fv.values())
+    if fv.model in ("zerocell", "voronoi"):
+        values.reverse()
+    return relations_hold([PiNumber.one()] + values)
 
 
 # -- arithmetic-form classification -------------------------------------------
@@ -177,6 +207,140 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
         cases += 1
     out.append(_check("arithmetic-form-classification", ok, f"{cases} values"))
     return out
+
+
+# -- second routes ---------------------------------------------------------------
+
+
+class ParityError(DomainError):
+    """The residue formula does not apply at these parities."""
+
+
+def sin_cos_residue(p: int, q: int) -> Fraction:
+    """[x^-1] 1 / (sin^p x cos^q x) for odd p >= 1 and any integer q.
+
+    In s = sin x this is [s^(p-1)] (1 - s^2)^(-(q+1)/2) =
+    (-1)^n C(-(q+1)/2, n), n = (p - 1) / 2, that is
+    (q+1)(q+3)...(q+2n-1) / (2^n n!)."""
+    if p < 1 or p % 2 == 0:
+        raise DomainError(f"sin_cos_residue needs an odd p >= 1, got p={p}")
+    n = (p - 1) // 2
+    return Fraction(math.prod(range(q + 1, q + 2 * n, 2)), 2**n * math.factorial(n))
+
+
+def lA_residue(nu_num: int, kappa_num: int, alpha: int, shift: int) -> PiNumber:
+    """a[nu, kappa] (shift 0) or a~[nu, kappa] (shift 1) with
+    nu = nu_num/alpha, kappa = kappa_num/alpha, via the rational residue:
+    alpha^(r+1)/(2 r!) times the residue at sin^(alpha - shift) and
+    q = nu_num + shift.  Shift 0 requires alpha*kappa + nu - kappa odd,
+    shift 1 requires alpha*kappa even."""
+    if alpha < 1:
+        raise DomainError("alpha must be a positive integer")
+    if (nu_num - kappa_num) % alpha != 0:
+        raise DomainError("nu - kappa must be a nonnegative integer")
+    r = (nu_num - kappa_num) // alpha
+    if r < 0:
+        return PiNumber.zero()
+    if shift == 0 and (kappa_num + r) % 2 == 0:
+        raise ParityError(
+            "a[nu, kappa] residue form needs alpha*kappa + (nu - kappa) odd"
+        )
+    if shift == 1 and kappa_num % 2 != 0:
+        raise ParityError("a~[nu, kappa] residue form needs alpha*kappa even")
+    res = residue_rational(alpha - shift, r, nu_num + shift)
+    return PiNumber.from_rational(
+        Fraction(alpha ** (r + 1), 2 * math.factorial(r)) * res
+    )
+
+
+def rm_value(m: int, n: int) -> Fraction:
+    """The scalar R_m(n) in the closed form of bold-J_{n,1}(m - 1/2)."""
+    if m < 0 or n < 3:
+        raise DomainError("need m >= 0 and n >= 3")
+    a = n + 2 * m - 2
+    res = residue_rational(a, n - 1, a * n + 2)
+    return Fraction(n + 2 * m - 1) ** (n - 1) * res
+
+
+def p_alpha_k_value(alpha: int, k: int, n: int) -> Fraction:
+    """The polynomial value P_{alpha,k}(n) in the closed form of
+    bold-J~_{n,k}((alpha+n-1)/2); requires alpha*k even."""
+    if alpha < 1 or k < 1 or n < k:
+        raise DomainError("need alpha >= 1 and n >= k >= 1")
+    if (alpha * k) % 2 != 0:
+        raise ParityError("P_{alpha,k} requires alpha*k even")
+    res = residue_rational(alpha - 1, n - k, alpha * n - 1)
+    return Fraction(alpha) ** (n - k) * res
+
+
+def poisson_residue_entry(d: int, k: int, alpha: int) -> PiNumber:
+    """Direct residue form of E f_{k-1} of the Poisson polytope (valid when
+    alpha*k is even)."""
+    if (alpha * k) % 2 != 0:
+        raise DomainError("residue form requires alpha*k even")
+    pref = (gamma_half(1) * gamma_half(alpha) / gamma_half(alpha + 1)) ** k
+    res = residue_rational(alpha - 1, d - k, alpha * d + 1)
+    return Fraction(alpha**d * math.comb(d, k)) * pref * res
+
+
+def parity_product_coeff(d: int, m: int) -> Fraction:
+    """[x^m] prod (1 + j^2 x^2) over 0 < j < d of parity opposite to d."""
+    poly = [Fraction(1)]
+    for j in range(1, d):
+        if j % 2 != d % 2:
+            # multiply by (1 + j^2 x^2)
+            nxt = poly + [Fraction(0), Fraction(0)]
+            for i, c in enumerate(poly):
+                nxt[i + 2] += c * j * j
+            poly = nxt
+    return poly[m] if m < len(poly) else Fraction(0)
+
+
+def zero_cell_entry_product(d: int, ell: int) -> PiNumber:
+    """Independent product-formula form of the zero cell's E f_ell (even
+    d - ell): pi^(d-ell)/(d-ell)! * [x^(d-ell)] prod (1 + j^2 x^2) over
+    j < d of opposite parity."""
+    if (d - ell) % 2 != 0:
+        raise DomainError("this form needs even d - ell")
+    m = d - ell
+    return PiNumber.pi_power(2 * m, parity_product_coeff(d, m) / math.factorial(m))
+
+
+def reitzner_ball_residue(d: int, k: int) -> float:
+    """Residue form of C_{d,k}; valid when d is odd or both d, d-k even."""
+    if not (d % 2 == 1 or (d % 2 == 0 and (d - k) % 2 == 0)):
+        raise DomainError("parity conditions of the residue form not met")
+    res = residue_rational(d, d - k - 1, d * d + 2)
+    with mpmath.workdps(60):
+        dd = mpmath.mpf(d)
+        pref = (
+            (dd * dd + 1)
+            / mpmath.factorial(d)
+            * mpmath.power(dd + 1, (dd * dd - dd) / (dd + 1))
+            * math.comb(d, k + 1)
+            * mpmath.gamma((dd * dd + 1) / (dd + 1))
+            * mpmath.power(
+                mpmath.sqrt(mpmath.pi) * mpmath.gamma((dd + 1) / 2) / mpmath.gamma((dd + 2) / 2),
+                k + mpmath.mpf(2) / (dd + 1),
+            )
+        )
+        return float(pref * mpmath.mpf(res.numerator) / res.denominator)
+
+
+def reitzner_sphere_residue(d: int, k: int) -> PiNumber:
+    """Residue form of C*_{d,k}; valid when d is odd or both d, d-k even.
+
+    Prefactor re-derived from the angle form: (d-1)^(d-1)/d * C(d, k+1) *
+    (sqrt(pi) Gamma((d-1)/2) / Gamma(d/2))^k; reproduces C*_{d,0} = 1 and
+    C*_{3,2} = 2.
+    """
+    if not (d % 2 == 1 or (d % 2 == 0 and (d - k) % 2 == 0)):
+        raise DomainError("parity conditions of the residue form not met")
+    res = residue_rational(d - 2, d - k - 1, d * d - 2 * d + 2)
+    pref = Fraction((d - 1) ** (d - 1) * math.comb(d, k + 1), d) * (
+        gamma_half(1) * gamma_half(d - 1) / gamma_half(d)
+    ) ** k
+    return pref * res
 
 
 # -- crosscheck suite ------------------------------------------------------------
@@ -448,14 +612,6 @@ _NUMERIC_GRID_TILDE = (
 # -- monte carlo suite -------------------------------------------------------------
 
 
-def _z(est: montecarlo.McEstimate, exact: float) -> float:
-    """|mean - exact| in standard errors; an estimate without spread must
-    equal the exact value (z = 0) or fails (z = inf)."""
-    if est.stderr == 0.0:
-        return 0.0 if est.mean == exact else math.inf
-    return abs(est.mean - exact) / max(est.stderr, 1e-12)
-
-
 def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
     """Every estimate is gated: it passes when |z| <= 4."""
     out: list[CheckResult] = []
@@ -470,7 +626,7 @@ def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
                     "beta", n, k, tb / 2, simplices=simplices, directions=256,
                     seed=seed + 1000 * n + 100 * k + tb,
                 )
-                worst_z = max(worst_z, _z(est, exact))
+                worst_z = max(worst_z, est.z(exact))
                 cases += 1
             if n == 2:
                 exact = bJtilde_exact(n, k, 2).to_float()
@@ -478,7 +634,7 @@ def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
                     "betaprime", n, k, 1.0, simplices=simplices, directions=256,
                     seed=seed + 17 * k,
                 )
-                worst_z = max(worst_z, _z(est, exact))
+                worst_z = max(worst_z, est.z(exact))
                 cases += 1
     out.append(
         _check("mc-angle-sums", worst_z <= 4.0, f"{cases} cases, worst z = {worst_z:.2f}")
@@ -486,7 +642,7 @@ def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
 
     target = 4 - 35 / (12 * math.pi**2)
     est = montecarlo.mc_beta_hull_2d(4, 0.0, trials=trials, seed=seed)
-    z = _z(est, target)
+    z = est.z(target)
     out.append(
         _check(
             "mc-beta-hull",
@@ -499,11 +655,11 @@ def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
     for n, tb in ((4, -2), (5, 0), (6, 2)):
         exact = beta_polytope_fvector(n, 2, Fraction(tb, 2)).value(0).to_float()
         est = montecarlo.mc_beta_hull_2d(n, tb / 2, trials=max(2000, trials // 4), seed=seed + n)
-        worst_z = max(worst_z, _z(est, exact))
+        worst_z = max(worst_z, est.z(exact))
     out.append(_check("mc-hull-grid", worst_z <= 4.0, "f_0 vs exact engine, n in {4,5,6}"))
 
     est = montecarlo.mc_voronoi_2d(6.0, trials=max(2000, trials // 4), seed=seed)
-    z = _z(est, 6.0)
+    z = est.z(6.0)
     out.append(
         _check("mc-voronoi-cell", z <= 4.0, f"mean {est.mean:.4f}, z = {z:.2f}")
     )

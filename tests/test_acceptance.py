@@ -17,21 +17,23 @@ from angleworks import montecarlo
 from angleworks.angle_engine import angle_table, bJ_exact, bJtilde_exact
 from angleworks.exact_scalars import PiNumber
 from angleworks.polytope_engine import (
-    parity_product_coeff,
     poisson_polytope_fvector,
     reitzner_ball,
     reitzner_sphere,
     typical_voronoi_fvector,
     x_over_sin_coeff,
     zero_cell_entry_even,
-    zero_cell_entry_product,
     zero_cell_fvector,
 )
-from angleworks.series_kernel import sin_cos_residue
 from angleworks.verify import (
     _NUMERIC_GRID,
     _NUMERIC_GRID_TILDE,
+    p_alpha_k_value,
+    parity_product_coeff,
     relations_suite,
+    rm_value,
+    sin_cos_residue,
+    zero_cell_entry_product,
 )
 
 
@@ -125,9 +127,9 @@ def test_criterion_05_relation_suites():
 
 def test_criterion_06_pointwise_structure():
     for n in range(3, 9):
-        assert ae.rm_value(0, n) == 1
-        assert ae.rm_value(1, n) == F(n * n + n + 2, 2 * (n + 3))
-        assert ae.rm_value(2, n) == F(
+        assert rm_value(0, n) == 1
+        assert rm_value(1, n) == F(n * n + n + 2, 2 * (n + 3))
+        assert rm_value(2, n) == F(
             n**5 + 15 * n**4 + 81 * n**3 + 225 * n**2 + 326 * n + 216,
             8 * (n + 5) ** 2 * (n + 7),
         )
@@ -143,7 +145,7 @@ def test_criterion_06_pointwise_structure():
     }
     for (alpha, k), f in table.items():
         for n in range(k, 9):
-            assert ae.p_alpha_k_value(alpha, k, n) == f(n), (alpha, k, n)
+            assert p_alpha_k_value(alpha, k, n) == f(n), (alpha, k, n)
     _report(6, "R_0, R_1, R_2 and all eight P_{alpha,k} entries reproduced exactly")
 
 

@@ -5,22 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from angleworks.angle_engine import (
-    ParityError,
     angle_table,
     bJ_exact,
-    bJ_residue,
     bJtilde_exact,
-    bJtilde_residue,
     bernoulli_fill,
     fill_row,
-    lA_residue,
-    p_alpha_k_value,
-    relations_hold,
     residue_rational,
-    rm_value,
 )
 from angleworks.exact_scalars import DomainError, PiNumber, c_tilde_beta, gamma_half
 from angleworks.trig_algebra import external_bI, external_bI_tilde
+from angleworks.verify import (
+    ParityError,
+    lA_residue,
+    p_alpha_k_value,
+    relations_hold,
+    rm_value,
+)
 from laurent_reference import (
     ONE,
     LaurentSeries,
@@ -70,16 +70,12 @@ def test_residue_rational_examples():
 
 
 def test_bJ_residue_examples():
-    assert bJ_residue(4, 3, 2) == PiNumber.from_rational(2)  # n/2
-    assert bJ_residue(5, 5, 3) == PiNumber.one()
-    with pytest.raises(ParityError):
-        bJ_residue(4, 2, 2)  # n-k even with alpha even
-    with pytest.raises(ParityError):
-        bJ_residue(4, 1, 3)  # alpha odd, n even
+    assert bJ_exact(4, 3, -1) == PiNumber.from_rational(2)  # n/2
+    assert bJ_exact(5, 5, -1) == PiNumber.one()
 
 
 def test_bJ_residue_feeds_fill_to_golden():
-    z = [PiNumber.zero(), None, bJ_residue(5, 2, 2), None, bJ_residue(5, 4, 2), None]
+    z = [PiNumber.zero(), None, bJ_exact(5, 2, -2), None, bJ_exact(5, 4, -2), None]
     filled = bernoulli_fill(z)
     assert filled[1] == GOLDEN_5_1_M1
     assert filled[5] == PiNumber.one()  # boundary comes out automatically
@@ -88,11 +84,9 @@ def test_bJ_residue_feeds_fill_to_golden():
 
 
 def test_bJtilde_residue_examples():
-    assert bJtilde_residue(4, 2, 2) == PiNumber.from_rational(F(6, 5))
-    assert bJtilde_residue(3, 2, 1) == PiNumber.from_rational(F(3, 2))
-    assert bJtilde_residue(6, 6, 2) == PiNumber.one()
-    with pytest.raises(ParityError):
-        bJtilde_residue(5, 3, 1)
+    assert bJtilde_exact(4, 2, 5) == PiNumber.from_rational(F(6, 5))
+    assert bJtilde_exact(3, 2, 3) == PiNumber.from_rational(F(3, 2))
+    assert bJtilde_exact(6, 6, 7) == PiNumber.one()
 
 
 def test_bernoulli_fill_triangle():
@@ -113,7 +107,7 @@ def test_bernoulli_fill_requires_opposite_class():
 
 
 def test_poincare_fill_table():
-    known = {2: bJ_residue(5, 2, 2), 4: bJ_residue(5, 4, 2)}
+    known = {2: bJ_exact(5, 2, -2), 4: bJ_exact(5, 4, -2)}
     row = fill_row(PiNumber.zero(), 5, known.get)
     assert row[0] == (GOLDEN_5_1_M1, "fill")
     assert row[1] == (known[2], "residue")

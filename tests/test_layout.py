@@ -239,3 +239,122 @@ def test_readme_quick_reference_imports_exist():
     names = _quick_reference_imports(README.read_text())
     assert "angle_table" in names  # the parse found the import list
     assert [n for n in names if not hasattr(angleworks, n)] == []
+
+
+def _sibling_imports(path: Path, siblings: set[str]) -> list[tuple[int, str, bool]]:
+    """(line, sibling module, at module top level) for each relative import
+    of a sibling module, inside functions too."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found += [(node.lineno, name, id(node) in top) for name in names if name in siblings]
+    return found
+
+
+def _import_problems(paths: list[Path]) -> list[str]:
+    """Each sibling import below module top level, and one cycle of the
+    graph of sibling imports if it has any."""
+    siblings = {p.stem for p in paths}
+    graph, found = {}, []
+    for path in paths:
+        imports = _sibling_imports(path, siblings)
+        graph[path.stem] = sorted({name for _, name, _ in imports})
+        found += [f"{path.name}:{line}: .{name} imported below top level"
+                  for line, name, top in imports if not top]
+    done, stack = set(), []
+
+    def cycle_from(module: str) -> list[str]:
+        stack.append(module)
+        for nxt in graph[module]:
+            if nxt in stack:
+                return stack[stack.index(nxt):] + [nxt]
+            if nxt not in done:
+                cycle = cycle_from(nxt)
+                if cycle:
+                    return cycle
+        stack.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = [] if module in done else cycle_from(module)
+        if cycle:
+            found.append("cycle: " + " -> ".join(cycle))
+            break
+    return found
+
+
+def test_sibling_imports_are_acyclic_and_top_level():
+    assert _import_problems(MODULES) == []
+
+
+def test_checker_flags_import_cycles_and_nested_imports(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    (tmp_path / "a.py").write_text("import math\nfrom . import b\ndef f(): return b.g()\n")
+    (tmp_path / "b.py").write_text("from .c import h\ndef g(): return h()\n")
+    (tmp_path / "c.py").write_text(
+        "from .d import k\n"
+        "def h():\n"
+        "    from .a import f\n"
+        "    return f, k\n"
+    )
+    (tmp_path / "d.py").write_text("from fractions import Fraction\nk = Fraction(1)\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _import_problems(paths) == [
+        "c.py:3: .a imported below top level",
+        "cycle: a -> b -> c -> a",
+    ]
+
+
+#: engine functions that may have ``verify`` as their only reader, each with
+#: the reason it stays in its engine
+VERIFY_ONLY_ALLOWED = {
+    # a public wrapper of the private kernel ``_cos_F_integral``, which verify
+    # may not import
+    "trig_algebra.external_lB",
+}
+ENGINES = ("angle_engine", "polytope_engine", "series_kernel", "trig_algebra")
+
+
+def _verify_only_functions(paths: list[Path], engines=ENGINES) -> list[str]:
+    """``module.name`` for each public function of an engine that no module
+    but ``verify`` reads, not counting the re-exports of ``__init__``: a
+    second route that belongs in ``verify``."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    reads = [(stem, top, _reads(top)) for stem, tree in trees.items() if stem != "__init__"
+             for top in tree.body]
+    found = []
+    for stem in engines:
+        for node in trees[stem].body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            readers = {s for s, top, names in reads if top is not node and node.name in names}
+            if readers == {"verify"}:
+                found.append(f"{stem}.{node.name}")
+    return sorted(found)
+
+
+def test_no_engine_function_is_read_only_by_verify():
+    assert _verify_only_functions(MODULES) == sorted(VERIFY_ONLY_ALLOWED)
+
+
+def test_checker_flags_verify_only_functions(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import primary, second, exported\n")
+    (tmp_path / "a.py").write_text(
+        "def primary(): return helper()\n"
+        "def helper(): return 1\n"
+        "def second(): return 2\n"
+        "def exported(): return 3\n"
+        "def _private(): return 4\n"
+        "class Check: pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import primary\nx = primary()\n")
+    (tmp_path / "verify.py").write_text(
+        "from . import a\nfrom .a import Check, _private, second\n"
+        "y = a.primary(), second(), Check(), _private()\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _verify_only_functions(paths, engines=("a",)) == ["a.second"]

@@ -8,22 +8,24 @@ from angleworks.exact_scalars import DomainError, PiNumber
 from angleworks.polytope_engine import (
     beta_polytope_fvector,
     betaprime_polytope_fvector,
-    dehn_sommerville_holds,
-    euler_relation_holds,
     face_intensity,
     poisson_polytope_fvector,
-    poisson_residue_entry,
     reitzner_ball,
-    reitzner_ball_residue,
     reitzner_sphere,
-    reitzner_sphere_residue,
     typical_voronoi_fvector,
     x_over_sin_coeff,
     zero_cell_entry_even,
-    zero_cell_entry_product,
     zero_cell_fvector,
 )
-from angleworks.verify import ugly_coefficient
+from angleworks.verify import (
+    dehn_sommerville_holds,
+    euler_relation_holds,
+    poisson_residue_entry,
+    reitzner_ball_residue,
+    reitzner_sphere_residue,
+    ugly_coefficient,
+    zero_cell_entry_product,
+)
 from laurent_reference import coefficient, int_power, sin_power
 
 PI2 = PiNumber.pi_power(4)
@@ -91,7 +93,7 @@ def test_x_over_sin_coeff_matches_laurent_power():
 
 
 def test_curious_combinatorial_identity():
-    from angleworks.polytope_engine import parity_product_coeff
+    from angleworks.verify import parity_product_coeff
 
     for d in range(1, 13):
         for m in range(0, d + 1, 2):

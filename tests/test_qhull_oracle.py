@@ -10,7 +10,6 @@ from scipy.spatial import ConvexHull
 
 from angleworks.montecarlo import _rng, _sample_beta, _sample_betaprime, _summarize
 from angleworks.polytope_engine import beta_polytope_fvector, betaprime_polytope_fvector
-from angleworks.verify import _z
 
 _FAMILIES = {
     "beta": (_sample_beta, beta_polytope_fvector),
@@ -46,5 +45,5 @@ def test_hull_fvector_matches_qhull_counts(family, n, d, beta, trials):
     counts = np.array([_f0_f1(p) for p in pts], dtype=float)
     exact = fvector(n, d, beta)
     for ell in (0, 1):
-        z = _z(_summarize(counts[:, ell], seed), exact.value(ell).to_float())
+        z = _summarize(counts[:, ell], seed).z(exact.value(ell).to_float())
         assert z <= 4.0, (ell, z)

@@ -144,7 +144,7 @@ def test_b_and_a_numeric_consistency():
                 (got,) = I_row(n, (k,), alpha, 1)
                 assert abs(got - external_bI_tilde(n, k, alpha).to_float()) < 1e-11
     # numeric a[nu,kappa] matches the residue value on admissible parities
-    from angleworks.angle_engine import lA_residue
+    from angleworks.verify import lA_residue
 
     for alpha in (1, 2, 3):
         for knum in range(1, 5):

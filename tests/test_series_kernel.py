@@ -12,8 +12,8 @@ from angleworks import series_kernel
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from angleworks.angle_engine import bJ_exact, bJtilde_exact, residue_rational
 from angleworks.polytope_engine import x_over_sin_coeff
-from angleworks.series_kernel import bernoulli, residue_coefficient, sin_cos_residue
-from angleworks.verify import ugly_coefficient
+from angleworks.series_kernel import bernoulli, residue_coefficient
+from angleworks.verify import sin_cos_residue, ugly_coefficient
 from laurent_reference import (
     ONE,
     antiderivative_from_zero,

@@ -7,19 +7,21 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from angleworks.angle_engine import (
+    _tan_moment,
+    _tan_power,
+    bJ_exact_case_iii,
+    inner_tan_antiderivative,
+    sin_cos_integral,
+)
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
 from angleworks.trig_algebra import (
     _cos_F_integral,
     _moment,
-    _tan_moment,
-    _tan_power,
-    bJ_exact_case_iii,
     external_bI,
     external_bI_fourier,
     external_bI_tilde,
     external_lB,
-    inner_tan_antiderivative,
-    sin_cos_integral,
 )
 
 F = Fraction
