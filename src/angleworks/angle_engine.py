@@ -17,7 +17,14 @@ integer dot product against the ratios I(p + 2) / I(p) = (p + 1) /
 (q - p - 1) of the integrals of sin^p cos^(q-p), so a ``PiNumber`` is
 formed once per moment.
 
-Non-half-integer parameters fall back to numerical quadrature.
+Every row is keyed by (n, alpha, s): the n-vertex simplex at the
+concentration alpha, with shift s = 0 for bold-J at beta = (alpha - n + 1)/2
+and s = 1 for bold-J~ at beta = (alpha + n - 1)/2.  The hulls, cells and
+inversion relations read their rows of every size at one fixed alpha, so
+``internal_row`` is the one entry point for a row: exact for an int alpha,
+otherwise closed entries plus one quadrature row.  Only ``angle_table``,
+``bJ_exact`` and ``bJtilde_exact`` take beta, and each maps it to alpha
+once.
 """
 
 from __future__ import annotations
@@ -241,19 +248,12 @@ def _closed_small_row(n: int) -> tuple[tuple[PiNumber, str], ...]:
 
 
 @lru_cache(maxsize=None)
-def _bJ_row(n: int, twice_beta: int, shift: int) -> tuple[tuple[PiNumber, str], ...]:
-    """The exact row of bold-J (shift 0) or bold-J~ (shift 1) at beta =
-    twice_beta / 2: closed for small n, the tangent route where the beta
-    residues miss every entry, otherwise residues and their Bernoulli fill."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    if shift == 0 and twice_beta < -2:
-        raise DomainError("beta >= -1 required")
-    if shift == 1 and twice_beta < n:
-        raise DomainError("beta > (n-1)/2 required")
+def _bJ_row(n: int, alpha: int, shift: int) -> tuple[tuple[PiNumber, str], ...]:
+    """The exact row of bold-J (shift 0) or bold-J~ (shift 1) at an integer
+    alpha: closed for small n, the tangent route where the beta residues
+    miss every entry, otherwise residues and their Bernoulli fill."""
     if n <= (1 if shift else 3):
         return _closed_small_row(n)
-    alpha = twice_beta - n + 1 if shift else twice_beta + n - 1
     if shift == 0 and alpha % 2 == 1 and n % 2 == 0:
         return tuple(
             (bJ_exact_case_iii(n, k, alpha), "tan_algebra")
@@ -265,18 +265,49 @@ def _bJ_row(n: int, twice_beta: int, shift: int) -> tuple[tuple[PiNumber, str], 
     )
 
 
+def internal_row(n: int, alpha: int | float, shift: int) -> tuple[tuple[PiNumber | float, str], ...]:
+    """The internal angle row bold-J_{n,1..n} (shift 0) or bold-J~_{n,1..n}
+    (shift 1) of the n-vertex simplex at beta = (alpha - n + 1)/2 or
+    (alpha + n - 1)/2, as (value, provenance) pairs: exact for an int
+    alpha, closed entries plus one quadrature row for a float one."""
+    if n < 1:
+        raise DomainError("n must be positive")
+    if shift == 0 and alpha < n - 3:
+        raise DomainError("beta >= -1 required")
+    if shift == 1 and alpha <= 0:
+        raise DomainError("beta > (n-1)/2 required")
+    if not isinstance(alpha, float):
+        return _bJ_row(n, alpha, shift)
+    # the quadrature needs alpha*n > 1; rows with n <= 3 are all closed forms
+    if shift == 1 and n >= 4 and alpha * n <= 1.0:
+        raise DomainError(
+            f"the numeric betaprime path needs beta > (n-1)/2 + 1/(2n) = "
+            f"{Fraction(n * n - n + 1, 2 * n)} for n = {n}"
+        )
+    # every simplex has J_{n,n} = 1 (itself) and J_{n,n-1} = n/2 (n facets,
+    # each of internal angle 1/2), and a triangle's angles sum to pi, so
+    # J_{3,1} = 1/2: these entries need no quadrature
+    values = {n - 1: n / 2, n: 1.0}
+    if n == 3:
+        values[1] = 0.5
+    ks = [k for k in range(1, n + 1) if k not in values]
+    if ks:
+        values.update(zip(ks, quadrature.outer_row(n, ks, alpha, shift).values))
+    return tuple((values[k], "numeric") for k in range(1, n + 1))
+
+
 def bJ_exact(n: int, k: int, twice_beta: int) -> PiNumber:
     """Exact bold-J_{n,k}(beta) for half-integer beta (argument doubled)."""
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
-    return _bJ_row(n, twice_beta, 0)[k - 1][0]
+    return internal_row(n, twice_beta + n - 1, 0)[k - 1][0]
 
 
 def bJtilde_exact(n: int, k: int, twice_beta: int) -> PiNumber:
     """Exact bold-J~_{n,k}(beta) for half-integer beta > (n-1)/2."""
     if not 1 <= k <= n:
         raise DomainError("need 1 <= k <= n")
-    return _bJ_row(n, twice_beta, 1)[k - 1][0]
+    return internal_row(n, twice_beta - n + 1, 1)[k - 1][0]
 
 
 # -- angle tables ---------------------------------------------------------------
@@ -299,36 +330,14 @@ class AngleTable:
 
 
 def angle_table(family: str, n: int, beta: Fraction | float) -> AngleTable:
-    """Full table for k = 1..n; exact when beta is a half-integer Fraction,
-    otherwise one quadrature row for the entries without a closed form."""
+    """Full table for k = 1..n: the internal row at the alpha of beta,
+    exact when beta is a half-integer Fraction."""
     if family not in ("beta", "betaprime"):
         raise DomainError(f"unknown family {family!r}")
-    if n < 1:
-        raise DomainError("n must be positive")
     s = 0 if family == "beta" else 1
     tb = exact_scaled(beta)
-    if tb is not None:
-        return AngleTable(family, n, Fraction(beta), _bJ_row(n, tb, s))
-    b = float(beta)
-    if s == 0 and b < -1:
-        raise DomainError("beta >= -1 required")
-    if s == 1 and b <= (n - 1) / 2:
-        raise DomainError("beta > (n-1)/2 required")
-    alpha = 2.0 * b - n + 1 if s else 2.0 * b + n - 1
-    # the quadrature needs alpha*n > 1; rows with n <= 3 are all closed forms
-    if s == 1 and n >= 4 and alpha * n <= 1.0:
-        raise DomainError(
-            f"the numeric betaprime path needs beta > (n-1)/2 + 1/(2n) = "
-            f"{Fraction(n * n - n + 1, 2 * n)} for n = {n}"
-        )
-    # every simplex has J_{n,n} = 1 (itself) and J_{n,n-1} = n/2 (n facets,
-    # each of internal angle 1/2), and a triangle's angles sum to pi, so
-    # J_{3,1} = 1/2: these entries need no quadrature
-    values = {n - 1: n / 2, n: 1.0}
-    if n == 3:
-        values[1] = 0.5
-    ks = [k for k in range(1, n + 1) if k not in values]
-    if ks:
-        values.update(zip(ks, quadrature.outer_row(n, ks, alpha, s).values))
-    entries = tuple((values[k], "numeric") for k in range(1, n + 1))
-    return AngleTable(family, n, b, entries)
+    b = Fraction(beta) if tb is not None else float(beta)
+    twice = tb if tb is not None else 2.0 * b
+    # one rounding, so a float alpha > 0 exactly when beta > (n-1)/2
+    alpha = twice - (n - 1) if s else twice + n - 1
+    return AngleTable(family, n, b, internal_row(n, alpha, s))

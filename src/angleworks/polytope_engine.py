@@ -25,7 +25,7 @@ from typing import Optional
 import mpmath
 
 from . import quadrature, trig_algebra
-from .angle_engine import angle_table, bJ_exact, fill_row, residue_rational
+from .angle_engine import bJ_exact, fill_row, internal_row, residue_rational
 from .exact_scalars import DomainError, PiNumber, c_beta, exact_scaled, gamma_half, linear_combination
 
 #: provenance of a sum of terms: the tag of its least direct term
@@ -61,18 +61,19 @@ def poisson_weight_inf(m: int, alpha: int) -> PiNumber:
     return c_beta(alpha * m - 2) / c_beta(alpha - 2) ** m * Fraction(alpha ** (m - 1), m)
 
 
-def _parity_sum(d: int, external, internal) -> tuple:
+def _parity_sum(d: int, external, alpha, s: int) -> tuple:
     """The entries E f_{k-1}, k = 1..d, of a simplicial f-vector:
     2 * sum over k <= m <= d with m = d (mod 2) of external(m) * z_k, where
-    z = internal(m) is the angle row of the m-vertex simplex (entries of
-    (value, provenance))."""
-    terms = {m: (external(m), internal(m)) for m in range(d, 0, -2)}
+    z = ``internal_row(m, alpha, s)`` is the angle row of the m-vertex
+    simplex at the f-vector's own alpha: exact sums for an int alpha, float
+    sums otherwise."""
+    terms = {m: (external(m), internal_row(m, alpha, s)) for m in range(d, 0, -2)}
+    exact = isinstance(alpha, int)
     entries = []
     for k in range(1, d + 1):
         used = [terms[m] for m in range(k + (d - k) % 2, d + 1, 2)]
         pairs = [(ext, row[k - 1][0]) for ext, row in used]
         tag = max((row[k - 1][1] for _, row in used), key=_PROV_RANK.__getitem__)
-        exact = isinstance(pairs[0][0], PiNumber)
         total = linear_combination(pairs) if exact else sum(x * z for x, z in pairs)
         entries.append((2 * total, tag))
     return tuple(entries)
@@ -87,11 +88,7 @@ def poisson_polytope_fvector(d: int, alpha) -> FVector:
     if a is not None:
         if a < 1:
             raise DomainError("alpha >= 1 required for the exact path")
-        entries = _parity_sum(
-            d,
-            lambda m: poisson_weight_inf(m, a),
-            lambda m: angle_table("betaprime", m, Fraction(a + m - 1, 2)).entries,
-        )
+        entries = _parity_sum(d, lambda m: poisson_weight_inf(m, a), a, 1)
         return FVector(d, "poisson", {"alpha": a}, entries)
     a = float(alpha)
     if a <= 0:
@@ -197,26 +194,19 @@ def betaprime_polytope_fvector(n: int, d: int, beta) -> FVector:
 def _hull_fvector(model: str, n: int, d: int, beta, alpha) -> FVector:
     """The beta (shift s = 0) or beta' (s = 1) hull f-vector at
     alpha = 2 beta + d or 2 beta - d: exact for an int alpha, numeric for a
-    float one.  The m-vertex internal row is taken at
-    beta_m = (alpha + sigma m - sigma) / 2, sigma = 2s - 1.  Only the beta
-    hull at d = 1, beta = -1 reaches alpha <= -1."""
+    float one.  Every m-vertex internal row is read at this same alpha,
+    which is the row at beta_m = (alpha - m + 1)/2 or (alpha + m - 1)/2.
+    Only the beta hull at d = 1, beta = -1 reaches alpha <= -1."""
     if alpha <= -1:
         raise DomainError("the d=1 sphere case (beta=-1) is atomic; no f-vector formula")
     s = 0 if model == "beta" else 1
-    sigma = 2 * s - 1
-    exact = isinstance(alpha, int)
     ms = range(d, 0, -2)
-    if exact:
+    if isinstance(alpha, int):
         bI = trig_algebra.external_bI_tilde if s else trig_algebra.external_bI
         external = {m: bI(n, m, alpha) for m in ms}
     else:
         external = dict(zip(ms, quadrature.I_row(n, ms, alpha, s)))
-
-    def internal(m: int):
-        twice = alpha + sigma * m - sigma
-        return angle_table(model, m, Fraction(twice, 2) if exact else twice / 2).entries
-
-    entries = _parity_sum(d, external.__getitem__, internal)
+    entries = _parity_sum(d, external.__getitem__, alpha, s)
     return FVector(d, model, {"n": n, "beta": beta}, entries)
 
 

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .angle_engine import bJ_exact, bJtilde_exact
+from .angle_engine import internal_row
 from .exact_scalars import DomainError, PiNumber, c_beta, linear_combination
 
 Key = tuple[int, int, str]  # (u-power j, frequency m, "cos" | "sin")
@@ -212,17 +212,15 @@ def external_bI_fourier(n: int, k: int, alpha: int, shift: int) -> PiNumber:
 @lru_cache(maxsize=None)
 def _inversion_row(n: int, alpha: int, shift: int) -> tuple[PiNumber, ...]:
     """bold-I_{n,1..n} (shift 0) or bold-I~_{n,1..n} (shift 1) from the
-    inversion relations sum_{m=k..n} (-1)^m I_{n,m} J_{m,k}(beta_m) = 0,
-    k < n, by back-substitution from I_{n,n} = 1, with 2 beta_m =
-    alpha - m + 1 (beta) or alpha + m - 1 (beta').  Every internal row it
-    reads sits at the same internal alpha; the beta rows exist for
-    n <= alpha + 3."""
-    internal = bJtilde_exact if shift else bJ_exact
-    sigma = 2 * shift - 1
+    inversion relations sum_{m=k..n} (-1)^m I_{n,m} J_{m,k} = 0, k < n, by
+    back-substitution from I_{n,n} = 1.  Each row J_{m,.} is read at the
+    same alpha, ``internal_row(m, alpha, shift)``, which is the row at
+    2 beta_m = alpha - m + 1 (beta) or alpha + m - 1 (beta'); the beta rows
+    exist for n <= alpha + 3."""
     row = [PiNumber.one()] * (n + 1)
     for k in range(n - 1, 0, -1):
         row[k] = linear_combination(
-            (row[m] if (m - k) % 2 else -row[m], internal(m, k, alpha + sigma * (m - 1)))
+            (row[m] if (m - k) % 2 else -row[m], internal_row(m, alpha, shift)[k - 1][0])
             for m in range(k + 1, n + 1)
         )
     return tuple(row[1:])

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from . import montecarlo, quadrature
-from .angle_engine import angle_table, bJ_exact, bJtilde_exact, residue_rational
+from .angle_engine import angle_table, bJ_exact, internal_row, residue_rational
 from .exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta, gamma_half, linear_combination
 from .polytope_engine import (
     FVector,
@@ -94,21 +94,22 @@ def dehn_sommerville_holds(fv: FVector) -> bool:
 # -- arithmetic-form classification -------------------------------------------
 
 
-def bJ_form_ok(n: int, k: int, twice_beta: int) -> bool:
-    """Support of bold-J_{n,k}(beta) matches its arithmetic classification."""
-    v = bJ_exact(n, k, twice_beta)
+def bJ_form_ok(n: int, k: int, alpha: int) -> bool:
+    """Support of bold-J_{n,k} at alpha matches its arithmetic
+    classification."""
+    v = internal_row(n, alpha, 0)[k - 1][0]
     s = v.support()
-    if (twice_beta + n) % 2 == 0:
+    if alpha % 2 == 1:
         return v.is_rational()
     if (n - k) % 2 == 1:
         return s == (-2 * (n - k - 1),)
     return all(e % 4 == 0 and -2 * (n - k) <= e <= 0 for e in s)
 
 
-def bJtilde_form_ok(n: int, k: int, twice_beta: int) -> bool:
-    v = bJtilde_exact(n, k, twice_beta)
+def bJtilde_form_ok(n: int, k: int, alpha: int) -> bool:
+    v = internal_row(n, alpha, 1)[k - 1][0]
     s = v.support()
-    if (twice_beta - n) % 2 == 1:
+    if alpha % 2 == 0:
         return v.is_rational()
     if k % 2 == 0:
         e = -2 * (n - k) if (n - k) % 2 == 0 else -2 * (n - k - 1)
@@ -144,22 +145,21 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
 
     ok, cases = True, 0
     for n in range(2, min(max_n, 10) + 1):
-        rows = [("beta", alpha - n + 1) for alpha in range(max(n - 3, 0), max(n - 3, 0) + 5)]
-        rows += [("betaprime", alpha + n - 1) for alpha in range(1, 6)]
-        for family, twice_beta in rows:
-            row = angle_table(family, n, Fraction(twice_beta, 2)).entries
+        rows = [(alpha, 0) for alpha in range(max(n - 3, 0), max(n - 3, 0) + 5)]
+        rows += [(alpha, 1) for alpha in range(1, 6)]
+        for alpha, shift in rows:
+            row = internal_row(n, alpha, shift)
             ok = ok and relations_hold([PiNumber.zero()] + [v for v, _ in row])
             cases += 1
     out.append(_check("poincare-relations", ok, f"{cases} exact angle tables, n <= {min(max_n, 10)}"))
 
-    # sum_{m=k..n} (-1)^m I_{n,m}(alpha) J_{m,k}(beta_m) = 0 for k < n, with
-    # 2 beta_m = alpha - m + 1 (beta) or alpha + m - 1 (beta').  For
-    # n <= alpha + 3 the external rows are solved from these relations, so
-    # there each case holds an entry I_{n,k}, k < n, against the Fourier
-    # kernel instead.
-    for name, external, internal, first_alpha, shift in (
-        ("inversion-relations-beta", external_bI, bJ_exact, lambda n: max(n - 3, 0), 0),
-        ("inversion-relations-betaprime", external_bI_tilde, bJtilde_exact, lambda n: 1, 1),
+    # sum_{m=k..n} (-1)^m I_{n,m}(alpha) J_{m,k} = 0 for k < n, every row
+    # J_{m,.} read at the same alpha.  For n <= alpha + 3 the external rows
+    # are solved from these relations, so there each case holds an entry
+    # I_{n,k}, k < n, against the Fourier kernel instead.
+    for name, external, first_alpha, shift in (
+        ("inversion-relations-beta", external_bI, lambda n: max(n - 3, 0), 0),
+        ("inversion-relations-betaprime", external_bI_tilde, lambda n: 1, 1),
     ):
         ok, entries, identities = True, 0, 0
         for n in range(2, min(max_n, 8) + 1):
@@ -171,7 +171,7 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
                         continue
                     identities += 1
                     ok = ok and linear_combination(
-                        (external(n, m, alpha), (-1) ** m * internal(m, k, alpha + (2 * shift - 1) * (m - 1)))
+                        (external(n, m, alpha), (-1) ** m * internal_row(m, alpha, shift)[k - 1][0])
                         for m in range(k, n + 1)
                     ).is_zero()
         detail = f"{entries} entries against the Fourier kernel, {identities} identities"
@@ -196,11 +196,11 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
     for n in range(2, min(max_n, 8) + 1):
         for alpha in range(max(n - 3, 1), 7):
             for k in range(1, n + 1):
-                ok = ok and bJ_form_ok(n, k, alpha - n + 1)
+                ok = ok and bJ_form_ok(n, k, alpha)
                 cases += 1
         for alpha in range(1, 7):
             for k in range(1, n + 1):
-                ok = ok and bJtilde_form_ok(n, k, alpha + n - 1)
+                ok = ok and bJtilde_form_ok(n, k, alpha)
                 cases += 1
     for d in range(1, min(max_n, 10) + 1):
         ok = ok and voronoi_form_ok(d)
@@ -457,7 +457,7 @@ def crosscheck_suite() -> list[CheckResult]:
         for k in range(1, n - 1):
             f_n = zc_n.value(n - k)
             f_m = zc_m.value(n - k - 2)
-            lhs = bJtilde_exact(n, k, n)
+            lhs = angle_table("betaprime", n, Fraction(n, 2)).value(k)
             rhs = Fraction(n) * (f_n - f_m) / denom
             ok = ok and lhs == rhs
             if k != 1:
@@ -473,11 +473,11 @@ def crosscheck_suite() -> list[CheckResult]:
 
     # the bivariate route on the parity class that the Bernoulli fill produces;
     # the beta' formula is the beta one at alpha - 1 with c~_beta = c_(beta - 3/2)
-    for name, exact, alphas, filled, shift, detail in (
-        ("ugly-vs-fill-beta", bJ_exact, lambda n: range(max(n - 3, 1), 8),
+    for name, alphas, filled, shift, detail in (
+        ("ugly-vs-fill-beta", lambda n: range(max(n - 3, 1), 8),
          lambda n, k, alpha: alpha % 2 == 0 and (n - k) % 2 == 0, 0,
          "bivariate route equals Bernoulli fill, n <= 8"),
-        ("ugly-vs-fill-betaprime", bJtilde_exact, lambda n: (1, 3),
+        ("ugly-vs-fill-betaprime", lambda n: (1, 3),
          lambda n, k, alpha: alpha * k % 2 == 1, 1, "both parity variants, n <= 8"),
     ):
         ok = True
@@ -495,7 +495,7 @@ def crosscheck_suite() -> list[CheckResult]:
                         * c_beta(alpha * n - 3 * shift)
                         * val
                     )
-                    ok = ok and full == exact(n, k, alpha + (2 * shift - 1) * (n - 1))
+                    ok = ok and full == internal_row(n, alpha, shift)[k - 1][0]
         out.append(_check(name, ok, detail))
 
     ok = True
@@ -587,10 +587,10 @@ def crosscheck_suite() -> list[CheckResult]:
     out.append(_check("reitzner-constants", ok, "C*_{d,0}=1, facet ratios, residue forms"))
 
     ok, worst = True, 0.0
-    for family, grid, exact_of in (("beta", _NUMERIC_GRID, bJ_exact),
-                                   ("betaprime", _NUMERIC_GRID_TILDE, bJtilde_exact)):
+    for family, grid in (("beta", _NUMERIC_GRID), ("betaprime", _NUMERIC_GRID_TILDE)):
         for n, k, tb in grid:
-            diff = abs(angle_table(family, n, tb / 2).value(k) - exact_of(n, k, tb).to_float())
+            exact = angle_table(family, n, Fraction(tb, 2)).value(k)
+            diff = abs(angle_table(family, n, tb / 2).value(k) - exact.to_float())
             worst = max(worst, diff)
             ok = ok and diff <= 1e-8
     out.append(_check("numeric-exact-agreement", ok, f"30-case grid, worst |diff| {worst:.2e}"))
@@ -629,7 +629,7 @@ def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
                 worst_z = max(worst_z, est.z(exact))
                 cases += 1
             if n == 2:
-                exact = bJtilde_exact(n, k, 2).to_float()
+                exact = angle_table("betaprime", n, 1).value(k).to_float()
                 est = montecarlo.mc_angle_sum(
                     "betaprime", n, k, 1.0, simplices=simplices, directions=256,
                     seed=seed + 17 * k,

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from angleworks.angle_engine import (
+    _bJ_row,
     angle_table,
     bJ_exact,
     bJtilde_exact,
     bernoulli_fill,
     fill_row,
+    internal_row,
     residue_rational,
 )
 from angleworks.exact_scalars import DomainError, PiNumber, c_tilde_beta, gamma_half
@@ -359,3 +361,107 @@ def test_provenance_tags_follow_dispatch_rule():
     for n, beta in ((4, F(3, 2)), (1, F(0))):
         with pytest.raises(DomainError):
             angle_table("betaprime", n, beta)
+
+
+# -- internal_row: every row keyed by (n, alpha, s) ---------------------------
+
+
+def _twice_beta(n, alpha, shift):
+    """2 beta of the row at alpha: alpha - n + 1 or alpha + n - 1."""
+    return alpha + n - 1 if shift else alpha - n + 1
+
+
+@st.composite
+def _exact_rows(draw, min_n=1):
+    """(n, alpha, shift) of an exact row, alpha up to 12 past the least one
+    (beyond the alphas of ``verify``'s suites)."""
+    shift = draw(st.sampled_from((0, 1)))
+    n = draw(st.integers(min_n, 12))
+    low = 1 if shift else n - 3
+    return n, draw(st.integers(low, low + 12)), shift
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_exact_rows())
+def test_internal_row_is_the_row_of_every_beta_entry_point(case):
+    n, alpha, shift = case
+    row = internal_row(n, alpha, shift)
+    tb = _twice_beta(n, alpha, shift)
+    assert angle_table("betaprime" if shift else "beta", n, F(tb, 2)).entries == row
+    single = bJtilde_exact if shift else bJ_exact
+    assert [single(n, k, tb) for k in range(1, n + 1)] == [v for v, _ in row]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_exact_rows(min_n=2))
+def test_internal_rows_satisfy_the_poincare_relations(case):
+    row = internal_row(*case)
+    assert relations_hold([PiNumber.zero()] + [v for v, _ in row])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_exact_rows())
+def test_beta_and_alpha_reads_share_one_cached_row(case):
+    n, alpha, shift = case
+    _bJ_row.cache_clear()
+    single = bJtilde_exact if shift else bJ_exact
+    single(n, 1, _twice_beta(n, alpha, shift))
+    assert _bJ_row.cache_info().currsize == 1
+    internal_row(n, alpha, shift)
+    info = _bJ_row.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((0, 1)), st.integers(1, 12), st.integers(0, 64))
+def test_float_alpha_rows_equal_angle_table_on_a_dyadic_grid(shift, n, eighths):
+    # alpha = n - 3 + j/8 (beta >= -1) or 1/2 + j/8 (alpha*n >= 2, clear of
+    # the beta' tail band): beta and alpha are both exact floats
+    alpha = F(n - 3 if shift == 0 else F(1, 2)) + F(eighths, 8)
+    beta = float(F(_twice_beta(n, alpha, shift), 2))
+    table = angle_table("betaprime" if shift else "beta", n, beta)
+    assert internal_row(n, float(alpha), shift) == table.entries
+
+
+def _message(call) -> str:
+    with pytest.raises(DomainError) as info:
+        call()
+    return str(info.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((0, 1)), st.integers(1, 12), st.integers(0, 20), st.booleans())
+def test_out_of_domain_alpha_raises_the_beta_message(shift, n, depth, numeric):
+    # alpha < n - 3 (beta < -1) or alpha <= 0 (beta <= (n-1)/2), depth steps
+    # past the bound, in whole steps or in quarter steps on the float path
+    step = F(1, 4) if numeric else 1
+    alpha = -step * depth if shift else n - 3 - step * (depth + 1)
+    beta = F(_twice_beta(n, alpha, shift), 2)
+    if numeric:
+        alpha, beta = float(alpha), float(beta)
+    want = "beta > (n-1)/2 required" if shift else "beta >= -1 required"
+    family = "betaprime" if shift else "beta"
+    assert _message(lambda: internal_row(n, alpha, shift)) == want
+    assert _message(lambda: angle_table(family, n, beta)) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 12])
+@pytest.mark.parametrize("quarters", [1, 2, 3])
+def test_numeric_betaprime_alpha_below_one_over_n_is_named(n, quarters):
+    # 0 < alpha*n <= 1: admissible, outside the quadrature
+    alpha = quarters / (4 * n)
+    want = _message(lambda: angle_table("betaprime", n, (alpha + n - 1) / 2))
+    assert want.startswith("the numeric betaprime path needs beta > (n-1)/2 + 1/(2n)")
+    assert _message(lambda: internal_row(n, alpha, 1)) == want
+
+
+def test_internal_row_needs_a_positive_n():
+    for shift in (0, 1):
+        assert _message(lambda: internal_row(0, 2, shift)) == "n must be positive"
+        assert _message(lambda: internal_row(0, 2.5, shift)) == "n must be positive"
+
+
+def test_float_betaprime_bound_is_exact_down_to_tiny_beta():
+    # beta' at n = 1 needs beta > 0: alpha = 2 beta, not (2 beta - 1) + 1 = 0
+    assert angle_table("betaprime", 1, 1e-20).entries == ((1.0, "numeric"),)
+    assert internal_row(1, 2e-20, 1) == ((1.0, "numeric"),)

@@ -358,3 +358,42 @@ def test_checker_flags_verify_only_functions(tmp_path):
     )
     paths = sorted(tmp_path.glob("*.py"))
     assert _verify_only_functions(paths, engines=("a",)) == ["a.second"]
+
+
+#: the modules that may call ``angle_table``, the one entry point that takes
+#: beta; every engine reads its rows at its own alpha through ``internal_row``
+ANGLE_TABLE_CALLERS = {"cli", "verify"}
+
+
+def _angle_table_calls(paths: list[Path]) -> list[str]:
+    """``file:line`` of each call of ``angle_table``, by name or as a module
+    attribute, outside ``ANGLE_TABLE_CALLERS``."""
+    found = []
+    for path in paths:
+        if path.stem in ANGLE_TABLE_CALLERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "angle_table":
+                    found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_cli_and_verify_call_angle_table():
+    assert _angle_table_calls(MODULES) == []
+
+
+def test_checker_flags_angle_table_calls(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import angle_engine\n"
+        "from .angle_engine import angle_table, internal_row\n"
+        "rows = [angle_table('beta', 4, 0), internal_row(4, 3, 0)]\n"
+        "table = angle_engine.angle_table\n"
+        "x = angle_engine.angle_table('betaprime', 4, 3).entries\n"
+    )
+    (tmp_path / "cli.py").write_text("from .angle_engine import angle_table\nangle_table('beta', 2, 0)\n")
+    (tmp_path / "verify.py").write_text("from . import angle_engine\nangle_engine.angle_table('beta', 2, 0)\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _angle_table_calls(paths) == ["a.py:3", "a.py:5"]
