@@ -7,6 +7,13 @@ value as a sparse map from the doubled exponent ``e`` (meaning
 ``pi^(e/2)``) to a nonzero ``Fraction`` coefficient.  Exponents are kept
 doubled so that ``sqrt(pi)`` is exactly representable.
 
+Every sum of terms goes through ``linear_combination``: ``+``, ``-`` and
+the product of two ``PiNumber``s, the parsers of the text and JSON forms,
+and the weighted sums of the engines.  Scaling by an int or ``Fraction``
+and negation are not sums and scale each coefficient directly: the
+kernel's final ``Fraction`` per exponent pays a full gcd, which
+``Fraction``'s own product skips by cross-cancelling.
+
 All arithmetic here is exact; decimal output goes through ``to_decimal``,
 which evaluates with guard digits and refuses to print an ambiguously
 rounded digit string.
@@ -116,15 +123,7 @@ class PiNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for e, c in o._terms.items():
-            if e in terms:
-                c += terms[e]
-                if not c:
-                    del terms[e]
-                    continue
-            terms[e] = c
-        return PiNumber._wrap(terms)
+        return linear_combination(((self, 1), (o, 1)))
 
     __radd__ = __add__
 
@@ -135,13 +134,13 @@ class PiNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return linear_combination(((self, 1), (o, -1)))
 
     def __rsub__(self, other) -> "PiNumber":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return linear_combination(((o, 1), (self, -1)))
 
     def __mul__(self, other) -> "PiNumber":
         if isinstance(other, (int, Fraction)):
@@ -150,15 +149,7 @@ class PiNumber:
             return PiNumber._wrap({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, PiNumber):
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                if e in terms:
-                    terms[e] += c1 * c2
-                else:
-                    terms[e] = c1 * c2
-        return PiNumber._wrap({e: c for e, c in terms.items() if c})
+        return linear_combination(((self, other),))
 
     __rmul__ = __mul__
 
@@ -261,13 +252,14 @@ PI = PiNumber.pi_power(2)
 
 
 def linear_combination(pairs: Iterable[tuple[PiNumber, Scalar | PiNumber]]) -> PiNumber:
-    """The sum of ``x * w`` over ``pairs``: the one accumulator for linear
-    combinations of exact values.  Each pi-exponent keeps one integer
-    numerator over the lcm of its terms' denominators; products stay
+    """The sum of ``x * w`` over ``pairs``: the one accumulator for exact
+    values, behind ``PiNumber``'s own ``+``, ``-`` and ``*`` too.  An int or
+    ``Fraction`` weight is the single term pi^0.  Each pi-exponent keeps one
+    integer numerator over the lcm of its terms' denominators; products stay
     unreduced, so a term costs one gcd and each exponent one ``Fraction``."""
     acc: dict[int, tuple[int, int]] = {}
     for x, w in pairs:
-        for e2, c2 in PiNumber._coerce(w)._terms.items():
+        for e2, c2 in w._terms.items() if isinstance(w, PiNumber) else ((0, w),):
             for e1, c1 in x._terms.items():
                 e, num, den = e1 + e2, c1.numerator * c2.numerator, c1.denominator * c2.denominator
                 if e in acc:
@@ -465,7 +457,7 @@ def parse_pinumber(text: str) -> PiNumber:
         return PiNumber.zero()
     # split into signed chunks; leading sign optional
     chunks = re.split(r"\s+(?=[+-]\s)", s if s[0] in "+-" else "+ " + s)
-    terms: dict[int, Fraction] = {}
+    pairs = []
     for chunk in chunks:
         chunk = chunk.strip()
         sign = -1 if chunk.startswith("-") else 1
@@ -488,8 +480,8 @@ def parse_pinumber(text: str) -> PiNumber:
                 e = int(exp_txt[:-2])
             else:
                 e = 2 * int(exp_txt)
-        terms[e] = terms.get(e, Fraction(0)) + sign * Fraction(num, den)
-    return PiNumber(terms)
+        pairs.append((PiNumber.pi_power(e), sign * Fraction(num, den)))
+    return linear_combination(pairs)
 
 
 def pinumber_to_json(x: PiNumber) -> list[dict[str, str | int]]:
@@ -502,9 +494,8 @@ def pinumber_to_json(x: PiNumber) -> list[dict[str, str | int]]:
 
 
 def pinumber_from_json(data: Iterable[Mapping]) -> PiNumber:
-    terms: dict[int, Fraction] = {}
-    for item in data:
-        e = int(item["half_exp"])
-        num, den = _text_int(str(item["num"])), _text_int(str(item["den"]))
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(num, den)
-    return PiNumber(terms)
+    return linear_combination(
+        (PiNumber.pi_power(int(item["half_exp"])),
+         Fraction(_text_int(str(item["num"])), _text_int(str(item["den"]))))
+        for item in data
+    )

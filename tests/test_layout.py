@@ -1,7 +1,8 @@
 """Module boundaries: no module reaches into another's private names, no
-module sums exact values in a loop of its own instead of the one kernel, no
-file of the package or its tests imports a name it never reads, and every
-public name of the package is read somewhere in it."""
+module, ``PiNumber``'s own ring operations included, sums exact values in a
+loop of its own instead of the one kernel, no file of the package or its
+tests imports a name it never reads, and every public name of the package is
+read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -121,6 +122,66 @@ def test_checker_flags_hand_rolled_sums(tmp_path):
         "    return acc + 1, total, linear_combination(zip(xs, ws))\n"
     )
     assert _hand_rolled_sums(bad) == ["line 5: acc", "line 6: total", "line 9: acc"]
+
+
+#: the ``PiNumber`` operations whose sums go through ``linear_combination``
+RING_METHODS = ("__add__", "__sub__", "__rsub__", "__mul__")
+
+
+def _ring_accumulations(path: Path) -> list[str]:
+    """Loops, comprehensions over more than one iterable and ``sum`` calls
+    inside ``PiNumber``'s ring methods: sums of terms that bypass
+    ``linear_combination``.  Scaling every term by a scalar, one comprehension
+    over one iterable, stays allowed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "PiNumber"):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name in RING_METHODS):
+                continue
+            for node in ast.walk(method):
+                loop = isinstance(node, (ast.For, ast.While))
+                product = (
+                    isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+                    and len(node.generators) > 1
+                )
+                total = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+                if loop or product or total:
+                    found.append(f"line {node.lineno}: {method.name}")
+    return found
+
+
+def test_pinumber_ring_operations_sum_through_the_kernel():
+    assert _ring_accumulations(PACKAGE / "exact_scalars.py") == []
+
+
+def test_checker_flags_ring_accumulations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "class PiNumber:\n"
+        "    def __add__(self, other):\n"
+        "        terms = dict(self._terms)\n"
+        "        for e, c in other._terms.items():\n"
+        "            terms[e] = terms.get(e, 0) + c\n"
+        "        return PiNumber._wrap(terms)\n"
+        "    def __sub__(self, other):\n"
+        "        return PiNumber(sum((x for x in (self, -other)), PiNumber.zero()))\n"
+        "    def __mul__(self, other):\n"
+        "        if isinstance(other, int):\n"
+        "            return PiNumber._wrap({e: c * other for e, c in self._terms.items()})\n"
+        "        return PiNumber({e1 + e2: c1 * c2 for e1, c1 in self._terms.items()\n"
+        "                         for e2, c2 in other._terms.items()})\n"
+        "    def __neg__(self):\n"
+        "        for e in self._terms:\n"
+        "            pass\n"
+        "class Other:\n"
+        "    def __add__(self, other):\n"
+        "        while other:\n"
+        "            other -= 1\n"
+    )
+    assert _ring_accumulations(bad) == ["line 4: __add__", "line 8: __sub__", "line 12: __mul__"]
 
 
 def _unused_imports(path: Path) -> list[str]:
