@@ -1,21 +1,26 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from angleworks.angle_engine import bJtilde_exact
+from angleworks import montecarlo
 from angleworks.exact_scalars import DomainError
 from angleworks.montecarlo import (
     _FEAS_EPS,
+    _HULL_CELLS,
     McEstimate,
+    _hull_vertex_counts,
     _rng,
     _sample_beta,
     _sample_betaprime,
     _summarize,
-    convex_hull_2d,
     mc_angle_sum,
     mc_beta_hull_2d,
     mc_voronoi_2d,
@@ -23,6 +28,7 @@ from angleworks.montecarlo import (
     sample_betaprime_point,
 )
 from angleworks.polytope_engine import beta_polytope_fvector
+from mc_dump import MC_DIGEST, dump_text
 
 KS_1PCT = 1.63  # asymptotic 1% critical value of sqrt(n) * D_n
 
@@ -78,6 +84,20 @@ def test_sampler_domain_errors():
         sample_betaprime_point(2, 1.0, rng)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize(
+    "sampler, beta", [(sample_beta_point, 0.0), (sample_beta_point, -1.0), (sample_betaprime_point, 1.0)]
+)
+def test_dimension_below_one_is_a_domain_error(sampler, beta, d):
+    # before this check NumPy raised on some of these and the beta' sampler
+    # returned an empty point; the check comes before any draw
+    rng = _rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        sampler(d, beta, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_estimators_reproducible():
     a = mc_angle_sum("beta", 4, 2, 0.0, simplices=50, directions=64, seed=5)
     b = mc_angle_sum("beta", 4, 2, 0.0, simplices=50, directions=64, seed=5)
@@ -99,6 +119,9 @@ def test_mc_angle_triangle():
 def test_mc_angle_full_face_is_one():
     est = mc_angle_sum("beta", 4, 4, 1.0, simplices=20, directions=32, seed=2)
     assert est.mean == 1.0 and est.stderr == 0.0
+    # a single point is its own only face, in either family
+    assert mc_angle_sum("beta", 1, 1, 0.0, simplices=3).mean == 1.0
+    assert mc_angle_sum("betaprime", 1, 1, 1.0, simplices=3).mean == 1.0
 
 
 def test_mc_angle_golden_value():
@@ -177,9 +200,9 @@ def test_non_finite_beta_is_a_domain_error(entry, beta):
 
 def test_convex_hull_square_and_collinear():
     sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
-    assert len(convex_hull_2d(sq)) == 4
+    assert _hull_vertex_counts(sq[None])[0] == 4
     with_collinear = np.array([[0, 0], [2, 0], [1, 0], [2, 2], [0, 2]])
-    assert len(convex_hull_2d(with_collinear)) == 4
+    assert _hull_vertex_counts(with_collinear[None])[0] == 4
 
 
 def test_mc_hull_triangle_exact():
@@ -273,7 +296,7 @@ def _mc_angle_sum_reference(
             else:
                 pts = _sample_betaprime(d, beta, n, rng)
             edges = pts[1:] - pts[0]
-            if abs(np.linalg.det(edges)) > 1e-12:
+            if abs(np.linalg.det(edges)) > montecarlo._DET_EPS:
                 break
         else:
             raise RuntimeError("could not sample a nondegenerate simplex")
@@ -404,7 +427,7 @@ def test_scalar_hull_equals_reference(n, beta, seed):
     kw = dict(trials=300, seed=seed)
     assert mc_beta_hull_2d(n, beta, **kw) == _mc_beta_hull_2d_reference(n, beta, **kw)
     pts = _sample_beta(2, beta, 20, _rng(seed))
-    assert np.array_equal(convex_hull_2d(pts), _convex_hull_2d_reference(pts))
+    assert _hull_vertex_counts(pts[None])[0] == len(_convex_hull_2d_reference(pts))
 
 
 # window 1 is too small for most cells, so it exercises the window doubling;
@@ -413,3 +436,72 @@ def test_scalar_hull_equals_reference(n, beta, seed):
 def test_scalar_voronoi_equals_reference(window, seed):
     kw = dict(trials=100, seed=seed)
     assert mc_voronoi_2d(window, **kw) == _mc_voronoi_2d_reference(window, **kw)
+
+
+@pytest.mark.parametrize("n, beta", [(4, 0.5), (7, -1.0), (20, 0.0), (40, 1.0)])
+def test_blocked_hull_equals_reference_at_block_edges(n, beta):
+    block = max(1, _HULL_CELLS // n**2)
+    for trials in sorted({1, block - 1, block, block + 1} - {0}):
+        kw = dict(trials=trials, seed=trials)
+        assert mc_beta_hull_2d(n, beta, **kw) == _mc_beta_hull_2d_reference(n, beta, **kw), kw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([-1.0, 0.0, 0.5, 3.0]),
+    grid=st.integers(1, 4),
+)
+def test_hull_vertex_count_equals_monotone_chain(n, seed, beta, grid):
+    # points of the law, and distinct points of a small integer grid, where
+    # collinear points are common and every cross product is exact
+    rng = _rng(seed)
+    drawn = _sample_beta(2, beta, n, rng)
+    cells = rng.choice((2 * grid + 1) ** 2, size=min(n, (2 * grid + 1) ** 2), replace=False)
+    on_grid = np.column_stack(np.divmod(cells, 2 * grid + 1)).astype(float) - grid
+    for pts in (drawn, on_grid):
+        assert _hull_vertex_counts(pts[None])[0] == len(_convex_hull_2d_reference(pts)), pts
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call, samples",
+    [
+        (lambda: mc_beta_hull_2d(4, 0.0, trials=100_000), 100_000),
+        (lambda: mc_angle_sum("beta", 5, 2, 0.0, simplices=2000), 2000),
+    ],
+    ids=["hull", "angle"],
+)
+def test_estimator_memory_does_not_grow_with_the_sample(call, samples):
+    # beyond the float64 samples array, the working arrays are bounded by the
+    # block sizes: (n, n, block) cross products for the hull, (block,
+    # directions, d) directions for the angles; one point set per trial
+    # kept for the whole sample would already pass the limit
+    assert _traced_peak(call) - 8 * samples < 4 * 2**20
+
+
+def test_rejected_simplex_redraws_the_block_one_at_a_time(monkeypatch):
+    # with the threshold at the median |det| of the law, about half the
+    # simplices are redrawn, so nearly every block is drawn again one simplex
+    # at a time, and the estimate moves off the unpatched one
+    args, kw = ("beta", 4, 2, 0.0), dict(simplices=70, directions=16, seed=8)
+    plain = mc_angle_sum(*args, **kw)
+    rng = _rng(1)
+    dets = [abs(np.linalg.det(np.diff(_sample_beta(3, 0.0, 4, rng), axis=0))) for _ in range(400)]
+    monkeypatch.setattr(montecarlo, "_DET_EPS", float(np.median(dets)))
+    redrawn = mc_angle_sum(*args, **kw)
+    assert redrawn == _mc_angle_sum_reference(*args, **kw)
+    assert redrawn != plain
+
+
+def test_mc_dump_digest():
+    assert hashlib.sha256(dump_text().encode()).hexdigest() == MC_DIGEST
