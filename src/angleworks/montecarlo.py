@@ -72,10 +72,10 @@ def _summarize(samples: np.ndarray, seed: int) -> McEstimate:
 # -- samplers -----------------------------------------------------------------
 #
 # A point of either law is a uniform direction (a normalised standard normal
-# vector) scaled by a radius drawn after it; on the sphere (beta = -1) there is
-# no radial draw.  Each law's check returns its radial draw, so the batched
-# estimators can draw point sets row by row in the order one-at-a-time draws
-# use and put them on the law once per block.
+# vector) scaled by a radius drawn after it; on the sphere (beta = -1) the
+# radius is 1 and takes no draw.  Each law's check returns its radial draw, so
+# the batched estimators can draw point sets row by row in the order
+# one-at-a-time draws use and put them on the law once per block.
 
 
 def sample_beta_point(d: int, beta: float, rng: np.random.Generator) -> np.ndarray:
@@ -97,19 +97,19 @@ def _check_finite(beta: float) -> None:
 
 
 def _beta_radius2(d: int, beta: float):
-    """Check beta against the beta law; return the draw of ``size`` squared
-    radii, or None on the sphere."""
+    """Check beta against the beta law; return its radial draw, a function
+    of ``(size, rng)`` giving ``size`` squared radii."""
     _check_finite(beta)
     if beta < -1:
         raise DomainError("beta >= -1 required")
     if beta == -1:
-        return None
+        return lambda size, rng: np.ones(size)
     return lambda size, rng: rng.beta(d / 2.0, beta + 1.0, size)
 
 
 def _betaprime_radius2(d: int, beta: float):
-    """Check beta against the beta' law; return the draw of ``size`` squared
-    radii."""
+    """Check beta against the beta' law; return its radial draw, a function
+    of ``(size, rng)`` giving ``size`` squared radii."""
     _check_finite(beta)
     if beta <= d / 2.0:
         raise DomainError("beta > d/2 required")
@@ -121,11 +121,11 @@ def _betaprime_radius2(d: int, beta: float):
     return draw
 
 
-def _on_law(g: np.ndarray, r2) -> np.ndarray:
+def _on_law(g: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Points of the law from standard normals ``g`` (normalised in place
-    along the last axis) and squared radii ``r2`` (None on the sphere)."""
+    along the last axis) and squared radii ``r2``."""
     g /= np.linalg.norm(g, axis=-1, keepdims=True)
-    return g if r2 is None else g * np.sqrt(r2)[..., None]
+    return g * np.sqrt(r2)[..., None]
 
 
 def _draw(d: int, radius2, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +134,7 @@ def _draw(d: int, radius2, size: int, rng: np.random.Generator) -> np.ndarray:
     if d < 1:
         raise DomainError(f"dimension must be at least 1, got {d}")
     g = rng.standard_normal((size, d))
-    return _on_law(g, None if radius2 is None else radius2(size, rng))
+    return _on_law(g, radius2(size, rng))
 
 
 def _sample_beta(d: int, beta: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,10 +153,12 @@ _BLOCK = 64  # simplices per batched solve; bounds the (block, directions, d) ar
 _DET_EPS = 1e-12  # a simplex whose edge determinant is no larger is redrawn
 
 
-def _cone_fraction_sums(pts: np.ndarray, k: int, dirs: np.ndarray) -> np.ndarray:
+def _cone_fraction_sums(pts: np.ndarray, k: int, dirs: np.ndarray):
     """For each simplex, the sum over k-subsets of its vertices (k < n) of the
     fraction of its directions inside the tangent cone at the subset's
-    centroid.  ``pts`` is (S, n, d) and ``dirs`` is (S, directions, d).
+    centroid, tested with the tolerance _FEAS_EPS and without it (the same
+    array where no weight lies in [-_FEAS_EPS, 0)).  ``pts`` is (S, n, d) and
+    ``dirs`` is (S, directions, d).
 
     A direction u is u = sum_i w_i p_i with sum_i w_i = 0 in one way.  The
     cone at a face is spanned by p_r - centroid, r off the face, and the
@@ -166,14 +168,20 @@ def _cone_fraction_sums(pts: np.ndarray, k: int, dirs: np.ndarray) -> np.ndarray
     # [p_i, 1] are the rows of m; (u, 0) = w m gives w = u inv(m)[:d]
     m = np.ones((size, n, n))
     m[:, :, :d] = pts
-    inside = dirs @ np.linalg.inv(m)[:, :d] >= -_FEAS_EPS  # (S, directions, n)
+    w = dirs @ np.linalg.inv(m)[:, :d]  # (S, directions, n)
     rest = np.array([[i for i in range(n) if i not in s]
                      for s in itertools.combinations(range(n), k)])
-    in_cone = inside[:, :, rest[:, 0]]  # (S, directions, subsets)
-    for column in rest.T[1:]:
-        in_cone &= inside[:, :, column]
-    # sum the subsets' fractions in subset order, as one at a time would
-    return np.cumsum(np.mean(in_cone, axis=1), axis=1)[:, -1]
+
+    def sums(inside: np.ndarray) -> np.ndarray:
+        in_cone = inside[:, :, rest[:, 0]]  # (S, directions, subsets)
+        for column in rest.T[1:]:
+            in_cone &= inside[:, :, column]
+        # sum the subsets' fractions in subset order, as one at a time would
+        return np.cumsum(np.mean(in_cone, axis=1), axis=1)[:, -1]
+
+    inside, exact = w >= -_FEAS_EPS, w >= 0
+    tolerant = sums(inside)
+    return tolerant, (sums(exact) if np.any(inside != exact) else tolerant)
 
 
 def _draw_simplex(d: int, radius2, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,7 +203,11 @@ def mc_angle_sum(
     seed: int = 0,
 ) -> McEstimate:
     """Estimate the expected internal angle sum bold-J_{n,k}(beta) (or the
-    beta' analogue) by direction sampling against tangent cones."""
+    beta' analogue) by direction sampling against tangent cones.
+
+    Raises DomainError where the cone test's tolerance moves the estimate by
+    more than its standard error: for beta' within about 0.15 of (n - 1)/2
+    the far vertices have weights below the tolerance."""
     if n > 7:
         raise DomainError("angle Monte Carlo is capped at n <= 7")
     if not 1 <= k <= n:
@@ -211,6 +223,7 @@ def mc_angle_sum(
         return _summarize(np.ones(simplices), seed)
     rng = _rng(seed)
     samples = np.empty(simplices)
+    exact = np.empty(simplices)
     g = np.empty((_BLOCK, n, d))
     r2 = np.empty((_BLOCK, n))
     dirs = np.empty((_BLOCK, directions, d))
@@ -219,10 +232,9 @@ def mc_angle_sum(
         state = rng.bit_generator.state
         for b in range(size):
             rng.standard_normal(out=g[b])
-            if radius2 is not None:
-                r2[b] = radius2(n, rng)
+            r2[b] = radius2(n, rng)
             rng.standard_normal(out=dirs[b])
-        pts = _on_law(g[:size], None if radius2 is None else r2[:size])
+        pts = _on_law(g[:size], r2[:size])
         if not np.all(np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) > _DET_EPS):
             # a degenerate simplex is redrawn before its directions, so the
             # block is drawn again one simplex at a time
@@ -232,8 +244,19 @@ def mc_angle_sum(
                 rng.standard_normal(out=dirs[b])
         u = dirs[:size]
         u /= np.linalg.norm(u, axis=2, keepdims=True)
-        samples[start : start + size] = _cone_fraction_sums(pts, k, u)
-    return _summarize(samples, seed)
+        block = slice(start, start + size)
+        samples[block], exact[block] = _cone_fraction_sums(pts, k, u)
+    est = _summarize(samples, seed)
+    # the tolerance only adds directions to cones; a single simplex has no
+    # standard error to weigh the shift against
+    shift = est.mean - float(np.mean(exact))
+    if simplices > 1 and shift > est.stderr:
+        raise DomainError(
+            f"the cone test cannot resolve {family} simplices at n={n}, beta={beta}: "
+            f"its tolerance moves the estimate by {shift:.3g}, more than its "
+            f"standard error {est.stderr:.3g}"
+        )
+    return est
 
 
 # -- planar convex hulls --------------------------------------------------------
@@ -272,7 +295,11 @@ def _hull_vertex_counts(pts: np.ndarray) -> np.ndarray:
 def mc_beta_hull_2d(
     n: int, beta: float, trials: int = 10000, seed: int = 0
 ) -> McEstimate:
-    """Empirical expected vertex count of the planar beta polytope."""
+    """Empirical expected vertex count of the planar beta polytope.
+
+    The vertex count costs O(n^3) per trial (every point against every
+    candidate edge); from about n = 16 on, that is slower than a monotone
+    chain's O(n log n) per trial would be."""
     if n < 3:
         raise DomainError("need n >= 3")
     _check_count("trials", trials)
@@ -285,14 +312,11 @@ def mc_beta_hull_2d(
     for start in range(0, trials, block):
         size = min(block, trials - start)
         # each trial draws its normals and then its radii, as one-at-a-time
-        # draws do; on the circle the block's normals are one draw
-        if radius2 is None:
-            rng.standard_normal(out=g[:size])
-        else:
-            for t in range(size):
-                rng.standard_normal(out=g[t])
-                r2[t] = radius2(n, rng)
-        pts = _on_law(g[:size], None if radius2 is None else r2[:size])
+        # draws do
+        for t in range(size):
+            rng.standard_normal(out=g[t])
+            r2[t] = radius2(n, rng)
+        pts = _on_law(g[:size], r2[:size])
         samples[start : start + size] = _hull_vertex_counts(pts)
     return _summarize(samples, seed)
 

@@ -505,3 +505,21 @@ def test_rejected_simplex_redraws_the_block_one_at_a_time(monkeypatch):
 
 def test_mc_dump_digest():
     assert hashlib.sha256(dump_text().encode()).hexdigest() == MC_DIGEST
+
+
+@pytest.mark.parametrize("n, k, seed", [(3, 1, 0), (3, 1, 5), (5, 2, 1), (7, 3, 2)])
+def test_betaprime_next_to_the_lower_end_is_refused(n, k, seed):
+    # at beta' = (n - 1)/2 + 0.05 the far vertices' weights fall below the
+    # cone test's tolerance: J_{3,1} = 1/2 would read about 0.7-0.8
+    with pytest.raises(DomainError, match="tolerance"):
+        mc_angle_sum("betaprime", n, k, (n - 1) / 2 + 0.05, simplices=400, directions=64, seed=seed)
+
+
+def test_tolerance_check_weighs_the_shift_against_the_standard_error():
+    # at beta' = (n - 1)/2 + 0.25 the tolerance still decides a few
+    # directions, far less than the standard error; a single simplex has
+    # no standard error and is returned as it is
+    est = mc_angle_sum("betaprime", 3, 1, 1.25, simplices=400, directions=64, seed=0)
+    assert est.agrees(0.5)
+    one = mc_angle_sum("betaprime", 3, 1, 1.05, simplices=1, directions=64, seed=0)
+    assert one.trials == 1 and one.stderr == 0.0
