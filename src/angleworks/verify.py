@@ -636,6 +636,13 @@ def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
                 )
                 worst_z = max(worst_z, est.z(exact))
                 cases += 1
+    # the angles of every triangle sum to half the full angle, also next to
+    # the lower end of the beta' range, where the law is heaviest-tailed
+    est = montecarlo.mc_angle_sum(
+        "betaprime", 3, 1, 1.05, simplices=simplices, directions=256, seed=seed
+    )
+    worst_z = max(worst_z, est.z(0.5))
+    cases += 1
     out.append(
         _check("mc-angle-sums", worst_z <= 4.0, f"{cases} cases, worst z = {worst_z:.2f}")
     )

@@ -9,7 +9,8 @@ estimator that keeps every draw of the seeded stream in its place must
 leave the dump, and so its sha256, unchanged.
 
 The dump covers
-  - ``mc_angle_sum`` for both families, n = 2..7 and every k, three seeds,
+  - ``mc_angle_sum`` for both families, n = 2..7 and every k, three seeds
+    (four for beta', the fourth at 0.05 above the lower end of its range),
     at ``simplices`` in {1, 63, 64, 65, 129} (either side of the batch of 64);
   - ``mc_beta_hull_2d`` for n = 3..8 and 20, at trial counts on either side
     of the hull block (``HULL_CELLS // n**2`` trials, at least one);
@@ -31,7 +32,7 @@ from typing import Iterator
 
 from angleworks import mc_angle_sum, mc_beta_hull_2d, mc_voronoi_2d
 
-MC_DIGEST = "73c05ba8010cd5b7e9c86536684662d6f74aee23c2e8505600965f5a8c882f31"
+MC_DIGEST = "d5e403133772f6ac0838eb97998ba0a196ecf7f8563450557e307e7717acd354"
 
 ANGLE_SIMPLICES = (1, 63, 64, 65, 129)
 HULL_NS = (3, 4, 5, 6, 7, 8, 20)
@@ -43,8 +44,9 @@ def _angle_betas(family: str, n: int) -> tuple:
     if family == "beta":
         return (-1.0, 0.0, 1.5)
     # just above the lower end (n - 1)/2 of the beta' range, where the
-    # simplices are heavy-tailed, and well inside it
-    return ((n - 1) / 2 + 0.25, n / 2 + 1.0, n / 2 + 2.5)
+    # simplices are heavy-tailed, and well inside it; the entry nearest the
+    # lower end comes last, so that the others keep their seeds
+    return ((n - 1) / 2 + 0.25, n / 2 + 1.0, n / 2 + 2.5, (n - 1) / 2 + 0.05)
 
 
 def _hull_trials(n: int) -> tuple:

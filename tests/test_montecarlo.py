@@ -13,7 +13,6 @@ from angleworks.angle_engine import bJtilde_exact
 from angleworks import montecarlo
 from angleworks.exact_scalars import DomainError
 from angleworks.montecarlo import (
-    _FEAS_EPS,
     _HULL_CELLS,
     McEstimate,
     _hull_vertex_counts,
@@ -264,7 +263,7 @@ def _cone_fractions(pts: np.ndarray, k: int, dirs: np.ndarray) -> float:
         else:
             U = dirs.T
         lam = np.linalg.solve(G.T @ G, G.T @ U)  # (n-k, ndirs)
-        feasible = np.all(lam >= -_FEAS_EPS, axis=0)
+        feasible = np.all(lam >= 0, axis=0)
         total += float(np.mean(feasible))
     return total
 
@@ -507,19 +506,50 @@ def test_mc_dump_digest():
     assert hashlib.sha256(dump_text().encode()).hexdigest() == MC_DIGEST
 
 
-@pytest.mark.parametrize("n, k, seed", [(3, 1, 0), (3, 1, 5), (5, 2, 1), (7, 3, 2)])
-def test_betaprime_next_to_the_lower_end_is_refused(n, k, seed):
-    # at beta' = (n - 1)/2 + 0.05 the far vertices' weights fall below the
-    # cone test's tolerance: J_{3,1} = 1/2 would read about 0.7-0.8
-    with pytest.raises(DomainError, match="tolerance"):
-        mc_angle_sum("betaprime", n, k, (n - 1) / 2 + 0.05, simplices=400, directions=64, seed=seed)
+@pytest.mark.parametrize(
+    "n, k, beta, seed",
+    [(3, 1, beta, seed) for beta in (1.02, 1.05, 1.12) for seed in range(4)]
+    + [(n, n - 1, (n - 1) / 2 + 0.05, n) for n in (4, 5, 7)],
+)
+def test_betaprime_next_to_the_lower_end_is_accurate(n, k, beta, seed):
+    # far vertices lie at radii past 1e8, with cone weights far below 1e-9;
+    # the closed test w >= 0 still resolves them.  The angles of every
+    # triangle sum to half the full angle, and the tangent cone at a facet
+    # is a half-space, so J_{3,1} = 1/2 and J_{n,n-1} = n/2 for every law
+    target = 0.5 if k == 1 else n / 2
+    est = mc_angle_sum("betaprime", n, k, beta, simplices=400, directions=64, seed=seed)
+    assert est.agrees(target), est
 
 
-def test_tolerance_check_weighs_the_shift_against_the_standard_error():
-    # at beta' = (n - 1)/2 + 0.25 the tolerance still decides a few
-    # directions, far less than the standard error; a single simplex has
-    # no standard error and is returned as it is
-    est = mc_angle_sum("betaprime", 3, 1, 1.25, simplices=400, directions=64, seed=0)
-    assert est.agrees(0.5)
-    one = mc_angle_sum("betaprime", 3, 1, 1.05, simplices=1, directions=64, seed=0)
-    assert one.trials == 1 and one.stderr == 0.0
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_betaprime_past_the_float_range_is_refused(n):
+    # at beta' = (n - 1)/2 + 0.001 about half of the gamma draws in the
+    # radial law underflow to 0, so squared radii are infinite; redrawing
+    # them would change the law, so the estimator refuses
+    with pytest.raises(DomainError, match="too close to d/2 .* for floats"):
+        mc_angle_sum("betaprime", n, 1, (n - 1) / 2 + 0.001, simplices=400, directions=64)
+
+
+def test_cone_weight_past_the_float_range_is_refused():
+    # finite points whose edge determinant passes the degeneracy check, but
+    # whose weights overflow: NaN weights would fail w >= 0 for every
+    # direction and count it outside every cone
+    pts = np.array([[[0.0, 0, 0], [1e154, 0, 0], [0, 1e154, 0], [0, 0, 1e-310]]])
+    assert abs(np.linalg.det(pts[0, 1:] - pts[0, 0])) > montecarlo._DET_EPS
+    dirs = np.array([[[0.0, 0, 1], [1.0, 0, 0]]])
+    with pytest.raises(DomainError, match="too close to d/2 .* for floats"):
+        montecarlo._cone_fraction_sum(pts, 1, dirs)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_cone_test_does_not_depend_on_scale(n):
+    # scaling by a power of two is exact in floats, and the closed test
+    # w >= 0 sees the same signs; an absolute tolerance would not
+    rng = _rng(n)
+    pts = _sample_beta(n - 1, 0.0, 16 * n, rng).reshape(16, n, n - 1)
+    dirs = rng.standard_normal((16, 32, n - 1))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    for k in range(1, n):
+        plain = montecarlo._cone_fraction_sum(pts, k, dirs)
+        scaled = montecarlo._cone_fraction_sum(pts * 2.0**40, k, dirs)
+        assert np.array_equal(plain, scaled), k
