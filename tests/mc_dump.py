@@ -15,7 +15,10 @@ The dump covers
   - ``mc_beta_hull_2d`` for n = 3..8 and 20, at trial counts on either side
     of the hull block (``HULL_CELLS // n**2`` trials, at least one);
   - ``mc_voronoi_2d`` at windows 1, 2, 6 and 8; the small windows are too
-    small for most cells, so the window doubling runs.
+    small for most cells, so the window doubling runs;
+  - then ``mc_voronoi_2d`` at samples that span several blocks of trials:
+    1,000 trials at windows 6 and 8, and 300 at window 1.  They come last,
+    so that every line before them keeps its seed.
 
 Run it as a script to print the dump's sha256 (and with ``--print`` the
 dump itself); it exits 1 unless the sha256 is ``MC_DIGEST``:
@@ -32,12 +35,13 @@ from typing import Iterator
 
 from angleworks import mc_angle_sum, mc_beta_hull_2d, mc_voronoi_2d
 
-MC_DIGEST = "d5e403133772f6ac0838eb97998ba0a196ecf7f8563450557e307e7717acd354"
+MC_DIGEST = "f6112b2eed6beca1fbe7ae96a3758d553c9d68d7eb212fd2eec8dac250443657"
 
 ANGLE_SIMPLICES = (1, 63, 64, 65, 129)
 HULL_NS = (3, 4, 5, 6, 7, 8, 20)
 HULL_CELLS = 1 << 13  # trials per hull block times n^2
 VORONOI_WINDOWS = (1.0, 2, 6.0, 8.0)
+VORONOI_LONG = ((6.0, 1000), (8.0, 1000), (1.0, 300))  # (window, trials)
 
 
 def _angle_betas(family: str, n: int) -> tuple:
@@ -75,6 +79,9 @@ def dump_lines() -> Iterator[str]:
         for seed in (i, 40 + i):
             est = mc_voronoi_2d(window, trials=150, seed=seed)
             yield f"voronoi window={window} {est!r}"
+    for i, (window, trials) in enumerate(VORONOI_LONG):
+        est = mc_voronoi_2d(window, trials=trials, seed=80 + i)
+        yield f"voronoi window={window} {est!r}"
 
 
 def dump_text() -> str:
