@@ -265,9 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: argparse.ArgumentParser | None = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
         digits = getattr(args, "digits", None)

@@ -307,79 +307,190 @@ def mc_beta_hull_2d(
     r2 = np.empty((block, n))
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        # each trial draws its normals and then its radii, as one-at-a-time
-        # draws do
-        for t in range(size):
-            rng.standard_normal(out=g[t])
-            r2[t] = radius2(n, rng)
+        if beta == -1:
+            # on the circle the radii take no draw, so the normals of the
+            # block's trials are one run of the stream
+            rng.standard_normal(out=g[:size])
+            r2[:size] = 1.0
+        else:
+            # each trial draws its normals and then its radii, as
+            # one-at-a-time draws do
+            for t in range(size):
+                rng.standard_normal(out=g[t])
+                r2[t] = radius2(n, rng)
         pts = _on_law(g[:size], r2[:size])
         samples[start : start + size] = _hull_vertex_counts(pts)
     return _summarize(samples, seed)
 
 
 # -- typical planar Voronoi cell -------------------------------------------------
+#
+# An attempt in a window of radius R draws a Poisson count N of mean pi R^2,
+# then N radial uniforms u (radius R sqrt(u)) and N angular ones in one call.
+# Its cell starts as the square [-R, R]^2 and is clipped by the bisector of
+# each point in order of distance, until a point lies more than twice as far
+# out as the farthest vertex (the reach).  The trial keeps the cell if its
+# reach is at most R/2, and otherwise makes another attempt in a window twice
+# as wide, at most eight in all.
+#
+# Attempts run a block at a time.  The block's points are drawn in the seeded
+# order, and each attempt's outcome is guessed as it is drawn, which fixes the
+# window of the next one; then one kernel clips every cell of the block.  The
+# block is kept up to its first wrong guess, and the generator is rewound to
+# just after that attempt.  The kernel does the scalar clipper's arithmetic,
+# so a cell, and the estimate, do not depend on the block it was clipped in.
+
+_VORONOI_BLOCK = 256  # attempts per block
+_VORONOI_NEAR = 40  # nearest points of an attempt in its block's table
+_VORONOI_CHUNK = 1 << 14  # uniforms drawn before they are put in the table
+_AHEAD = 3  # points one clip step tests, so that points which clip nothing are passed together
+_SQUARE = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
 
 
-def _norm(v: tuple) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1])
+def _voronoi_rows(R: np.ndarray, n: np.ndarray, u: np.ndarray, off: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Fill ``out`` (4, attempts, near + _AHEAD) with the points of attempts
+    of windows ``R`` and counts ``n``, whose uniforms are ``u[off : off + 2n]``:
+    (x, y, |p|^2/2, |p|/2) of each attempt's ``near`` nearest points in order
+    of distance, then rows that end the attempt (|p|/2 = inf, and nothing to
+    clip) or, where it has more points, stop it unfinished (|p|/2 = nan)."""
+    near = out.shape[2] - _AHEAD
+    nmax = int(n.max())
+    k = min(near, nmax)
+    cols = np.arange(nmax)
+    real = cols < n[:, None]
+    key = np.where(real, u.take(off[:, None] + cols, mode="clip"), 2.0)
+    order = np.argsort(key, axis=1)[:, :k]
+    real = real[:, :k]
+    r = R[:, None] * np.sqrt(np.take_along_axis(key, order, 1))
+    th = 2.0 * math.pi * np.where(real, u.take((off + n)[:, None] + order, mode="clip"), 0.0)
+    x, y, c, h = out[:, :, :k]
+    np.multiply(r, np.cos(th), out=x)
+    np.multiply(r, np.sin(th), out=y)
+    s = x * x + y * y
+    np.multiply(0.5, s, out=c)
+    np.divide(np.sqrt(s), 2.0, out=h)
+    out[:3, :, :k][:, ~real] = 0.0
+    h[~real] = np.inf
+    out[:3, :, k:] = 0.0
+    out[3, :, k:] = np.where(n > k, np.nan, np.inf)[:, None]
 
 
-def _radius(poly: list) -> float:
-    """The largest vertex norm (sqrt is monotone, so one sqrt suffices)."""
-    return math.sqrt(max(x * x + y * y for x, y in poly))
+def _clip_cells(R: np.ndarray, table: np.ndarray) -> tuple:
+    """Clip the window squares [-R, R]^2 of a block of attempts by the
+    bisectors of their points, ``table`` from ``_voronoi_rows``.
+
+    Returns each cell's vertex count (vertices closer than 1e-9 to the next
+    one count once), whether its reach is at most R/2, and whether it stopped
+    unfinished.  A polygon is a column of (2, V, attempts), its vertices first
+    and then copies of its first vertex, so that the edge from its last
+    vertex is read like any other.  One step tests the next _AHEAD points of
+    every cell still clipping, and clips each cell by its first point that
+    cuts it, as ``x px + y py - |p|^2/2 > 0`` at some vertex, unless an
+    earlier point stops it, |p|/2 > reach.  The clipped polygon keeps, in
+    order, each vertex inside and the crossing of each edge whose ends are
+    strictly on either side, vi + t (vj - vi) with t = vi / (vi - vj), and
+    its reach is taken again."""
+    size = len(R)
+    width = table.shape[2]
+    near = width - _AHEAD
+    rows = table.reshape(4, -1)
+    V = 8
+    poly = np.empty((2, V, size))
+    poly[:, :4] = _SQUARE[:, :, None] * R
+    poly[:, 4:] = poly[:, :1]
+    m = np.full(size, 4)
+    reach = np.sqrt(np.max(poly[0] * poly[0] + poly[1] * poly[1], axis=0))
+    k = np.zeros(size, dtype=np.intp)
+    live = np.arange(size)
+    lanes = np.arange(size)
+    ahead = np.arange(_AHEAD)[:, None]
+    slots = np.arange(2 * V)[:, None]
+    count = np.empty(size, dtype=np.intp)
+    last = np.empty(size)
+    unfinished = np.zeros(size, dtype=bool)
+    while live.size:
+        px, py, c, h = rows[:, live * width + k + ahead]
+        stop = h > reach
+        vals = poly[0][:, None] * px + poly[1][:, None] * py - c
+        event = stop | (vals > 0).any(axis=0)
+        first = event.argmax(axis=0)
+        lane = lanes[: live.size]
+        hit = event[first, lane]
+        stopped = hit & stop[first, lane]
+        k += np.where(hit, first + 1, _AHEAD)
+        j = np.flatnonzero(hit ^ stopped)
+        if j.size:
+            v = vals[:, first[j], j]
+            xy = poly[:, :, j]
+            out = v > 0
+            neg = v < 0
+            emit = np.empty((2 * V - 2, j.size), dtype=bool)
+            emit[0::2] = ~out[:-1] & (slots[: V - 1] < m[j])
+            emit[1::2] = (neg[:-1] & out[1:]) | (out[:-1] & neg[1:])
+            a = xy[:, :-1]
+            items = np.empty((2, 2 * V - 2, j.size))
+            items[:, 0::2] = a
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # only the crossings of crossed edges are kept
+                items[:, 1::2] = a + v[:-1] / (v[:-1] - v[1:]) * (xy[:, 1:] - a)
+            pos = np.cumsum(emit, axis=0)
+            mj = pos[-1]
+            if mj.max() >= V:
+                poly = np.concatenate([poly, np.repeat(poly[:, :1], V, axis=1)], axis=1)
+                V *= 2
+                slots = np.arange(2 * V)[:, None]
+            er, ec = np.nonzero(emit)
+            new = np.empty((2, V, j.size))
+            new[:, pos[er, ec] - 1, ec] = items[:, er, ec]
+            new = np.where(slots[:V] < mj, new, new[:, :1])
+            poly[:, :, j] = new
+            m[j] = mj
+            reach[j] = np.sqrt(np.max(new[0] * new[0] + new[1] * new[1], axis=0))
+        done = stopped | (k >= near)
+        if done.any():
+            d = np.flatnonzero(done)
+            xy = poly[:, :, d]
+            step = xy[:, 1:] - xy[:, :-1]
+            apart = np.sqrt(step[0] * step[0] + step[1] * step[1]) > 1e-9
+            at = live[d]
+            count[at] = np.count_nonzero(apart & (slots[: V - 1] < m[d]), axis=0)
+            last[at] = reach[d]
+            unfinished[at] = ~stopped[d] & np.isnan(rows[3, at * width + near])
+            rest = ~done
+            live, poly, m, reach, k = live[rest], poly[:, :, rest], m[rest], reach[rest], k[rest]
+    return count, last <= R / 2.0, unfinished
 
 
-def _clip_halfplane(poly: list, px: float, py: float, c: float) -> list:
-    """Clip a convex polygon, a list of (x, y) pairs, by
-    { x : <x, p> <= c }, c = |p|^2 / 2; a polygon already inside is
-    returned as it is."""
-    vals = [x * px + y * py - c for x, y in poly]
-    if max(vals) <= 0:
-        return poly
-    out: list = []
-    for (xi, yi), vi, (xj, yj), vj in zip(poly, vals, poly[1:] + poly[:1], vals[1:] + vals[:1]):
-        if vi <= 0:
-            out.append((xi, yi))
-        if (vi < 0 < vj) or (vj < 0 < vi):
-            t = vi / (vi - vj)
-            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
-    return out
+def _fits(u: np.ndarray, n: int) -> bool:
+    """A guess whether an attempt's cell fits in half its window, from its
+    uniforms ``u``: whether every point of the circle of radius R/2 is nearer
+    to one of the n points than to the origin.  A point of radius R sqrt(u_r)
+    and angle phi is nearer on the arc |theta - phi| < arccos(sqrt(u_r)), and
+    the arcs cover the circle iff the end of each lies inside another.
+    Attempts of more than 256 points are guessed to fit."""
+    if n < 3 or n > 256:
+        # fewer than three arcs, each shorter than a half turn, cover nothing
+        return n > 256
+    half = np.arccos(np.sqrt(u[:n]))
+    mid = 2.0 * math.pi * u[n : 2 * n]
+    inside = np.mod((mid + half)[:, None] - (mid - half), 2.0 * math.pi) < 2.0 * half
+    np.fill_diagonal(inside, False)
+    return bool(inside.any(axis=1).all())
 
 
-def _by_distance(r: np.ndarray, th: np.ndarray):
-    """The points of polar coordinates (r, th) in order of distance from the
-    origin, as (x, y, |p|/2, |p|^2/2); converted a few at a time, since a
-    cell is usually settled by its first dozen or so neighbours."""
-    order = np.argsort(r)
-    for start in range(0, len(order), 32):
-        i = order[start : start + 32]
-        x, y = r[i] * np.cos(th[i]), r[i] * np.sin(th[i])
-        s = x * x + y * y
-        yield from zip(x.tolist(), y.tolist(), (np.sqrt(s) / 2.0).tolist(), (0.5 * s).tolist())
-
-
-def _voronoi_cell_vertices(rng: np.random.Generator, radius: float) -> int:
-    R = float(radius)
-    for _ in range(8):
-        area = math.pi * R * R
-        N = rng.poisson(area)
-        r = R * np.sqrt(rng.random(N))
-        th = 2.0 * math.pi * rng.random(N)
-        poly = [(-R, -R), (R, -R), (R, R), (-R, R)]
-        reach = _radius(poly)
-        for px, py, half, c in _by_distance(r, th):
-            # no point further than twice the cell's radius can clip it
-            if half > reach:
-                break
-            clipped = _clip_halfplane(poly, px, py, c)
-            if clipped is not poly:
-                poly, reach = clipped, _radius(clipped)
-        if reach <= R / 2.0:
-            # drop duplicate vertices created by grazing clips
-            nxt = poly[1:] + poly[:1]
-            return sum(_norm((v[0] - w[0], v[1] - w[1])) > 1e-9 for v, w in zip(poly, nxt))
-        R *= 2.0
-    raise RuntimeError("window-overflow retries exhausted")
+def _replay(state: dict, windows: list, keep=()) -> tuple:
+    """A generator set to ``state`` that has drawn again the attempts of
+    ``windows``, and the uniforms of the attempts whose indices are in
+    ``keep``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    drawn = {}
+    for a, R in enumerate(windows):
+        u = rng.random(2 * rng.poisson(math.pi * R * R))
+        if a in keep:
+            drawn[a] = u
+    return rng, drawn
 
 
 def mc_voronoi_2d(
@@ -391,7 +502,80 @@ def mc_voronoi_2d(
         raise DomainError(f"window radius must be positive and finite, got {window_radius}")
     _check_count("trials", trials)
     rng = _rng(seed)
+    R0 = float(window_radius)
     samples = np.empty(trials)
-    for t in range(trials):
-        samples[t] = _voronoi_cell_vertices(rng, window_radius)
+    guessed: dict = {}  # window -> [attempts guessed kept, guessed redrawn]
+    table = np.empty((4, _VORONOI_BLOCK, _VORONOI_NEAR + _AHEAD))
+    u = np.empty(_VORONOI_CHUNK)
+    done, R, tries = 0, R0, 0  # the next attempt is trial `done`'s attempt `tries`, at window R
+    while done < trials:
+        start = rng.bit_generator.state
+        windows, counts, attempt, guess = [], [], [], []
+        offsets: list = []
+        t = done
+        while len(windows) < _VORONOI_BLOCK and t < trials:
+            N = rng.poisson(math.pi * R * R)
+            used = offsets[-1] + 2 * counts[-1] if offsets else 0
+            if used + 2 * N > len(u):
+                # put the drawn points in the table, and draw on from the start of u
+                a = len(windows) - len(offsets)
+                _voronoi_rows(np.array(windows[a:]), np.array(counts[a:]), u,
+                              np.array(offsets), table[:, a : len(windows)])
+                offsets, used = [], 0
+                if 2 * N > len(u):
+                    u = np.empty(2 * N)
+            drawn = u[used : used + 2 * N]
+            rng.random(out=drawn)
+            tally = guessed.setdefault(R, [0, 0])
+            fit, miss = tally
+            if fit + miss < 4 or 256 * min(fit, miss) >= fit + miss:
+                kept = _fits(drawn, N)
+            else:
+                kept = fit > miss
+            tally[not kept] += 1
+            windows.append(R)
+            counts.append(N)
+            attempt.append(tries)
+            guess.append(kept)
+            offsets.append(used)
+            if kept:
+                t, R, tries = t + 1, R0, 0
+            elif tries == 7:
+                break
+            else:
+                R, tries = 2.0 * R, tries + 1
+        size = len(windows)
+        a = size - len(offsets)
+        _voronoi_rows(np.array(windows[a:]), np.array(counts[a:]), u, np.array(offsets),
+                      table[:, a:size])
+        Rs = np.array(windows)
+        ns = np.array(counts)
+        vertices, ok, unfinished = _clip_cells(Rs, table[:, :size])
+        if unfinished.any():
+            # an attempt that read all its nearest points goes on with all of them
+            redo = np.flatnonzero(unfinished)
+            _, kept_u = _replay(start, windows[: redo[-1] + 1], set(redo.tolist()))
+            full = np.empty((4, len(redo), int(ns[redo].max()) + _AHEAD))
+            _voronoi_rows(Rs[redo], ns[redo], np.concatenate([kept_u[a] for a in redo]),
+                          np.concatenate([[0], np.cumsum(2 * ns[redo])[:-1]]), full)
+            vertices[redo], ok[redo], _ = _clip_cells(Rs[redo], full)
+        wrong = np.flatnonzero(ok != np.array(guess))
+        end = int(wrong[0]) + 1 if wrong.size else size
+        redrawn = ~ok[:end]
+        if np.any(np.array(attempt[:end])[redrawn] == 7):
+            raise RuntimeError("window-overflow retries exhausted")
+        kept_counts = vertices[:end][ok[:end]]
+        samples[done : done + len(kept_counts)] = kept_counts
+        done += len(kept_counts)
+        if ok[end - 1]:
+            R, tries = R0, 0
+        else:
+            R, tries = 2.0 * windows[end - 1], attempt[end - 1] + 1
+        if end < size:
+            # the guess for attempt end - 1 was wrong: undo the guesses from
+            # it on, count its outcome, and draw again from just after it
+            for a in range(end - 1, size):
+                guessed[windows[a]][not guess[a]] -= 1
+            guessed[windows[end - 1]][not ok[end - 1]] += 1
+            rng, _ = _replay(start, windows[:end])
     return _summarize(samples, seed)

@@ -364,3 +364,48 @@ def test_random_invalid_input_exits_two_with_message(argv):
     assert "error: " in err
     assert out == ""
 
+
+
+def _exit_text(parser_main, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser_main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # the parser is built on main's first call, not at import, and reused;
+    # a reused parser prints the same stdout, help and usage errors as a
+    # fresh one
+    import importlib
+
+    from angleworks import cli
+
+    importlib.reload(cli)
+    assert cli._parser is None
+    built = []
+    fresh = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    args = ["angles", "--family", "beta", "--n", "5", "--beta", "1/2", "--digits", "12"]
+    outs = []
+    for _ in range(3):
+        code = cli.main(list(args))
+        outs.append(capsys.readouterr().out)
+        assert code == 0
+    assert len(built) == 1
+    assert outs[0] == outs[1] == outs[2]
+    for argv, status in (
+        (["angles", "--help"], 0),
+        (["--help"], 0),
+        (["angles", "--family", "hyperbolic", "--n", "4", "--beta", "0"], 2),
+        (["fvector", "--d", "3"], 2),
+    ):
+        reused = _exit_text(cli.main, argv, capsys)
+        assert reused == _exit_text(fresh().parse_args, argv, capsys)
+        assert reused[0] == status
+    assert len(built) == 1

@@ -239,7 +239,7 @@ def test_mc_voronoi_window_invariance():
 # -- reference: the per-simplex estimators the batched module replaced -----------
 #
 # Moved here verbatim (bar the names of the public entry points) as the
-# reference of the batched angle kernel and the scalar planar code: on the
+# reference of the batched angle kernel and the blocked planar code: on the
 # same seed both must give equal estimates.
 
 
@@ -437,7 +437,89 @@ def test_scalar_voronoi_equals_reference(window, seed):
     assert mc_voronoi_2d(window, **kw) == _mc_voronoi_2d_reference(window, **kw)
 
 
-@pytest.mark.parametrize("n, beta", [(4, 0.5), (7, -1.0), (20, 0.0), (40, 1.0)])
+def _reference_voronoi_samples(window, trials: int, seed: int) -> np.ndarray:
+    rng = _rng(seed)
+    return np.array([_voronoi_cell_vertices(rng, window) for _ in range(trials)], dtype=float)
+
+
+# the first t trials of a sample are those of any longer sample of the same
+# seed, so one reference run serves every sample size; window 1 is too small
+# for nearly every cell, so attempts in a window twice as wide fill its blocks
+@pytest.mark.parametrize("window, seed", [(1.0, 5), (2, 6), (6.0, 7)])
+def test_blocked_voronoi_equals_reference_at_block_edges(window, seed):
+    block = montecarlo._VORONOI_BLOCK
+    samples = _reference_voronoi_samples(window, 2 * block + 1, seed)
+    for trials in (1, block - 1, block, block + 1, 2 * block + 1):
+        assert mc_voronoi_2d(window, trials=trials, seed=seed) == _summarize(
+            samples[:trials], seed
+        ), trials
+
+
+class _Drawn:
+    """Stands in for the generator of one Voronoi attempt: hands out a
+    fixed point count, then fixed uniforms in the order they are asked for."""
+
+    def __init__(self, n: int, u: np.ndarray):
+        self.n, self.u = n, u
+
+    def poisson(self, lam: float) -> int:
+        return self.n
+
+    def random(self, size: int) -> np.ndarray:
+        out, self.u = self.u[:size], self.u[size:]
+        return out
+
+
+def test_cell_past_the_nearest_point_cap_goes_on_with_all_its_points():
+    # 100 points on a circle, evenly spaced and each a little farther out
+    # than the one before: every one of them clips the cell, a 100-gon, so
+    # the clipping reads past the cap of nearest points and outgrows the
+    # vertex rows it starts with
+    n = 100
+    u = np.concatenate([0.36 + 1e-7 * np.arange(n), (np.arange(n) + 0.5) / n])
+    expected = _voronoi_cell_vertices(_Drawn(n, u), 1.0)
+    assert expected == n
+    R, counts, offsets = np.array([1.0]), np.array([n]), np.array([0])
+    capped = np.empty((4, 1, montecarlo._VORONOI_NEAR + montecarlo._AHEAD))
+    montecarlo._voronoi_rows(R, counts, u, offsets, capped)
+    assert montecarlo._clip_cells(R, capped)[2][0]
+    full = np.empty((4, 1, n + montecarlo._AHEAD))
+    montecarlo._voronoi_rows(R, counts, u, offsets, full)
+    vertices, kept, unfinished = montecarlo._clip_cells(R, full)
+    assert (vertices[0], kept[0], unfinished[0]) == (n, True, False)
+
+
+def test_attempts_past_the_cap_are_drawn_again_and_clipped_whole(monkeypatch):
+    # with a cap of 6 nearest points, most attempts read past it
+    monkeypatch.setattr(montecarlo, "_VORONOI_NEAR", 6)
+    trials = montecarlo._VORONOI_BLOCK + 1
+    samples = _reference_voronoi_samples(6.0, trials, 9)
+    assert mc_voronoi_2d(6.0, trials=trials, seed=9) == _summarize(samples, 9)
+
+
+@pytest.mark.parametrize(
+    "guess",
+    [lambda u, n: True, lambda u, n: False, lambda u, n: n % 2 == 0],
+    ids=["kept", "redrawn", "parity"],
+)
+def test_wrong_guesses_change_no_draw(monkeypatch, guess):
+    # a wrong guess of an attempt's outcome cuts its block there and draws
+    # on from just after it, so the estimate is the reference's whatever
+    # the guesses
+    monkeypatch.setattr(montecarlo, "_fits", guess)
+    samples = _reference_voronoi_samples(2, 40, 4)
+    assert mc_voronoi_2d(2, trials=40, seed=4) == _summarize(samples, 4)
+
+
+def test_voronoi_window_retries_end_after_eight_attempts():
+    # windows of 0.001 to 0.128 hold no point at all, so no cell fits
+    with pytest.raises(RuntimeError, match="window-overflow retries exhausted"):
+        mc_voronoi_2d(0.001, trials=3)
+
+
+@pytest.mark.parametrize(
+    "n, beta", [(4, 0.5), (7, -1.0), (20, 0.0), (40, 1.0), (4, -1.0), (20, -1.0)]
+)
 def test_blocked_hull_equals_reference_at_block_edges(n, beta):
     block = max(1, _HULL_CELLS // n**2)
     for trials in sorted({1, block - 1, block, block + 1} - {0}):
@@ -477,14 +559,16 @@ def _traced_peak(call) -> int:
     [
         (lambda: mc_beta_hull_2d(4, 0.0, trials=100_000), 100_000),
         (lambda: mc_angle_sum("beta", 5, 2, 0.0, simplices=2000), 2000),
+        (lambda: mc_voronoi_2d(6.0, trials=5000), 5000),
     ],
-    ids=["hull", "angle"],
+    ids=["hull", "angle", "voronoi"],
 )
 def test_estimator_memory_does_not_grow_with_the_sample(call, samples):
     # beyond the float64 samples array, the working arrays are bounded by the
     # block sizes: (n, n, block) cross products for the hull, (block,
-    # directions, d) directions for the angles; one point set per trial
-    # kept for the whole sample would already pass the limit
+    # directions, d) directions for the angles, the (block, nearest points)
+    # table and one chunk of uniforms for the Voronoi cells; one point set
+    # per trial kept for the whole sample would already pass the limit
     assert _traced_peak(call) - 8 * samples < 4 * 2**20
 
 
