@@ -349,11 +349,10 @@ _SQUARE = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
 
 def _voronoi_rows(R: np.ndarray, n: np.ndarray, u: np.ndarray, off: np.ndarray,
                   out: np.ndarray) -> None:
-    """Fill ``out`` (4, attempts, near + _AHEAD) with the points of attempts
+    """Fill ``out`` (2, attempts, near + _AHEAD) with the points of attempts
     of windows ``R`` and counts ``n``, whose uniforms are ``u[off : off + 2n]``:
-    (x, y, |p|^2/2, |p|/2) of each attempt's ``near`` nearest points in order
-    of distance, then rows that end the attempt (|p|/2 = inf, and nothing to
-    clip) or, where it has more points, stop it unfinished (|p|/2 = nan)."""
+    the (x, y) of each attempt's ``near`` nearest points in order of
+    distance, and zeros after its last."""
     near = out.shape[2] - _AHEAD
     nmax = int(n.max())
     k = min(near, nmax)
@@ -364,37 +363,34 @@ def _voronoi_rows(R: np.ndarray, n: np.ndarray, u: np.ndarray, off: np.ndarray,
     real = real[:, :k]
     r = R[:, None] * np.sqrt(np.take_along_axis(key, order, 1))
     th = 2.0 * math.pi * np.where(real, u.take((off + n)[:, None] + order, mode="clip"), 0.0)
-    x, y, c, h = out[:, :, :k]
+    x, y = out[:, :, :k]
     np.multiply(r, np.cos(th), out=x)
     np.multiply(r, np.sin(th), out=y)
-    s = x * x + y * y
-    np.multiply(0.5, s, out=c)
-    np.divide(np.sqrt(s), 2.0, out=h)
-    out[:3, :, :k][:, ~real] = 0.0
-    h[~real] = np.inf
-    out[:3, :, k:] = 0.0
-    out[3, :, k:] = np.where(n > k, np.nan, np.inf)[:, None]
+    out[:, :, :k][:, ~real] = 0.0
+    out[:, :, k:] = 0.0
 
 
-def _clip_cells(R: np.ndarray, table: np.ndarray) -> tuple:
-    """Clip the window squares [-R, R]^2 of a block of attempts by the
-    bisectors of their points, ``table`` from ``_voronoi_rows``.
+def _clip_cells(R: np.ndarray, n: np.ndarray, table: np.ndarray) -> tuple:
+    """Clip the window squares [-R, R]^2 of a block of attempts with ``n``
+    points by the bisectors of the points in ``table``, from
+    ``_voronoi_rows``.
 
     Returns each cell's vertex count (vertices closer than 1e-9 to the next
-    one count once), whether its reach is at most R/2, and whether it stopped
-    unfinished.  A polygon is a column of (2, V, attempts), its vertices first
-    and then copies of its first vertex, so that the edge from its last
-    vertex is read like any other.  One step tests the next _AHEAD points of
-    every cell still clipping, and clips each cell by its first point that
-    cuts it, as ``x px + y py - |p|^2/2 > 0`` at some vertex, unless an
-    earlier point stops it, |p|/2 > reach.  The clipped polygon keeps, in
-    order, each vertex inside and the crossing of each edge whose ends are
-    strictly on either side, vi + t (vj - vi) with t = vi / (vi - vj), and
-    its reach is taken again."""
+    one count once), whether its reach is at most R/2, and whether it read
+    every row of the table without being stopped while it has more points.
+    A polygon is a column of (2, V, attempts): its vertices, then copies of
+    its first, so that the edge from its last vertex is read like any other.
+    One step tests the next _AHEAD points of every cell still clipping, and
+    clips each cell by its first point p that cuts it, x px + y py - |p|^2/2
+    > 0 at some vertex, unless an earlier point stops it, |p|/2 > reach.
+    The clipped polygon keeps, in order, each vertex with x px + y py -
+    |p|^2/2 = v <= 0, and the crossing vi + t (vj - vi), t = vi / (vi - vj),
+    of each edge whose ends are strictly on either side; its reach is then
+    taken again."""
     size = len(R)
     width = table.shape[2]
     near = width - _AHEAD
-    rows = table.reshape(4, -1)
+    rows = table.reshape(2, -1)
     V = 8
     poly = np.empty((2, V, size))
     poly[:, :4] = _SQUARE[:, :, None] * R
@@ -403,16 +399,20 @@ def _clip_cells(R: np.ndarray, table: np.ndarray) -> tuple:
     reach = np.sqrt(np.max(poly[0] * poly[0] + poly[1] * poly[1], axis=0))
     k = np.zeros(size, dtype=np.intp)
     live = np.arange(size)
+    left = n.copy()
     lanes = np.arange(size)
     ahead = np.arange(_AHEAD)[:, None]
-    slots = np.arange(2 * V)[:, None]
+    slots = np.arange(V)[:, None]
     count = np.empty(size, dtype=np.intp)
     last = np.empty(size)
     unfinished = np.zeros(size, dtype=bool)
     while live.size:
-        px, py, c, h = rows[:, live * width + k + ahead]
-        stop = h > reach
-        vals = poly[0][:, None] * px + poly[1][:, None] * py - c
+        px, py = rows[:, live * width + k + ahead]
+        s = px * px + py * py
+        stop = (np.sqrt(s) / 2.0 > reach) | (k + ahead >= left)
+        vals = poly[0][:, None] * px
+        vals += poly[1][:, None] * py
+        vals -= 0.5 * s
         event = stop | (vals > 0).any(axis=0)
         first = event.argmax(axis=0)
         lane = lanes[: live.size]
@@ -425,25 +425,23 @@ def _clip_cells(R: np.ndarray, table: np.ndarray) -> tuple:
             xy = poly[:, :, j]
             out = v > 0
             neg = v < 0
-            emit = np.empty((2 * V - 2, j.size), dtype=bool)
-            emit[0::2] = ~out[:-1] & (slots[: V - 1] < m[j])
-            emit[1::2] = (neg[:-1] & out[1:]) | (out[:-1] & neg[1:])
-            a = xy[:, :-1]
-            items = np.empty((2, 2 * V - 2, j.size))
-            items[:, 0::2] = a
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # only the crossings of crossed edges are kept
-                items[:, 1::2] = a + v[:-1] / (v[:-1] - v[1:]) * (xy[:, 1:] - a)
-            pos = np.cumsum(emit, axis=0)
-            mj = pos[-1]
+            kept = ~out[:-1] & (slots[:-1] < m[j])
+            cross = (neg[:-1] & out[1:]) | (out[:-1] & neg[1:])
+            fill = np.add(kept, cross, dtype=np.intp).cumsum(axis=0)
+            mj = fill[-1]
             if mj.max() >= V:
                 poly = np.concatenate([poly, np.repeat(poly[:, :1], V, axis=1)], axis=1)
                 V *= 2
-                slots = np.arange(2 * V)[:, None]
-            er, ec = np.nonzero(emit)
+                slots = np.arange(V)[:, None]
             new = np.empty((2, V, j.size))
-            new[:, pos[er, ec] - 1, ec] = items[:, er, ec]
-            new = np.where(slots[:V] < mj, new, new[:, :1])
+            # the crossing of edge i goes to fill[i] - 1, and vertex i before it
+            to = (fill - 1) * j.size + lanes[: j.size]
+            flat = new.reshape(2, -1)
+            flat[:, (to - cross * j.size)[kept]] = xy[:, :-1][:, kept]
+            vi, vj = v[:-1][cross], v[1:][cross]
+            a = xy[:, :-1][:, cross]
+            flat[:, to[cross]] = a + vi / (vi - vj) * (xy[:, 1:][:, cross] - a)
+            np.copyto(new, new[:, :1], where=slots >= mj)
             poly[:, :, j] = new
             m[j] = mj
             reach[j] = np.sqrt(np.max(new[0] * new[0] + new[1] * new[1], axis=0))
@@ -454,11 +452,12 @@ def _clip_cells(R: np.ndarray, table: np.ndarray) -> tuple:
             step = xy[:, 1:] - xy[:, :-1]
             apart = np.sqrt(step[0] * step[0] + step[1] * step[1]) > 1e-9
             at = live[d]
-            count[at] = np.count_nonzero(apart & (slots[: V - 1] < m[d]), axis=0)
+            count[at] = np.count_nonzero(apart & (slots[:-1] < m[d]), axis=0)
             last[at] = reach[d]
-            unfinished[at] = ~stopped[d] & np.isnan(rows[3, at * width + near])
+            unfinished[at] = ~stopped[d] & (left[d] > near)
             rest = ~done
-            live, poly, m, reach, k = live[rest], poly[:, :, rest], m[rest], reach[rest], k[rest]
+            live, poly, m, reach = live[rest], poly[:, :, rest], m[rest], reach[rest]
+            k, left = k[rest], left[rest]
     return count, last <= R / 2.0, unfinished
 
 
@@ -505,7 +504,7 @@ def mc_voronoi_2d(
     R0 = float(window_radius)
     samples = np.empty(trials)
     guessed: dict = {}  # window -> [attempts guessed kept, guessed redrawn]
-    table = np.empty((4, _VORONOI_BLOCK, _VORONOI_NEAR + _AHEAD))
+    table = np.empty((2, _VORONOI_BLOCK, _VORONOI_NEAR + _AHEAD))
     u = np.empty(_VORONOI_CHUNK)
     done, R, tries = 0, R0, 0  # the next attempt is trial `done`'s attempt `tries`, at window R
     while done < trials:
@@ -550,15 +549,15 @@ def mc_voronoi_2d(
                       table[:, a:size])
         Rs = np.array(windows)
         ns = np.array(counts)
-        vertices, ok, unfinished = _clip_cells(Rs, table[:, :size])
+        vertices, ok, unfinished = _clip_cells(Rs, ns, table[:, :size])
         if unfinished.any():
             # an attempt that read all its nearest points goes on with all of them
             redo = np.flatnonzero(unfinished)
             _, kept_u = _replay(start, windows[: redo[-1] + 1], set(redo.tolist()))
-            full = np.empty((4, len(redo), int(ns[redo].max()) + _AHEAD))
+            full = np.empty((2, len(redo), int(ns[redo].max()) + _AHEAD))
             _voronoi_rows(Rs[redo], ns[redo], np.concatenate([kept_u[a] for a in redo]),
                           np.concatenate([[0], np.cumsum(2 * ns[redo])[:-1]]), full)
-            vertices[redo], ok[redo], _ = _clip_cells(Rs[redo], full)
+            vertices[redo], ok[redo], _ = _clip_cells(Rs[redo], ns[redo], full)
         wrong = np.flatnonzero(ok != np.array(guess))
         end = int(wrong[0]) + 1 if wrong.size else size
         redrawn = ~ok[:end]

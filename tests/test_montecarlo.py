@@ -480,12 +480,12 @@ def test_cell_past_the_nearest_point_cap_goes_on_with_all_its_points():
     expected = _voronoi_cell_vertices(_Drawn(n, u), 1.0)
     assert expected == n
     R, counts, offsets = np.array([1.0]), np.array([n]), np.array([0])
-    capped = np.empty((4, 1, montecarlo._VORONOI_NEAR + montecarlo._AHEAD))
+    capped = np.empty((2, 1, montecarlo._VORONOI_NEAR + montecarlo._AHEAD))
     montecarlo._voronoi_rows(R, counts, u, offsets, capped)
-    assert montecarlo._clip_cells(R, capped)[2][0]
-    full = np.empty((4, 1, n + montecarlo._AHEAD))
+    assert montecarlo._clip_cells(R, counts, capped)[2][0]
+    full = np.empty((2, 1, n + montecarlo._AHEAD))
     montecarlo._voronoi_rows(R, counts, u, offsets, full)
-    vertices, kept, unfinished = montecarlo._clip_cells(R, full)
+    vertices, kept, unfinished = montecarlo._clip_cells(R, counts, full)
     assert (vertices[0], kept[0], unfinished[0]) == (n, True, False)
 
 
