@@ -13,10 +13,13 @@ and their directions are drawn one simplex at a time, in the order the seed
 fixes, and put on their law, checked and tested a block at a time: one
 stacked inverse of the (n, n) matrices with rows [p_i, 1] gives the weights
 of every direction of the block, for every face at once.  The hull
-estimator draws its trials one at a time too and counts their hull
-vertices a block at a time, from the signs of cross products.  The planar
-estimators use only elementwise float arithmetic, which does not depend on
-the BLAS build.
+estimator draws its trials one at a time too (on the circle, where the
+radii take no draw, a block's normals in one call) and counts their hull
+vertices a block at a time, from the signs of cross products.  The
+Voronoi estimator draws its attempts one at a time and clips their cells a
+block at a time, each with the arithmetic of a scalar polygon clipper.  The
+planar estimators use only elementwise float arithmetic, which does not
+depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -516,10 +519,12 @@ def mc_voronoi_2d(
             N = rng.poisson(math.pi * R * R)
             used = offsets[-1] + 2 * counts[-1] if offsets else 0
             if used + 2 * N > len(u):
-                # put the drawn points in the table, and draw on from the start of u
-                a = len(windows) - len(offsets)
-                _voronoi_rows(np.array(windows[a:]), np.array(counts[a:]), u,
-                              np.array(offsets), table[:, a : len(windows)])
+                # put the points drawn so far in the table, and draw on from
+                # the start of u
+                if offsets:
+                    a = len(windows) - len(offsets)
+                    _voronoi_rows(np.array(windows[a:]), np.array(counts[a:]), u,
+                                  np.array(offsets), table[:, a : len(windows)])
                 offsets, used = [], 0
                 if 2 * N > len(u):
                     u = np.empty(2 * N)

@@ -430,8 +430,9 @@ def test_scalar_hull_equals_reference(n, beta, seed):
 
 
 # window 1 is too small for most cells, so it exercises the window doubling;
-# an int window exercises the float conversion of the starting square
-@pytest.mark.parametrize("window, seed", [(1.0, 0), (2, 1), (6.0, 2), (8.0, 3)])
+# an int window exercises the float conversion of the starting square; at
+# window 60 one attempt draws more uniforms than a chunk holds
+@pytest.mark.parametrize("window, seed", [(1.0, 0), (2, 1), (6.0, 2), (8.0, 3), (60.0, 4)])
 def test_scalar_voronoi_equals_reference(window, seed):
     kw = dict(trials=100, seed=seed)
     assert mc_voronoi_2d(window, **kw) == _mc_voronoi_2d_reference(window, **kw)
