@@ -510,21 +510,22 @@ def mc_voronoi_2d(
     table = np.empty((2, _VORONOI_BLOCK, _VORONOI_NEAR + _AHEAD))
     u = np.empty(_VORONOI_CHUNK)
     done, R, tries = 0, R0, 0  # the next attempt is trial `done`'s attempt `tries`, at window R
+
+    def put(first: int) -> None:
+        """Put the points of the block's attempts from ``first`` on in the table."""
+        _voronoi_rows(np.array(windows[first:]), np.array(counts[first:]), u,
+                      np.array(offsets), table[:, first : len(windows)])
+
     while done < trials:
         start = rng.bit_generator.state
-        windows, counts, attempt, guess = [], [], [], []
-        offsets: list = []
-        t = done
+        windows, counts, nth, guess = [], [], [], []
+        offsets: list = []  # where the uniforms of the attempts not yet in the table start in u
+        t, used = done, 0
         while len(windows) < _VORONOI_BLOCK and t < trials:
             N = rng.poisson(math.pi * R * R)
-            used = offsets[-1] + 2 * counts[-1] if offsets else 0
             if used + 2 * N > len(u):
-                # put the points drawn so far in the table, and draw on from
-                # the start of u
                 if offsets:
-                    a = len(windows) - len(offsets)
-                    _voronoi_rows(np.array(windows[a:]), np.array(counts[a:]), u,
-                                  np.array(offsets), table[:, a : len(windows)])
+                    put(len(windows) - len(offsets))
                 offsets, used = [], 0
                 if 2 * N > len(u):
                     u = np.empty(2 * N)
@@ -539,21 +540,19 @@ def mc_voronoi_2d(
             tally[not kept] += 1
             windows.append(R)
             counts.append(N)
-            attempt.append(tries)
+            nth.append(tries)
             guess.append(kept)
             offsets.append(used)
+            used += 2 * N
             if kept:
                 t, R, tries = t + 1, R0, 0
             elif tries == 7:
                 break
             else:
                 R, tries = 2.0 * R, tries + 1
+        put(len(windows) - len(offsets))
         size = len(windows)
-        a = size - len(offsets)
-        _voronoi_rows(np.array(windows[a:]), np.array(counts[a:]), u, np.array(offsets),
-                      table[:, a:size])
-        Rs = np.array(windows)
-        ns = np.array(counts)
+        Rs, ns = np.array(windows), np.array(counts)
         vertices, ok, unfinished = _clip_cells(Rs, ns, table[:, :size])
         if unfinished.any():
             # an attempt that read all its nearest points goes on with all of them
@@ -565,8 +564,7 @@ def mc_voronoi_2d(
             vertices[redo], ok[redo], _ = _clip_cells(Rs[redo], ns[redo], full)
         wrong = np.flatnonzero(ok != np.array(guess))
         end = int(wrong[0]) + 1 if wrong.size else size
-        redrawn = ~ok[:end]
-        if np.any(np.array(attempt[:end])[redrawn] == 7):
+        if np.any(np.array(nth[:end])[~ok[:end]] == 7):
             raise RuntimeError("window-overflow retries exhausted")
         kept_counts = vertices[:end][ok[:end]]
         samples[done : done + len(kept_counts)] = kept_counts
@@ -574,7 +572,7 @@ def mc_voronoi_2d(
         if ok[end - 1]:
             R, tries = R0, 0
         else:
-            R, tries = 2.0 * windows[end - 1], attempt[end - 1] + 1
+            R, tries = 2.0 * windows[end - 1], nth[end - 1] + 1
         if end < size:
             # the guess for attempt end - 1 was wrong: undo the guesses from
             # it on, count its outcome, and draw again from just after it
