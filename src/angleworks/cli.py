@@ -4,19 +4,26 @@ Exact values print in the canonical PiNumber text form by default;
 ``--digits N`` adds a correctly rounded decimal column.  Exit codes:
 0 success, 1 failed verification, 2 invalid parameters.  Timing goes to
 stderr so identical invocations stay bit-identical on stdout.
+
+One table, ``_COMMANDS``, lists each command's options; it drives both the
+parse and ``-h``/``--help``.  Options read as argparse reads them:
+``--opt value`` or ``--opt=value``, any unique prefix of an option name,
+and the last of a repeated option wins.  A value that starts with ``-`` and
+is not a negative number needs the equals sign (``--beta=-3/2``).  A usage
+error raises ``DomainError``, so ``main`` reports it like every other bad
+input: ``error: ...`` on stderr and return 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
-from . import verify as verify_mod
 from .angle_engine import angle_table
 from .exact_scalars import (
     MAX_DECIMAL_DIGITS,
@@ -38,6 +45,7 @@ from .polytope_engine import (
 )
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RELATIONS_MAX_N = 10  # the largest n that verify.relations_suite reads
 
 
 def _parse_parameter(text: str, what: str = "beta", scale: int = 2):
@@ -197,11 +205,16 @@ def cmd_reitzner(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 2:
         raise DomainError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.suite == "relations" and args.max_n > _RELATIONS_MAX_N:
+        raise DomainError(f"--max-n capped at {_RELATIONS_MAX_N} for the relations suite, "
+                          f"got {args.max_n}")
     if args.trials < 2:
         raise DomainError(f"--trials must be at least 2, got {args.trials}")
     if args.seed < 0:
         raise DomainError(f"--seed must be nonnegative, got {args.seed}")
-    suite = verify_mod.SUITES[args.suite]
+    from . import verify  # only verify runs read it
+
+    suite = verify.SUITES[args.suite]
     if args.suite == "relations":
         results = suite(max_n=args.max_n)
     elif args.suite == "montecarlo":
@@ -217,64 +230,188 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="angleworks",
-        description="Exact expected angles of random simplices and f-vectors of random polytopes",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    a = sub.add_parser("angles", help="expected internal angle sums")
-    a.add_argument("--family", choices=("beta", "betaprime"), required=True)
-    a.add_argument("--n", type=int, required=True)
-    a.add_argument("--k", type=int)
-    a.add_argument("--beta", required=True, help="exact fraction P/Q or decimal")
-    a.add_argument("--numeric", action="store_true", help="force the quadrature path")
-    a.add_argument("--format", choices=("plain", "csv", "latex", "json"), default="plain")
-    a.add_argument("--digits", type=int)
-    a.set_defaults(func=cmd_angles)
-
-    f = sub.add_parser("fvector", help="expected f-vectors of random polytopes")
-    f.add_argument(
-        "--model",
-        choices=("voronoi", "zerocell", "poisson", "beta", "betaprime"),
-        required=True,
-    )
-    f.add_argument("--d", type=int, required=True)
-    f.add_argument("--alpha", help="poisson model concentration (integer = exact)")
-    f.add_argument("--beta", help="beta/betaprime parameter, P/Q or decimal")
-    f.add_argument("--n", type=int, help="number of sample points (beta models)")
-    f.add_argument("--format", choices=("plain", "csv", "latex", "json"), default="plain")
-    f.add_argument("--digits", type=int)
-    f.set_defaults(func=cmd_fvector)
-
-    r = sub.add_parser("reitzner", help="Reitzner constants C_{d,k} and C*_{d,k}")
-    r.add_argument("--surface", choices=("ball", "sphere"), required=True)
-    r.add_argument("--d", type=int, required=True)
-    r.add_argument("--k", type=int)
-    r.add_argument("--digits", type=int)
-    r.add_argument("--format", choices=("plain", "json"), default="plain")
-    r.set_defaults(func=cmd_reitzner)
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", choices=("relations", "crosscheck", "montecarlo"), required=True)
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--trials", type=int, default=20000)
-    v.add_argument("--max-n", type=int, default=8, dest="max_n")
-    v.set_defaults(func=cmd_verify)
-    return p
+#: Every command and its options, in help order: the one description from
+#: which ``parse_args`` reads an argv and ``--help`` is printed.  A command
+#: is (function, help, options); an option is (name, type, choices,
+#: required, default, help), where the type is ``int`` or ``str``, or
+#: ``bool`` for a flag that takes no value.
+_COMMANDS = {
+    "angles": (cmd_angles, "expected internal angle sums", (
+        ("family", str, ("beta", "betaprime"), True, None, "law of the vertices"),
+        ("n", int, None, True, None, "number of vertices"),
+        ("k", int, None, False, None, "one k-vertex face count (all k = 1..n if omitted)"),
+        ("beta", str, None, True, None, "exact fraction P/Q or decimal"),
+        ("numeric", bool, None, False, False, "force the quadrature path"),
+        ("format", str, ("plain", "csv", "latex", "json"), False, "plain", "output format"),
+        ("digits", int, None, False, None, "add a decimal column to this many digits"),
+    )),
+    "fvector": (cmd_fvector, "expected f-vectors of random polytopes", (
+        ("model", str, ("voronoi", "zerocell", "poisson", "beta", "betaprime"), True, None,
+         "polytope model"),
+        ("d", int, None, True, None, "dimension"),
+        ("alpha", str, None, False, None, "poisson model concentration (integer = exact)"),
+        ("beta", str, None, False, None, "beta/betaprime parameter, P/Q or decimal"),
+        ("n", int, None, False, None, "number of sample points (beta models)"),
+        ("format", str, ("plain", "csv", "latex", "json"), False, "plain", "output format"),
+        ("digits", int, None, False, None, "add a decimal column to this many digits"),
+    )),
+    "reitzner": (cmd_reitzner, "Reitzner constants C_{d,k} and C*_{d,k}", (
+        ("surface", str, ("ball", "sphere"), True, None, "convex body"),
+        ("d", int, None, True, None, "dimension"),
+        ("k", int, None, False, None, "one face dimension (all k = 0..d-1 if omitted)"),
+        ("digits", int, None, False, None, "decimal digits (default 12)"),
+        ("format", str, ("plain", "json"), False, "plain", "output format"),
+    )),
+    "verify": (cmd_verify, "run a verification suite", (
+        ("suite", str, ("relations", "crosscheck", "montecarlo"), True, None, "suite to run"),
+        ("seed", int, None, False, 42, "Monte Carlo seed"),
+        ("trials", int, None, False, 20000, "Monte Carlo trials"),
+        ("max-n", int, None, False, 8, "largest n of the relations suite, at most 10"),
+    )),
+}
+_HELP = ("-h", "--help")
 
 
-_parser: argparse.ArgumentParser | None = None  # main's parser, built on its first call
+def _read_option(token: str, names) -> tuple[str | None, str | None] | None:
+    """How argparse reads ``token`` against the option strings ``names``.
+
+    None for a value, else (option, its ``=`` value or None); the option is
+    None for an option-like token that names none.  A long option may be cut
+    to any unique prefix; ``-h`` is the only short option, and takes the rest
+    of its token as a value.  A token that starts with ``-`` is a value only
+    when it is ``-``, a negative number or holds a space.
+    """
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token == "--":
+        return None, None
+    if token.startswith("--"):
+        found = [(name, tail if eq else None) for name in names if name.startswith(head)]
+    else:
+        found = [(name, token[2:]) for name in names if name == token[:2]]
+    if len(found) > 1:
+        raise DomainError(f"ambiguous option {token}: could match "
+                          + ", ".join(name for name, _ in found))
+    if found:
+        return found[0]
+    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command of ``argv`` and every one of its options, read from
+    ``_COMMANDS`` as argparse would read them; a usage error raises
+    ``DomainError``.
+
+    ``--opt value`` and ``--opt=value`` both work, the last of a repeated
+    option wins, and errors come in argparse's order: an ambiguous prefix
+    first, then the first bad value from the left, then a missing required
+    option, then any token left over.  A help request before the first error
+    returns a namespace whose ``func`` prints the help.
+    """
+    stray = []
+    for at, token in enumerate(argv):
+        read = _read_option(token, _HELP)
+        if read is None:
+            break
+        option, value = read
+        if option is None:
+            stray.append(token)
+        elif value is not None:
+            raise DomainError(f"{option} takes no value, got {token!r}")
+        else:
+            return SimpleNamespace(command=None, func=_print_help)
+    else:
+        raise DomainError("missing command; choose from " + ", ".join(_COMMANDS))
+    command = argv[at]
+    if command not in _COMMANDS:
+        raise DomainError(f"unknown command {command!r}; choose from " + ", ".join(_COMMANDS))
+    func, _, options = _COMMANDS[command]
+    spec = {"--" + opt[0]: opt for opt in options}
+    tokens = argv[at + 1:]
+    reads = [_read_option(token, (*_HELP, *spec)) for token in tokens]
+    values = {name.replace("-", "_"): default for name, _, _, _, default, _ in options}
+    i = 0
+    while i < len(tokens):
+        token, read = tokens[i], reads[i]
+        i += 1
+        if read is None or read[0] is None:
+            stray.append(token)
+            continue
+        option, value = read
+        if option in _HELP or spec[option][1] is bool:
+            if value is not None:
+                raise DomainError(f"{option} takes no value, got {token!r}")
+            if option in _HELP:
+                return SimpleNamespace(command=command, func=_print_help)
+            value = True
+        elif value is None:
+            if i == len(tokens) or reads[i] is not None:
+                raise DomainError(f"{option} expects a value; write {option}=VALUE "
+                                  "for one that starts with '-'")
+            value = tokens[i]
+            i += 1
+        name, kind, choices, _, _, _ = spec[option]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise DomainError(f"{option} expects an integer, got {value!r}") from None
+        if choices and value not in choices:
+            raise DomainError(f"{option} must be one of {', '.join(choices)}, got {value!r}")
+        values[name.replace("-", "_")] = value
+    # a required option has no default, and a value read is never None
+    missing = [f"--{name}" for name, _, _, required, _, _ in options
+               if required and values[name.replace("-", "_")] is None]
+    if missing:
+        raise DomainError(f"{command} needs " + ", ".join(missing))
+    if stray:
+        raise DomainError("unrecognized arguments: " + " ".join(stray))
+    return SimpleNamespace(command=command, func=func, **values)
+
+
+def _metavar(name: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else name.upper().replace("-", "_")
+
+
+def _print_help(args) -> int:
+    if args.command is None:
+        print("usage: angleworks {" + ",".join(_COMMANDS) + "} [options]\n\n"
+              "Exact expected angles of random simplices and f-vectors of random polytopes\n\n"
+              "commands:")
+        for name, (_, text, _) in _COMMANDS.items():
+            print(f"  {name:<10}{text}")
+        print("\nRun 'angleworks COMMAND --help' for the options of one command.")
+        return 0
+    _, text, options = _COMMANDS[args.command]
+    usage = [f"--{name} {_metavar(name, choices)}"
+             for name, _, choices, required, _, _ in options if required]
+    print(f"usage: angleworks {args.command} {' '.join(usage)} [options]\n\n{text}\n\noptions:")
+    rows = [("-h, --help", "show this help and exit")]
+    for name, kind, choices, required, default, help_text in options:
+        flag = f"--{name}" if kind is bool else f"--{name} {_metavar(name, choices)}"
+        if required:
+            help_text += " (required)"
+        elif default not in (None, False):
+            help_text += f" (default {default})"
+        rows.append((flag, help_text))
+    for flag, help_text in rows:
+        print(f"  {flag:<28}{help_text}" if len(flag) < 28 else f"  {flag}\n  {'':<28}{help_text}")
+    print("\nAn option name may be cut to any unique prefix.  Write --option=VALUE for\n"
+          "a value that starts with '-' and is not a negative number, as in --beta=-3/2.")
+    return 0
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         digits = getattr(args, "digits", None)
         if digits is not None and digits < 1:
             raise DomainError(f"--digits must be positive, got {digits}")

@@ -2,14 +2,25 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_reference
+from angleworks import cli
 from angleworks.angle_engine import angle_table
-from angleworks.cli import main
-from angleworks.exact_scalars import format_pinumber, parse_pinumber, pinumber_from_json
+from angleworks.cli import main, parse_args
+from angleworks.exact_scalars import (
+    DomainError,
+    format_pinumber,
+    parse_pinumber,
+    pinumber_from_json,
+)
 from angleworks.polytope_engine import betaprime_polytope_fvector
 
 
@@ -75,9 +86,13 @@ def test_reitzner_sphere(capsys):
 
 
 def test_bad_flags_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["angles", "--family", "hyperbolic", "--n", "4", "--beta", "0"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "angles", "--family", "hyperbolic", "--n", "4", "--beta", "0")
+    assert code == 2 and out == ""
+    assert "error: --family must be one of beta, betaprime, got 'hyperbolic'" in err
+    # a negative fraction needs the equals sign; without it, it reads as an option
+    code, out, err = run_cli(capsys, "angles", "--family", "beta", "--n", "6", "--beta", "-3/2")
+    assert code == 2 and out == ""
+    assert "error: --beta expects a value; write --beta=VALUE" in err
     code, _, err = run_cli(
         capsys, "angles", "--family", "beta", "--n", "6", "--k", "1", "--beta=-3/2"
     )
@@ -210,6 +225,7 @@ def test_verify_relations_small(capsys):
         ["reitzner", "--surface", "ball", "--d", "0"],
         ["reitzner", "--surface", "ball", "--d", "3", "--digits", "-1"],
         ["verify", "--suite", "relations", "--max-n", "0"],
+        ["verify", "--suite", "relations", "--max-n", "11"],
         ["verify", "--suite", "montecarlo", "--trials", "0"],
         ["verify", "--suite", "montecarlo", "--seed", "-1"],
         # numeric parameters whose Gamma factors or kernel exponents leave
@@ -347,7 +363,8 @@ def _invalid_argv(draw):
     if kind == "seed":
         return ["verify", "--suite", "montecarlo", "--seed", str(draw(st.integers(-10**6, -1)))]
     if kind == "max-n":
-        return ["verify", "--suite", "relations", "--max-n", str(draw(st.integers(-10**6, 1)))]
+        max_n = draw(st.one_of(st.integers(-10**6, 1), st.integers(11, 10**6)))
+        return ["verify", "--suite", "relations", "--max-n", str(max_n)]
     if kind == "beta":
         return ["angles", "--family", draw(_FAMILY), "--n", "4", f"--beta={draw(_NON_FINITE)}"]
     if kind == "fvector-beta":
@@ -365,39 +382,21 @@ def test_random_invalid_input_exits_two_with_message(argv):
     assert out == ""
 
 
-
-def _exit_text(parser_main, argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        parser_main(argv)
-    captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
+def test_relations_max_n_above_the_cap_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "relations", "--max-n", "20")
+    assert code == 2 and out == ""
+    assert "error: --max-n capped at 10 for the relations suite, got 20" in err
 
 
-def test_main_builds_its_parser_once(capsys, monkeypatch):
-    # the parser is built on main's first call, not at import, and reused;
-    # a reused parser prints the same stdout, help and usage errors as a
-    # fresh one
-    import importlib
-
-    from angleworks import cli
-
-    importlib.reload(cli)
-    assert cli._parser is None
-    built = []
-    fresh = cli.build_parser
-
-    def counting():
-        built.append(1)
-        return fresh()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
+def test_repeat_runs_help_and_usage_errors_are_stable(capsys):
+    # main keeps no state between calls: repeats print the same stdout, help
+    # and usage errors
     args = ["angles", "--family", "beta", "--n", "5", "--beta", "1/2", "--digits", "12"]
     outs = []
     for _ in range(3):
-        code = cli.main(list(args))
-        outs.append(capsys.readouterr().out)
+        code, out, _ = run_cli(capsys, *args)
         assert code == 0
-    assert len(built) == 1
+        outs.append(out)
     assert outs[0] == outs[1] == outs[2]
     for argv, status in (
         (["angles", "--help"], 0),
@@ -405,7 +404,132 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         (["angles", "--family", "hyperbolic", "--n", "4", "--beta", "0"], 2),
         (["fvector", "--d", "3"], 2),
     ):
-        reused = _exit_text(cli.main, argv, capsys)
-        assert reused == _exit_text(fresh().parse_args, argv, capsys)
-        assert reused[0] == status
-    assert len(built) == 1
+        first = run_cli(capsys, *argv)
+        assert first[0] == status
+        assert first[2 if status else 1].startswith("usage: " if status == 0 else "error: ")
+        for _ in range(2):  # stderr of a run that succeeds carries its timing
+            again = run_cli(capsys, *argv)
+            assert again[:2] == first[:2] and (status == 0 or again == first)
+
+
+# What the argparse reference parser (tests/cli_reference.py) and the option
+# table must agree on.  Each option lists values it takes, then values the
+# parse itself refuses ('-x' and '-3/2' read as options unless written with
+# '=').  Values the commands refuse later, such as n = 0, count as taken.
+_INTS = (["4", "0", "-2", "12", " 7", "+3"], ["4.5", "x", "", "1e3", "-3/2"])
+_PARAMS = (["1/2", "5", "-1", "-1.5", "0.3", "-", "-1 x", ""], ["-3/2", "-x", "-inf"])
+_FORMATS = (["plain", "csv", "latex", "json"], ["xml", "PLAIN"])
+_FLAG = ([None], ["x", ""])  # a flag takes no value; None: no '=' either
+_TABLE_OPTIONS = {
+    "angles": {"family": (["beta", "betaprime"], ["hyperbolic", "bet"]), "n": _INTS,
+               "k": _INTS, "beta": _PARAMS, "numeric": _FLAG, "format": _FORMATS,
+               "digits": _INTS},
+    "fvector": {"model": (["voronoi", "zerocell", "poisson", "beta", "betaprime"], ["cube"]),
+                "d": _INTS, "alpha": _PARAMS, "beta": _PARAMS, "n": _INTS,
+                "format": _FORMATS, "digits": _INTS},
+    "reitzner": {"surface": (["ball", "sphere"], ["cube"]), "d": _INTS, "k": _INTS,
+                 "digits": _INTS, "format": (["plain", "json"], ["csv"])},
+    "verify": {"suite": (["relations", "crosscheck", "montecarlo"], ["all"]), "seed": _INTS,
+               "trials": _INTS, "max-n": _INTS},
+}
+_REQUIRED = {"angles": ("family", "n", "beta"), "fvector": ("model", "d"),
+             "reitzner": ("surface", "d"), "verify": ("suite",)}
+_STRAYS = ["-h", "--help", "--he", "--help=x", "-hx", "--bogus", "--bogus=1", "-x", "stray",
+           "--=x", "-"]
+
+
+@st.composite
+def _option_tokens(draw, command, name):
+    taken, refused = _TABLE_OPTIONS[command][name]
+    value = draw(st.sampled_from(taken * 6 + refused))
+    option = "--" + name
+    if draw(st.booleans()):  # a prefix, possibly ambiguous
+        option = option[:draw(st.integers(3, len(option)))]
+    if value is None:
+        return [option]
+    if name in _REQUIRED[command] or draw(st.integers(0, 9)):
+        return [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    return [option]  # the value left out
+
+
+@st.composite
+def _table_argv(draw):
+    command = draw(st.sampled_from(sorted(_TABLE_OPTIONS)))
+    names = [n for n in _REQUIRED[command] if draw(st.integers(0, 9))]
+    names += draw(st.lists(st.sampled_from(sorted(_TABLE_OPTIONS[command])), max_size=4))
+    items = [draw(_option_tokens(command, n)) for n in names]
+    if not draw(st.integers(0, 3)):
+        items += [[t] for t in draw(st.lists(st.sampled_from(_STRAYS), min_size=1, max_size=2))]
+    items = draw(st.permutations(items))
+    lead = draw(st.sampled_from([[]] * 10 + [["--bogus"], ["-h"], ["--he"], ["-x"], ["bogus"]]))
+    return lead + [command] + [t for item in items for t in item]
+
+
+_REFERENCE = cli_reference.build_parser()
+
+
+def _reference_parse(argv):
+    """The reference namespace of ``argv``, or the status it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _REFERENCE.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _check_against_reference(argv):
+    expected = _reference_parse(argv)
+    if not isinstance(expected, int):
+        assert vars(parse_args(argv)) == vars(expected)
+        return
+    if expected == 0:  # help
+        code, out, _ = _run_captured(argv)
+        assert code == 0 and out.startswith("usage: angleworks")
+        return
+    with pytest.raises(DomainError):
+        parse_args(argv)
+    code, out, err = _run_captured(argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_table_argv())
+def test_option_table_reads_argv_as_argparse_did(argv):
+    _check_against_reference(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--bogus"], ["-h"], ["--help", "bogus"], ["bogus"], ["-1"], [""], ["--h"],
+    ["angles"], ["angles", "-h", "--family", "hyperbolic"],
+    ["angles", "--family", "hyperbolic", "-h"], ["angles", "--f", "beta", "-h"],
+    ["angles", "--family", "beta", "--n", "4", "--beta=-3/2", "--beta", "1/2"],
+    ["angles", "--family", "beta", "--n", "4", "--beta", "-1", "--n", "5", "--nu"],
+    ["fvector", "--model", "beta", "--d", "3", "--n=4", "--b", "0", "--f", "json"],
+    ["verify", "--s", "relations"], ["verify", "--su", "relations", "--max", "9"],
+    ["verify", "--suite", "relations", "--max-n=-3"],
+])
+def test_option_table_edge_cases_read_as_argparse_did(argv):
+    _check_against_reference(argv)
+
+
+def test_cold_process_skips_argparse_and_verify():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    probe = run("-c", "import sys, angleworks.cli as cli\n"
+                "code = cli.main(['angles', '--family', 'beta', '--n', '4', '--beta=-1'])\n"
+                "print(code, [m for m in ('argparse', 'angleworks.verify') if m in sys.modules])")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "0 []"
+    shown = run("-m", "angleworks.cli", "--help")
+    assert shown.returncode == 0
+    assert all(f"  {name} " in shown.stdout for name in ("angles", "fvector", "reitzner", "verify"))
+    bad = run("-m", "angleworks.cli", "angles", "--family", "beta", "--n", "4", "--beta", "0",
+              "--bogus")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr == "error: unrecognized arguments: --bogus\n"
