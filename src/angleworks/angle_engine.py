@@ -13,9 +13,10 @@ Exact values are reached through three routes, preferred in this order:
 
 On the tangent route the powers of the tangent polynomial T are integer
 numerators over L^j, L = lcm(1, 3, ..., alpha), and each moment is one
-integer dot product against the ratios I(p + 2) / I(p) = (p + 1) /
-(q - p - 1) of the integrals of sin^p cos^(q-p), so a ``PiNumber`` is
-formed once per moment.
+``sin_cos_dot``: an integer dot product against the ratios
+I(p + 2) / I(p) = (p + 1) / (q - p - 1) of the integrals of
+sin^p cos^(q-p), so a ``PiNumber`` is formed once per moment.  The odd-f
+external kernel of ``trig_algebra`` takes the same dot product.
 
 Every row is keyed by (n, alpha, s): the n-vertex simplex at the
 concentration alpha, with shift s = 0 for bold-J at beta = (alpha - n + 1)/2
@@ -174,29 +175,16 @@ def _tan_power(alpha: int, j: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _tan_moment(alpha: int, q: int, j: int) -> PiNumber:
     """The integral over [-pi/2, pi/2] of (c T(tan x))^j cos^q x, with
-    c = c_beta(alpha - 1): term j of every entry of a case-iii row.
-
-    With I(p) the integral of sin^p cos^(q-p), it is c^j sum_p t_p I(p) over
-    the coefficients t_p of T^j.  I(p) vanishes for odd p, and for even p
-    I(p + 2) = I(p) (p + 1) / (q - p - 1), so I(p) = I(0) w_p / W with
-    integers w_p and W = (q - 1)(q - 3)...: the sum is one integer dot
-    product times I(0)."""
+    c = c_beta(alpha - 1): term j of every entry of a case-iii row.  It is
+    one ``sin_cos_dot`` over the coefficients of T^j, and zero for odd j,
+    whose powers of tan are all odd."""
     nums = _tan_power(alpha, j)
-    top = j + 2 * (len(nums) - 1)  # the highest power of tan
-    if top > q:
+    if j + 2 * (len(nums) - 1) > q:  # the highest power of tan
         raise DomainError("tangent power exceeds available cosine power")
-    if j % 2:  # only odd powers of tan
+    if j % 2:
         return PiNumber.zero()
-    # w[i] = (1 * 3 * ... * (2i - 1)) * ((q - 2i - 1) * ... * (q - top + 1))
-    heads, tails = [1], [1]
-    for e in range(0, top, 2):
-        heads.append(heads[-1] * (e + 1))
-        tails.append(tails[-1] * (q - top + e + 1))
-    tails.reverse()
-    dot = sum(c * heads[j // 2 + i] * tails[j // 2 + i] for i, c in enumerate(nums))
     L = math.lcm(*range(1, alpha + 1, 2))
-    ratio = Fraction(dot, L**j * tails[0])
-    return (c_beta(alpha - 1) ** j) * (sin_cos_integral(0, q) * ratio)
+    return c_beta(alpha - 1) ** j * sin_cos_dot([0] * (j // 2) + nums, q, L**j, tangent=True)
 
 
 @lru_cache(maxsize=None)
@@ -207,6 +195,25 @@ def sin_cos_integral(p: int, q: int) -> PiNumber:
     if p % 2 == 1:
         return PiNumber.zero()
     return gamma_half(p + 1) * gamma_half(q + 1) / gamma_half(p + q + 2)
+
+
+def sin_cos_dot(nums: Sequence[int], q: int, den: int = 1, tangent: bool = False) -> PiNumber:
+    """The sum over i of nums[i] / den times I_i, the integral over
+    [-pi/2, pi/2] of sin^(2i) cos^(q-2i) (``tangent``: a polynomial in
+    tan^2 x times cos^q x) or of sin^(2i) cos^q (a polynomial in sin^2 x
+    times cos^q x).
+
+    I_(i+1) = I_i (2i + 1) / d_i with d_i = q - 2i - 1 or q + 2i + 2, so
+    I_i = I_0 w_i / W with integers w_i and W = d_0 d_1 ...: the sum is one
+    integer dot product times I_0, the one ``sin_cos_integral(0, q)``."""
+    top = len(nums) - 1
+    heads, tails = [1], [1]  # tails[k]: the product of the last k of d_0 .. d_(top-1)
+    for i in range(top):
+        heads.append(heads[-1] * (2 * i + 1))
+        l = top - 1 - i
+        tails.append(tails[-1] * (q - 2 * l - 1 if tangent else q + 2 * l + 2))
+    dot = sum(c * heads[i] * tails[top - i] for i, c in enumerate(nums))
+    return sin_cos_integral(0, q) * Fraction(dot, den * tails[top])
 
 
 def bJ_exact_case_iii(n: int, k: int, alpha: int) -> PiNumber:

@@ -104,9 +104,13 @@ def _emit_records(args, command: str, params: dict, records: list[dict]) -> None
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _record(index, value, provenance: str, digits) -> dict:
+def _record(index, value, provenance: str, args) -> dict:
+    """One output row; the JSON form of an exact value only for
+    ``--format json``, the one format that prints it."""
+    digits = args.digits
     if isinstance(value, PiNumber):
-        text, exact, num = format_pinumber(value), pinumber_to_json(value), None
+        text, num = format_pinumber(value), None
+        exact = pinumber_to_json(value) if args.format == "json" else None
         decimal = to_decimal(value, digits) if digits else None
     else:
         text, exact, num = repr(float(value)), None, value
@@ -124,7 +128,7 @@ def cmd_angles(args) -> int:
     table = angle_table(args.family, args.n, beta)
     ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
     records = [
-        _record(k, table.value(k), table.provenance(k), args.digits) for k in ks
+        _record(k, table.value(k), table.provenance(k), args) for k in ks
     ]
     params = {"family": args.family, "n": args.n, "beta": str(args.beta)}
     _emit_records(args, "angles", params, records)
@@ -158,7 +162,7 @@ def cmd_fvector(args) -> int:
     else:
         raise DomainError(f"unknown model {model!r}")
     records = [
-        _record(ell, fv.value(ell), fv.provenance(ell), args.digits)
+        _record(ell, fv.value(ell), fv.provenance(ell), args)
         for ell in range(fv.d)
     ]
     _emit_records(args, "fvector", params, records)
@@ -171,7 +175,7 @@ def cmd_reitzner(args) -> int:
     digits = args.digits or 12
     ks = [args.k] if args.k is not None else list(range(args.d))
     fn = reitzner_ball if args.surface == "ball" else reitzner_sphere
-    records = []
+    records, json_out = [], args.format == "json"
     for k in ks:
         rc = fn(args.d, k)
         if rc.exact is not None:
@@ -186,12 +190,12 @@ def cmd_reitzner(args) -> int:
                 "text": text,
                 "decimal": dec,
                 "provenance": "exact" if rc.exact is not None else "float",
-                "exact": pinumber_to_json(rc.exact) if rc.exact is not None else None,
+                "exact": pinumber_to_json(rc.exact) if json_out and rc.exact is not None else None,
                 "float": rc.value,
                 "angle_factor": format_pinumber(rc.angle_factor),
             }
         )
-    if args.format == "json":
+    if json_out:
         _emit_records(args, "reitzner", {"surface": args.surface, "d": args.d}, records)
         return 0
     for r in records:
@@ -202,7 +206,17 @@ def cmd_reitzner(args) -> int:
     return 0
 
 
+#: the options of ``verify`` that each suite reads; the others must keep
+#: their defaults
+_SUITE_OPTIONS = {"relations": ("max-n",), "crosscheck": (), "montecarlo": ("seed", "trials")}
+
+
 def cmd_verify(args) -> int:
+    unread = [name for name, _, _, required, default, _ in _COMMANDS["verify"][2]
+              if not required and name not in _SUITE_OPTIONS[args.suite]
+              and getattr(args, name.replace("-", "_")) != default]
+    if unread:
+        raise DomainError(f"--{unread[0]} does not apply to the {args.suite} suite")
     if args.max_n < 2:
         raise DomainError(f"--max-n must be at least 2, got {args.max_n}")
     if args.suite == "relations" and args.max_n > _RELATIONS_MAX_N:

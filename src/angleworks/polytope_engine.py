@@ -234,8 +234,16 @@ def reitzner_ball(d: int, k: int) -> ReitznerConstant:
         raise DomainError("need 0 <= k <= d-1")
     J = bJ_exact(d, k + 1, 1)
     with mpmath.workdps(_MP_DPS):
+        value = float(_reitzner_ball_prefactor(d) * J.evaluate(_MP_DPS))
+    return ReitznerConstant(value, J)
+
+
+@lru_cache(maxsize=None)
+def _reitzner_ball_prefactor(d: int) -> mpmath.mpf:
+    """The d-only factor of every C_{d,k}, at ``_MP_DPS`` digits."""
+    with mpmath.workdps(_MP_DPS):
         dd = mpmath.mpf(d)
-        pref = (
+        return (
             2
             * mpmath.power(mpmath.pi, dd * (dd - 1) / (2 * (dd + 1)))
             / mpmath.factorial(d + 1)
@@ -248,8 +256,6 @@ def reitzner_ball(d: int, k: int) -> ReitznerConstant:
                 (dd * dd + 1) / (dd + 1),
             )
         )
-        value = float(pref * J.evaluate(_MP_DPS))
-    return ReitznerConstant(value, J)
 
 
 def reitzner_sphere(d: int, k: int) -> ReitznerConstant:

@@ -2,16 +2,18 @@
 
 Every expected external angle sum of a beta or beta' simplex with an
 integer concentration parameter is a kernel integral over [-pi/2, pi/2] of
-cos^c x * F(x)^r, F(x) the integral of cos^f from -pi/2 to x.  The
-substitution u = x + pi/2 turns cos x into sin u and F into
-G(u) = integral_0^u sin^f, so the kernel is the integral over [0, pi] of
-sin^c(u) G(u)^r.  In u every term q * u^j * cos(mu) (or sin) has a
-rational q: sin^f u is linearised by the binomial formula and G is c0 u
-plus a sine polynomial (even f) or a constant minus a cosine polynomial
-(odd f).  Products stay rational by the product-to-sum identities, and
-they run on integer numerators over one common denominator.  pi enters
-only at the end, through the moments integral_0^pi u^j cos(mu) du and
-integral_0^pi u^j sin(mu) du, which are polynomials in pi.
+cos^c x * F(x)^r, F(x) the integral of cos^f from -pi/2 to x, with one
+route per parity of f, both on integer lists.
+
+* Odd f: F = Q(1) + Q(sin x), Q(t) the integral of (1 - s^2)^((f-1)/2)
+  from 0 to t, so F^r is a polynomial in sin x (one cached chain of powers
+  per f) and the kernel one ``angle_engine.sin_cos_dot``.
+* Even f: u = x + pi/2 turns cos x into sin u and F into
+  G(u) = (a0 u + S(u)) / D, S a sine polynomial, so
+  G^r = sum_i C(r, i) (a0 u)^(r-i) S^i / D^r.  The lists sin^c S^i, each
+  one product-to-sum step from the one before, meet the moments of
+  u^j cos(mu) and u^j sin(mu) over [0, pi], polynomials in pi; each power
+  of pi is summed over one common denominator.
 
 Each beta' quantity is its beta counterpart with both cosine exponents
 lowered by a shift s = 1 (s = 0 for beta) and c~_beta = c_(beta - 3/2), so
@@ -29,146 +31,132 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .angle_engine import internal_row
+from .angle_engine import internal_row, sin_cos_dot
 from .exact_scalars import DomainError, PiNumber, c_beta, linear_combination
 
-Key = tuple[int, int, str]  # (u-power j, frequency m, "cos" | "sin")
-Terms = dict[Key, int]  # numerators of coeff * u^j * cos(mu) or sin(mu)
-Scaled = tuple[Terms, int]  # (numerators, their one common denominator)
-
-
-def _product(a: Terms, b: Terms) -> Terms:
-    """The numerators of 2 a b by the product-to-sum rules (doubled so that
-    they stay integers), frequencies kept nonnegative."""
-    out: Terms = {}
-    get = out.get
-    for (j1, m1, k1), c1 in a.items():
-        for (j2, m2, k2), c2 in b.items():
-            j = j1 + j2
-            c = c1 * c2
-            if k1 == k2:
-                if k1 == "cos" and (m1 == 0 or m2 == 0):
-                    key = (j, m1 + m2, "cos")
-                    out[key] = get(key, 0) + 2 * c
-                    continue
-                key = (j, abs(m1 - m2), "cos")
-                out[key] = get(key, 0) + c
-                key = (j, m1 + m2, "cos")
-                out[key] = get(key, 0) + (c if k1 == "cos" else -c)
-                continue
-            ms, mc = (m1, m2) if k1 == "sin" else (m2, m1)
-            if mc == 0:
-                key = (j, ms, "sin")
-                out[key] = get(key, 0) + 2 * c
-                continue
-            key = (j, ms + mc, "sin")
-            out[key] = get(key, 0) + c
-            if ms != mc:
-                key = (j, abs(ms - mc), "sin")
-                out[key] = get(key, 0) + (c if ms > mc else -c)
-    return {key: c for key, c in out.items() if c}
-
-
-def _reduced(terms: Terms, den: int) -> Scaled:
-    g = math.gcd(den, *terms.values())
-    return {key: c // g for key, c in terms.items()}, den // g
-
 
 @lru_cache(maxsize=None)
-def _sin_power(f: int) -> Scaled:
-    """sin^f u linearised by the binomial formula over the denominator 2^f:
-    cosines at frequencies f, f - 2, ..., 0 for even f, sines for odd f."""
-    if f < 0:
-        raise DomainError("sin power must be nonnegative")
-    kind = "cos" if f % 2 == 0 else "sin"
-    terms = {
-        (0, f - 2 * i, kind): (-1) ** (f // 2 + i) * 2 * math.comb(f, i)
-        for i in range((f + 1) // 2)
-    }
-    if f % 2 == 0:
-        terms[(0, 0, "cos")] = math.comb(f, f // 2)
-    return terms, 2**f
+def _F_powers(f: int) -> list[list[int]]:
+    return [[1]]
 
 
-def _G(f: int) -> Scaled:
-    """G(u), the integral of sin^f from 0 to u: c0 u plus a sine polynomial
-    for even f, a constant minus a cosine polynomial for odd f."""
-    sin_f, den = _sin_power(f)
-    L = math.lcm(*range(1, f + 1))
-    G: Terms = {}
-    for (_, m, kind), c in sin_f.items():
-        if m == 0:
-            G[(1, 0, "cos")] = c * L
-        elif kind == "cos":
-            G[(0, m, "sin")] = c * L // m
-        else:
-            G[(0, m, "cos")] = -c * L // m
-            G[(0, 0, "cos")] = G.get((0, 0, "cos"), 0) + c * L // m
-    return _reduced(G, den * L)
-
-
-@lru_cache(maxsize=None)
-def _G_powers(f: int) -> list[Scaled]:
-    return [({(0, 0, "cos"): 1}, 1)]
-
-
-def _G_power(f: int, r: int) -> Scaled:
-    """G^r for G = ``_G(f)``.  The powers of one f are kept in one list,
-    each built from the one before it; the beta' F~ of alpha is G of
-    alpha - 1, so both families share it."""
-    powers = _G_powers(f)
+def _F_power(f: int, r: int) -> list[int]:
+    """(L F)^r for odd f, L = lcm(1, 3, ..., f), as integers: entry p is
+    the coefficient of sin^p x.  One list per f, each power built from the
+    one before; beta and beta' share it (F~ of alpha is F of alpha - 1)."""
+    powers = _F_powers(f)
     if len(powers) <= r:
-        b, db = _G(f)
+        L, h = math.lcm(*range(1, f + 1, 2)), f // 2
+        base = [0] * (f + 1)  # L Q(t), then L Q(1) at t^0
+        for i in range(h + 1):
+            base[2 * i + 1] = (-1) ** i * math.comb(h, i) * L // (2 * i + 1)
+        base[0] = sum(base)
         while len(powers) <= r:
-            a, da = powers[-1]
-            powers.append(_reduced(_product(a, b), 2 * da * db))
+            prev = powers[-1]
+            nxt = [0] * (len(prev) + f)
+            for i, b in enumerate(base):
+                if b:
+                    nxt[i:i + len(prev)] = [x + b * y for x, y in zip(nxt[i:], prev)]
+            powers.append(nxt)
     return powers[r]
 
 
 @lru_cache(maxsize=None)
-def _moment(j: int, m: int, kind: str) -> dict[int, int]:
-    """m^(j+1) times the integral of u^j cos(mu) or u^j sin(mu) over
-    [0, pi] (m >= 1), as {power of pi: integer}, by integration by parts."""
-    if kind == "cos":  # [u^j sin(mu) / m] vanishes at 0 and pi
-        if j == 0:
-            return {}
-        return {p: -j * q for p, q in _moment(j - 1, m, "sin").items()}
-    sign = (-1) ** m
-    if j == 0:
-        return {0: 1 - sign} if sign < 0 else {}
-    out = {p: j * q for p, q in _moment(j - 1, m, "cos").items()}
-    out[j] = out.get(j, 0) - sign * m**j
-    return {p: q for p, q in out.items() if q}
+def _sin_power(c: int) -> list[int]:
+    """sin^c u as numerators over 2^c: entry m is the coefficient of cos(mu)
+    for even c, of sin(mu) for odd c."""
+    out = [0] * (c + 1)
+    for i in range((c + 1) // 2):
+        out[c - 2 * i] = (-1) ** (c // 2 + i) * 2 * math.comb(c, i)
+    if c % 2 == 0:
+        out[0] = math.comb(c, c // 2)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _G_parts(f: int) -> tuple[int, int, list[int]]:
+    """(a0, D, S) with G(u), the integral of sin^f from 0 to u, equal to
+    (a0 u + S(u)) / D for even f; entry m of S multiplies sin(mu)."""
+    E = math.lcm(*range(2, f + 1, 2))
+    S = [0] * (f + 1)
+    for i in range(f // 2):
+        S[f - 2 * i] = (-1) ** (f // 2 + i) * 2 * math.comb(f, i) * E // (f - 2 * i)
+    a0 = math.comb(f, f // 2) * E
+    g = math.gcd(a0, 2**f * E, *S)
+    return a0 // g, 2**f * E // g, [s // g for s in S]
+
+
+def _times_sin(s: list[int], b: list[int], b_sin: bool) -> list[int]:
+    """2 s b by the product-to-sum rules, for a sine list s (entry m
+    multiplies sin(mu)) and b a sine list if ``b_sin``, else a cosine list:
+    a cosine list, or a sine list with entry 0 kept 0."""
+    nb, out = len(b), [0] * (len(s) + len(b) - 1)
+    sign = -1 if b_sin else 1  # at m1 + m2; minus it at m2 - m1 >= 0
+    for m1, x in enumerate(s):
+        if x:
+            up = sign * x
+            out[m1:m1 + nb] = [o + up * y for o, y in zip(out[m1:], b)]
+            out[:max(0, nb - m1)] = [o - up * y for o, y in zip(out, b[m1:])]
+            k = min(m1, nb)
+            out[m1 - k + 1:m1 + 1] = [o + x * y for o, y in zip(out[m1 - k + 1:], reversed(b[:k]))]
+    if not b_sin:
+        out[0] = 0
+    return out
 
 
 @lru_cache(maxsize=None)
 def _cos_F_integral(cos_exponent: int, f_exponent: int, r: int) -> PiNumber:
     """The one external-angle kernel: the integral over [-pi/2, pi/2] of
     cos^cos_exponent * F^r, F the integral of cos^f_exponent from -pi/2.
+    Cached: beta and beta' rows share kernels, and the alpha = 0 row of
+    every n reads (0, 0, r).
 
-    In u = x + pi/2 it is the integral over [0, pi] of sin^cos_exponent * G^r.
-    The terms of each frequency m are summed as integers over m^(J+1), J the
-    highest power of u, so a Fraction is formed once per (m, power of pi).
-    Cached: beta and beta' rows can share a kernel, and the alpha = 0 rows
-    of every n ask for the same (0, 0, r)."""
-    (s, ds), (g, dg) = _sin_power(cos_exponent), _G_power(f_exponent, r)
-    terms = _product(s, g)
-    J = max(j for j, _, _ in terms)
-    total: dict[int, Fraction] = {}  # power of pi -> coefficient
-    by_m: dict[int, dict[int, int]] = {}
-    for (j, m, kind), c in terms.items():
-        if m == 0:  # only cosines have frequency 0
-            total[j + 1] = total.get(j + 1, 0) + Fraction(c, j + 1)
-            continue
-        acc = by_m.setdefault(m, {})
-        c *= m ** (J - j)
-        for p, q in _moment(j, m, kind).items():
-            acc[p] = acc.get(p, 0) + c * q
-    for m, acc in by_m.items():
-        for p, q in acc.items():
-            total[p] = total.get(p, 0) + Fraction(q, m ** (J + 1))
-    den = 2 * ds * dg
-    return PiNumber({2 * p: q / den for p, q in total.items()})
+    Even f: R_i = r!/i! (2 a0)^(r-i) 2^i sin^c S^i over 2^c; each
+    frequency m has the parity of c, sigma = (-1)^c.  The moment
+    of u^j cos(mu) (odd k) or u^j sin(mu) (even k) over [0, pi] sums
+    e_k j!/(j-k)! (-1)^ceil(k/2) pi^(j-k) / m^(k+1) over k <= j, e_k = -sigma
+    (k < j) or 1 - sigma (k = j).  With j = r - i, p = j - k and
+    C(r, i) j!/(j-k)! = r!/(i! p!), pi^p / p! takes e_k times
+    (-1)^ceil((N-i)/2) R_i[m] / m^(N-i+1) from each i <= N = r - p: per m a
+    running sum B(N) = -B(N-2) - t_(N-1) + t_N over the N of the parity of
+    c + 1, t_i = m^(i-i0) R_i[m] from the first i0 that reaches m."""
+    c, f = cos_exponent, f_exponent
+    if min(c, f) < 0:
+        raise DomainError("powers must be nonnegative")
+    if f % 2:
+        return sin_cos_dot(_F_power(f, r)[::2], c, math.lcm(*range(1, f + 1, 2)) ** r)
+    a0, D, S = _G_parts(f)
+    top = r if f else 0  # S = 0 for f = 0
+    P, R, w = _sin_power(c), [], math.factorial(r) * (2 * a0) ** r
+    for i in range(top + 1):
+        if i:
+            P = _times_sin(S, P, (c + i) % 2 == 0)
+            w //= 2 * a0 * i
+        R.append([w * v for v in P])
+    nums, dens = [0] * (r + 2), [1] * (r + 2)  # per power of pi
+    for m in range(2 - c % 2, len(R[-1]), 2):
+        i0 = max(0, -((c - m) // f)) if f else 0
+        t, pw = [0] * (r + 2), 1  # t[i + 1] = t_i
+        for i in range(i0, top + 1):
+            t[i + 1] = pw * R[i][m]
+            pw *= m
+        first = i0 + (i0 + c + 1) % 2
+        B, dm = 0, m ** (first + 1 - i0)
+        for N in range(first, r + 1, 2):
+            B = -B - t[N] + t[N + 1]
+            if B:
+                p = r - N
+                g = math.gcd(dens[p], dm)
+                nums[p] = nums[p] * (dm // g) + B * (dens[p] // g)
+                dens[p] *= dm // g
+            dm *= m * m
+    sigma, common = (-1) ** c, D**r * 2 ** (c + r)
+    terms = {}
+    for p in range((r - c + 1) % 2, r + 2, 2):
+        t0 = R[r + 1 - p][0] if r + 1 - p <= top else 0  # frequency 0
+        n = t0 * dens[p] + ((1 - sigma) if p == 0 else -sigma) * nums[p]
+        terms[2 * p] = Fraction(n, dens[p] * math.factorial(p) * common)
+    return PiNumber(terms)
 
 
 # -- external-angle quantities ----------------------------------------------

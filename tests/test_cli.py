@@ -228,6 +228,7 @@ def test_verify_relations_small(capsys):
         ["verify", "--suite", "relations", "--max-n", "11"],
         ["verify", "--suite", "montecarlo", "--trials", "0"],
         ["verify", "--suite", "montecarlo", "--seed", "-1"],
+        ["verify", "--suite", "crosscheck", "--max-n", "50", "--seed", "7"],
         # numeric parameters whose Gamma factors or kernel exponents leave
         # the float range
         ["angles", "--family", "beta", "--n", "5", "--beta", "60.0"],
@@ -257,6 +258,18 @@ def test_fvector_rejects_a_flag_the_model_does_not_use(capsys, model, flag):
     )
     assert code == 2
     assert f"error: {flag} does not apply to the {model} model" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [("relations", "--seed"), ("relations", "--trials"), ("crosscheck", "--max-n"),
+     ("crosscheck", "--seed"), ("montecarlo", "--max-n")],
+)
+def test_verify_rejects_an_option_the_suite_does_not_read(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "5")
+    assert code == 2
+    assert f"error: {flag} does not apply to the {suite} suite" in err
     assert out == ""
 
 

@@ -15,9 +15,9 @@ from angleworks.angle_engine import (
     sin_cos_integral,
 )
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
+from trig_reference import cos_F_integral_reference, moment
 from angleworks.trig_algebra import (
     _cos_F_integral,
-    _moment,
     external_bI,
     external_bI_fourier,
     external_bI_tilde,
@@ -360,6 +360,15 @@ def test_rational_kernel_matches_fourier_reference(c, f, r):
     assert _cos_F_integral(c, f, r) == _cos_F_integral_reference(c, f, r)
 
 
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4, 5, 7, 10, 15, 22, 31, 39, 40])
+def test_kernel_matches_rational_reference_on_grid(c):
+    # both parities of f (f = 0 included) against the 2-D rational kernel
+    # that preceded the two routes, every f <= 11 and r <= 10
+    for f in range(12):
+        for r in range(11):
+            assert _cos_F_integral(c, f, r) == cos_F_integral_reference(c, f, r), (c, f, r)
+
+
 def test_external_sums_match_fourier_reference():
     for n in range(1, 9):
         for k in range(1, n + 1):
@@ -400,7 +409,7 @@ def test_moments_against_quadrature(j, m, kind):
     trig = mpmath.cos if kind == "cos" else mpmath.sin
     with mpmath.workdps(40):
         want = mpmath.quad(lambda u: u**j * trig(m * u), mpmath.linspace(0, mpmath.pi, m + 2))
-        got = sum(q * mpmath.pi**p for p, q in _moment(j, m, kind).items()) / mpmath.mpf(m) ** (j + 1)
+        got = sum(q * mpmath.pi**p for p, q in moment(j, m, kind).items()) / mpmath.mpf(m) ** (j + 1)
         assert abs(got - want) < mpmath.mpf(10) ** -30 * max(1, abs(want))
 
 
