@@ -362,8 +362,8 @@ def test_rational_kernel_matches_fourier_reference(c, f, r):
 
 @pytest.mark.parametrize("c", [0, 1, 2, 3, 4, 5, 7, 10, 15, 22, 31, 39, 40])
 def test_kernel_matches_rational_reference_on_grid(c):
-    # both parities of f (f = 0 included) against the 2-D rational kernel
-    # that preceded the two routes, every f <= 11 and r <= 10
+    # every f <= 11 (both parities, f = 0 included) and r <= 10 against the
+    # 2-D dict kernel of tests/trig_reference.py
     for f in range(12):
         for r in range(11):
             assert _cos_F_integral(c, f, r) == cos_F_integral_reference(c, f, r), (c, f, r)
