@@ -14,6 +14,7 @@ from .exact_scalars import (
     pinumber_to_json,
     to_decimal,
 )
+from .series_kernel import residue_rational
 from .angle_engine import (
     AngleTable,
     angle_table,
@@ -21,7 +22,6 @@ from .angle_engine import (
     bJtilde_exact,
     bernoulli_fill,
     fill_row,
-    residue_rational,
 )
 from .polytope_engine import (
     FVector,

@@ -38,20 +38,7 @@ from typing import Callable, Optional, Sequence
 
 from . import quadrature
 from .exact_scalars import PI, DomainError, PiNumber, c_beta, exact_scaled, gamma_half, linear_combination
-from .series_kernel import bernoulli, residue_coefficient
-
-
-@lru_cache(maxsize=None)
-def residue_rational(a: int, p: int, q: int) -> Fraction:
-    """The rational residue behind every exact formula in this module:
-    [x^-1] (int_0^x sin^a)^p / sin^q x.
-
-    In s = sin x it is one coefficient of one power of the integral of
-    sin^a (see ``series_kernel``).
-    """
-    if a < 0 or p < 0 or q < 1:
-        raise DomainError(f"invalid residue parameters a={a}, p={p}, q={q}")
-    return residue_coefficient(a, p, q)
+from .series_kernel import bernoulli, residue_rational
 
 
 # -- residue formulas ---------------------------------------------------------
@@ -147,28 +134,26 @@ def inner_tan_antiderivative(alpha: int) -> dict[int, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _tan_powers(alpha: int) -> list[list[int]]:
+def _power_chain(base: tuple[int, ...]) -> list[list[int]]:
     return [[1]]
 
 
-def _tan_power(alpha: int, j: int) -> list[int]:
-    """T^j, T = inner_tan_antiderivative(alpha), as integer numerators over
-    L^j, L = lcm(1, 3, ..., alpha): entry i is the coefficient of
-    tan^(j + 2i) x (T is odd, so T^j has only powers of the parity of j).
+def integer_power(base: tuple[int, ...], j: int) -> list[int]:
+    """base^j for the polynomial whose coefficient of t^i is base[i], as a
+    list of integer coefficients.
 
-    The powers of one alpha are kept in one list, each built from the one
-    before it, and shared by every k and n."""
-    powers = _tan_powers(alpha)
-    if len(powers) <= j:
-        L = math.lcm(*range(1, alpha + 1, 2))
-        T = [int(c * L) for c in inner_tan_antiderivative(alpha).values()]
-        while len(powers) <= j:
-            prev = powers[-1]
-            nxt = [0] * (len(prev) + len(T) - 1)
-            for i, c in enumerate(prev):
-                for l, t in enumerate(T):
-                    nxt[i + l] += c * t
-            powers.append(nxt)
+    The powers of one base are kept in one list, each built from the one
+    before it, and shared by every caller: the tangent powers T^j of the
+    internal rows and the powers (L F)^r of the odd-f external kernel.  Read
+    the lists, never modify them."""
+    powers = _power_chain(base)
+    while len(powers) <= j:
+        prev = powers[-1]
+        nxt = [0] * (len(prev) + len(base) - 1)
+        for i, b in enumerate(base):
+            if b:
+                nxt[i:i + len(prev)] = [x + b * y for x, y in zip(nxt[i:], prev)]
+        powers.append(nxt)
     return powers[j]
 
 
@@ -177,13 +162,17 @@ def _tan_moment(alpha: int, q: int, j: int) -> PiNumber:
     """The integral over [-pi/2, pi/2] of (c T(tan x))^j cos^q x, with
     c = c_beta(alpha - 1): term j of every entry of a case-iii row.  It is
     one ``sin_cos_dot`` over the coefficients of T^j, and zero for odd j,
-    whose powers of tan are all odd."""
-    nums = _tan_power(alpha, j)
+    whose powers of tan are all odd.
+
+    T^j is read as integer numerators over L^j, L = lcm(1, 3, ..., alpha):
+    T is odd, so entry i of the power of T / tan, a polynomial in tan^2,
+    is the coefficient of tan^(j + 2i) x."""
+    L = math.lcm(*range(1, alpha + 1, 2))
+    nums = integer_power(tuple(int(c * L) for c in inner_tan_antiderivative(alpha).values()), j)
     if j + 2 * (len(nums) - 1) > q:  # the highest power of tan
         raise DomainError("tangent power exceeds available cosine power")
     if j % 2:
         return PiNumber.zero()
-    L = math.lcm(*range(1, alpha + 1, 2))
     return c_beta(alpha - 1) ** j * sin_cos_dot([0] * (j // 2) + nums, q, L**j, tangent=True)
 
 
@@ -241,17 +230,16 @@ def bJ_exact_case_iii(n: int, k: int, alpha: int) -> PiNumber:
 # -- exact dispatchers ---------------------------------------------------------
 
 
-def _closed_small_row(n: int) -> tuple[tuple[PiNumber, str], ...]:
-    if n == 1:
-        return ((PiNumber.one(), "closed"),)
-    if n == 2:
-        return ((PiNumber.one(), "closed"), (PiNumber.one(), "closed"))
-    # n == 3: (1/2, 3/2, 1) for every admissible parameter
-    return (
-        (PiNumber.from_rational(Fraction(1, 2)), "closed"),
-        (PiNumber.from_rational(Fraction(3, 2)), "closed"),
-        (PiNumber.one(), "closed"),
-    )
+def _closed_entries(n: int) -> dict[int, Fraction]:
+    """The entries of the n-vertex row that hold at every parameter, by k:
+    J_{n,n} = 1 (the simplex is its only face with n vertices),
+    J_{n,n-1} = n/2 (n facets, each of internal angle 1/2) and, since a
+    triangle's angles sum to pi, J_{3,1} = 1/2.  For n <= 3 they are the
+    whole row; the key 0 of n = 1 lies outside it."""
+    values = {n - 1: Fraction(n, 2), n: Fraction(1)}
+    if n == 3:
+        values[1] = Fraction(1, 2)
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +248,8 @@ def _bJ_row(n: int, alpha: int, shift: int) -> tuple[tuple[PiNumber, str], ...]:
     alpha: closed for small n, the tangent route where the beta residues
     miss every entry, otherwise residues and their Bernoulli fill."""
     if n <= (1 if shift else 3):
-        return _closed_small_row(n)
+        closed = _closed_entries(n)
+        return tuple((PiNumber.from_rational(closed[k]), "closed") for k in range(1, n + 1))
     if shift == 0 and alpha % 2 == 1 and n % 2 == 0:
         return tuple(
             (bJ_exact_case_iii(n, k, alpha), "tan_algebra")
@@ -291,12 +280,7 @@ def internal_row(n: int, alpha: int | float, shift: int) -> tuple[tuple[PiNumber
             f"the numeric betaprime path needs beta > (n-1)/2 + 1/(2n) = "
             f"{Fraction(n * n - n + 1, 2 * n)} for n = {n}"
         )
-    # every simplex has J_{n,n} = 1 (itself) and J_{n,n-1} = n/2 (n facets,
-    # each of internal angle 1/2), and a triangle's angles sum to pi, so
-    # J_{3,1} = 1/2: these entries need no quadrature
-    values = {n - 1: n / 2, n: 1.0}
-    if n == 3:
-        values[1] = 0.5
+    values = {k: float(v) for k, v in _closed_entries(n).items()}
     ks = [k for k in range(1, n + 1) if k not in values]
     if ks:
         values.update(zip(ks, quadrature.outer_row(n, ks, alpha, shift).values))

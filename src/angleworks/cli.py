@@ -16,6 +16,7 @@ input: ``error: ...`` on stderr and return 2.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -45,7 +46,6 @@ from .polytope_engine import (
 )
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_RELATIONS_MAX_N = 10  # the largest n that verify.relations_suite reads
 
 
 def _parse_parameter(text: str, what: str = "beta", scale: int = 2):
@@ -206,35 +206,17 @@ def cmd_reitzner(args) -> int:
     return 0
 
 
-#: the options of ``verify`` that each suite reads; the others must keep
-#: their defaults
-_SUITE_OPTIONS = {"relations": ("max-n",), "crosscheck": (), "montecarlo": ("seed", "trials")}
-
-
 def cmd_verify(args) -> int:
-    unread = [name for name, _, _, required, default, _ in _COMMANDS["verify"][2]
-              if not required and name not in _SUITE_OPTIONS[args.suite]
-              and getattr(args, name.replace("-", "_")) != default]
-    if unread:
-        raise DomainError(f"--{unread[0]} does not apply to the {args.suite} suite")
-    if args.max_n < 2:
-        raise DomainError(f"--max-n must be at least 2, got {args.max_n}")
-    if args.suite == "relations" and args.max_n > _RELATIONS_MAX_N:
-        raise DomainError(f"--max-n capped at {_RELATIONS_MAX_N} for the relations suite, "
-                          f"got {args.max_n}")
-    if args.trials < 2:
-        raise DomainError(f"--trials must be at least 2, got {args.trials}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     from . import verify  # only verify runs read it
 
     suite = verify.SUITES[args.suite]
-    if args.suite == "relations":
-        results = suite(max_n=args.max_n)
-    elif args.suite == "montecarlo":
-        results = suite(seed=args.seed, trials=args.trials)
-    else:
-        results = suite()
+    reads = inspect.signature(suite).parameters
+    unread = [name for name, _, _, required, default, _ in _COMMANDS["verify"][2]
+              if not required and name.replace("-", "_") not in reads
+              and getattr(args, name.replace("-", "_")) != default]
+    if unread:
+        raise DomainError(f"--{unread[0]} does not apply to the {args.suite} suite")
+    results = suite(**{name: getattr(args, name) for name in reads})
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

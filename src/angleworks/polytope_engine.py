@@ -25,8 +25,9 @@ from typing import Optional
 import mpmath
 
 from . import quadrature, trig_algebra
-from .angle_engine import bJ_exact, fill_row, internal_row, residue_rational
+from .angle_engine import bJ_exact, fill_row, internal_row
 from .exact_scalars import DomainError, PiNumber, c_beta, exact_scaled, gamma_half, linear_combination
+from .series_kernel import residue_rational
 
 #: provenance of a sum of terms: the tag of its least direct term
 _PROV_RANK = {"closed": 0, "residue": 1, "tan_algebra": 2, "fill": 3, "numeric": 4}

@@ -32,7 +32,7 @@ residues of a Voronoi or Poisson f-vector, which share one a, build each
 h_a^j once.  A pair is two lists of integer numerators over one common
 denominator, the least that holds its A prefix, so the recurrence runs on
 Python ints and a ``Fraction`` is formed once per coefficient returned.
-``residue_coefficient`` is the only entry point; the representation stays
+``residue_rational`` is the only entry point; the representation stays
 inside this module.
 
 Every coefficient returned is a ``Fraction``; pi-factors never enter a
@@ -104,12 +104,15 @@ def _power(a: int, P: int, n: int) -> _Pair:
     return out
 
 
-def residue_coefficient(a: int, p: int, q: int) -> Fraction:
-    """The residue of (int_0^x sin^a)^p / sin^q x for a, p >= 0:
-    (q + a) / (p + 1) [y^N] h_a^(p+1) with y = 4z and
+@lru_cache(maxsize=None)
+def residue_rational(a: int, p: int, q: int) -> Fraction:
+    """The rational residue behind every exact formula of the package:
+    [x^-1] (int_0^x sin^a)^p / sin^q x for a, p >= 0 and q >= 1.
+
+    It is (q + a) / (p + 1) [y^N] h_a^(p+1) with y = 4z and
     N = (q - p(a+1) - 1) / 2, zero unless N is a nonnegative integer."""
-    if a < 0 or p < 0:
-        raise DomainError(f"residue_coefficient needs a, p >= 0, got a={a}, p={p}")
+    if a < 0 or p < 0 or q < 1:
+        raise DomainError(f"invalid residue parameters a={a}, p={p}, q={q}")
     twice_N = q - p * (a + 1) - 1
     if twice_N < 0 or twice_N % 2:
         return Fraction(0)

@@ -6,8 +6,9 @@ cos^c x * F(x)^r, F(x) the integral of cos^f from -pi/2 to x, with one
 route per parity of f, both on integer lists.
 
 * Odd f: F = Q(1) + Q(sin x), Q(t) the integral of (1 - s^2)^((f-1)/2)
-  from 0 to t, so F^r is a polynomial in sin x (one cached chain of powers
-  per f) and the kernel one ``angle_engine.sin_cos_dot``.
+  from 0 to t, so F^r is a polynomial in sin x (one chain of
+  ``angle_engine.integer_power`` per f, which beta and beta' share) and
+  the kernel one ``angle_engine.sin_cos_dot``.
 * Even f: u = x + pi/2 turns cos x into sin u and F into
   G(u) = (a0 u + S(u)) / D, S a sine polynomial, so
   G^r = sum_i C(r, i) (a0 u)^(r-i) S^i / D^r.  The lists sin^c S^i, each
@@ -31,34 +32,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .angle_engine import internal_row, sin_cos_dot
+from .angle_engine import integer_power, internal_row, sin_cos_dot
 from .exact_scalars import DomainError, PiNumber, c_beta, linear_combination
-
-
-@lru_cache(maxsize=None)
-def _F_powers(f: int) -> list[list[int]]:
-    return [[1]]
-
-
-def _F_power(f: int, r: int) -> list[int]:
-    """(L F)^r for odd f, L = lcm(1, 3, ..., f), as integers: entry p is
-    the coefficient of sin^p x.  One list per f, each power built from the
-    one before; beta and beta' share it (F~ of alpha is F of alpha - 1)."""
-    powers = _F_powers(f)
-    if len(powers) <= r:
-        L, h = math.lcm(*range(1, f + 1, 2)), f // 2
-        base = [0] * (f + 1)  # L Q(t), then L Q(1) at t^0
-        for i in range(h + 1):
-            base[2 * i + 1] = (-1) ** i * math.comb(h, i) * L // (2 * i + 1)
-        base[0] = sum(base)
-        while len(powers) <= r:
-            prev = powers[-1]
-            nxt = [0] * (len(prev) + f)
-            for i, b in enumerate(base):
-                if b:
-                    nxt[i:i + len(prev)] = [x + b * y for x, y in zip(nxt[i:], prev)]
-            powers.append(nxt)
-    return powers[r]
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +98,13 @@ def _cos_F_integral(cos_exponent: int, f_exponent: int, r: int) -> PiNumber:
     c, f = cos_exponent, f_exponent
     if min(c, f) < 0:
         raise DomainError("powers must be nonnegative")
-    if f % 2:
-        return sin_cos_dot(_F_power(f, r)[::2], c, math.lcm(*range(1, f + 1, 2)) ** r)
+    if f % 2:  # (L F)^r, L = lcm(1, 3, ..., f), as a polynomial in sin x
+        L, h = math.lcm(*range(1, f + 1, 2)), f // 2
+        base = [0] * (f + 1)  # L Q(t), then L Q(1) at t^0
+        for i in range(h + 1):
+            base[2 * i + 1] = (-1) ** i * math.comb(h, i) * L // (2 * i + 1)
+        base[0] = sum(base)
+        return sin_cos_dot(integer_power(tuple(base), r)[::2], c, L**r)
     a0, D, S = _G_parts(f)
     top = r if f else 0  # S = 0 for f = 0
     P, R, w = _sin_power(c), [], math.factorial(r) * (2 * a0) ** r

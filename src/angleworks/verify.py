@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from . import montecarlo, quadrature
-from .angle_engine import angle_table, bJ_exact, internal_row, residue_rational
+from .angle_engine import angle_table, bJ_exact, internal_row
 from .exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta, gamma_half, linear_combination
 from .polytope_engine import (
     FVector,
@@ -41,7 +41,7 @@ from .polytope_engine import (
     zero_cell_entry_even,
     zero_cell_fvector,
 )
-from .series_kernel import bernoulli
+from .series_kernel import bernoulli, residue_rational
 from .trig_algebra import external_bI, external_bI_fourier, external_bI_tilde, external_lB
 
 
@@ -73,12 +73,14 @@ def relations_hold(z: Sequence[PiNumber]) -> bool:
 
 def euler_relation_holds(fv: FVector) -> bool:
     """Euler relation sum (-1)^ell f_ell = 1 - (-1)^d: exact for exact
-    entries, to 1e-8 for numeric ones."""
+    entries; for numeric ones to 1e-8 relative to max(1, sum |f_ell|), the
+    size of the terms that cancel in the alternating sum."""
     want = 1 - (-1) ** fv.d
     values = fv.values()
     if all(isinstance(v, PiNumber) for v in values):
         return linear_combination((v, (-1) ** l) for l, v in enumerate(values)) == want
-    return abs(sum((-1) ** l * v for l, v in enumerate(values)) - want) < 1e-8
+    scale = max(1.0, sum(abs(v) for v in values))
+    return abs(sum((-1) ** l * v for l, v in enumerate(values)) - want) < 1e-8 * scale
 
 
 def dehn_sommerville_holds(fv: FVector) -> bool:
@@ -141,17 +143,23 @@ def voronoi_form_ok(d: int) -> bool:
 
 
 def relations_suite(max_n: int = 8) -> list[CheckResult]:
+    """The relations every exact table must satisfy, on the angle rows and
+    f-vectors of size up to ``max_n``, 2 <= max_n <= 10."""
+    if max_n < 2:
+        raise DomainError(f"--max-n must be at least 2, got {max_n}")
+    if max_n > 10:
+        raise DomainError(f"--max-n capped at 10 for the relations suite, got {max_n}")
     out: list[CheckResult] = []
 
     ok, cases = True, 0
-    for n in range(2, min(max_n, 10) + 1):
+    for n in range(2, max_n + 1):
         rows = [(alpha, 0) for alpha in range(max(n - 3, 0), max(n - 3, 0) + 5)]
         rows += [(alpha, 1) for alpha in range(1, 6)]
         for alpha, shift in rows:
             row = internal_row(n, alpha, shift)
             ok = ok and relations_hold([PiNumber.zero()] + [v for v, _ in row])
             cases += 1
-    out.append(_check("poincare-relations", ok, f"{cases} exact angle tables, n <= {min(max_n, 10)}"))
+    out.append(_check("poincare-relations", ok, f"{cases} exact angle tables, n <= {max_n}"))
 
     # sum_{m=k..n} (-1)^m I_{n,m}(alpha) J_{m,k} = 0 for k < n, every row
     # J_{m,.} read at the same alpha.  For n <= alpha + 3 the external rows
@@ -178,9 +186,8 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
         out.append(_check(name, ok, detail))
 
     ok, cases = True, 0
-    dmax = min(max_n, 10)
     fvs: list[FVector] = []
-    for d in range(1, dmax + 1):
+    for d in range(1, max_n + 1):
         fvs.append(typical_voronoi_fvector(d))
         fvs.append(zero_cell_fvector(d))
         for alpha in (1, 2, 3):
@@ -190,7 +197,7 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
     for fv in fvs:
         ok = ok and euler_relation_holds(fv) and dehn_sommerville_holds(fv)
         cases += 1
-    out.append(_check("euler-dehn-sommerville", ok, f"{cases} exact f-vectors, d <= {dmax}"))
+    out.append(_check("euler-dehn-sommerville", ok, f"{cases} exact f-vectors, d <= {max_n}"))
 
     ok, cases = True, 0
     for n in range(2, min(max_n, 8) + 1):
@@ -202,7 +209,7 @@ def relations_suite(max_n: int = 8) -> list[CheckResult]:
             for k in range(1, n + 1):
                 ok = ok and bJtilde_form_ok(n, k, alpha)
                 cases += 1
-    for d in range(1, min(max_n, 10) + 1):
+    for d in range(1, max_n + 1):
         ok = ok and voronoi_form_ok(d)
         cases += 1
     out.append(_check("arithmetic-form-classification", ok, f"{cases} values"))
@@ -613,7 +620,12 @@ _NUMERIC_GRID_TILDE = (
 
 
 def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
-    """Every estimate is gated: it passes when |z| <= 4."""
+    """Every estimate is gated: it passes when |z| <= 4.  Needs trials >= 2
+    and seed >= 0."""
+    if trials < 2:
+        raise DomainError(f"--trials must be at least 2, got {trials}")
+    if seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {seed}")
     out: list[CheckResult] = []
     simplices = max(100, min(trials // 25, 2000))
 
@@ -673,6 +685,8 @@ def montecarlo_suite(seed: int = 42, trials: int = 20000) -> list[CheckResult]:
     return out
 
 
+#: the suites of ``angleworks verify``: the parameters of each are the
+#: options it reads, under their names with ``_`` for ``-``
 SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "relations": relations_suite,
     "crosscheck": crosscheck_suite,

@@ -3,7 +3,7 @@ on, kept as an independent arithmetic reference.
 
 ``LaurentSeries`` is a dense coefficient window ``[valuation, order)``;
 ``order is None`` means the series is exactly known at every exponent (a
-Laurent polynomial).  The tests check ``angle_engine.residue_rational``,
+Laurent polynomial).  The tests check ``series_kernel.residue_rational``,
 ``polytope_engine.x_over_sin_coeff``, ``verify.sin_cos_residue`` and
 the bivariate ``verify.ugly_coefficient`` against it:
 ``ugly_coefficient_reference`` is the bivariate extraction on a

@@ -11,10 +11,11 @@ from angleworks.angle_engine import (
     bJtilde_exact,
     bernoulli_fill,
     fill_row,
+    integer_power,
     internal_row,
-    residue_rational,
 )
 from angleworks.exact_scalars import DomainError, PiNumber, c_tilde_beta, gamma_half
+from angleworks.series_kernel import residue_rational
 from angleworks.trig_algebra import external_bI, external_bI_tilde
 from angleworks.verify import (
     ParityError,
@@ -59,6 +60,30 @@ def test_residue_rational_matches_laurent_reference(a, p, q):
     value = residue_rational(a, p, q)
     assert type(value) is F
     assert value == _residue_rational_laurent(a, p, q)
+
+
+def _naive_power(base: tuple[int, ...], j: int) -> list[int]:
+    out = [1]
+    for _ in range(j):
+        nxt = [0] * (len(out) + len(base) - 1)
+        for i, x in enumerate(out):
+            for l, b in enumerate(base):
+                nxt[i + l] += x * b
+        out = nxt
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-40, 40) | st.just(0), min_size=1, max_size=6).map(tuple),
+    st.lists(st.integers(0, 12), min_size=3, max_size=3).map(sorted),
+)
+def test_integer_power_matches_naive_product(base, js):
+    # the chain of one base is shared and grows in place: read a high power,
+    # then a low one from the grown chain, then a higher one that grows it again
+    low, high, higher = js
+    for j in (high, low, higher):
+        assert integer_power(base, j) == _naive_power(base, j)
 
 
 def test_residue_rational_examples():

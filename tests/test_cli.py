@@ -22,6 +22,7 @@ from angleworks.exact_scalars import (
     pinumber_from_json,
 )
 from angleworks.polytope_engine import betaprime_polytope_fvector
+from angleworks.verify import montecarlo_suite, relations_suite
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +400,23 @@ def test_relations_max_n_above_the_cap_exits_two(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "relations", "--max-n", "20")
     assert code == 2 and out == ""
     assert "error: --max-n capped at 10 for the relations suite, got 20" in err
+
+
+@pytest.mark.parametrize(
+    "suite, options, message",
+    [
+        (relations_suite, {"max_n": 11}, "--max-n capped at 10 for the relations suite, got 11"),
+        (relations_suite, {"max_n": 1}, "--max-n must be at least 2, got 1"),
+        (montecarlo_suite, {"trials": 1}, "--trials must be at least 2, got 1"),
+        (montecarlo_suite, {"seed": -1}, "--seed must be nonnegative, got -1"),
+    ],
+    ids=["max_n=11", "max_n=1", "trials=1", "seed=-1"],
+)
+def test_verify_suites_refuse_options_out_of_range(suite, options, message):
+    # the library entry points hold the bounds that the CLI reports
+    with pytest.raises(DomainError) as exc:
+        suite(**options)
+    assert str(exc.value) == message
 
 
 def test_repeat_runs_help_and_usage_errors_are_stable(capsys):

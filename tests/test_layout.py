@@ -5,6 +5,7 @@ tests imports a name it never reads, and every public name of the package is
 read somewhere in it."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -468,3 +469,17 @@ def test_checker_flags_angle_table_calls(tmp_path):
     (tmp_path / "verify.py").write_text("from . import angle_engine\nangle_engine.angle_table('beta', 2, 0)\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert _angle_table_calls(paths) == ["a.py:3", "a.py:5"]
+
+
+def test_verify_options_are_the_suite_parameters():
+    # ``cmd_verify`` passes each suite the options its parameters name and
+    # refuses any other option away from its default, so the optional
+    # options of ``verify`` are the suites' parameters, defaults included
+    from angleworks.cli import _COMMANDS
+    from angleworks.verify import SUITES
+
+    options = {(name.replace("-", "_"), default)
+               for name, _, _, required, default, _ in _COMMANDS["verify"][2] if not required}
+    parameters = {(name, p.default) for suite in SUITES.values()
+                  for name, p in inspect.signature(suite).parameters.items()}
+    assert parameters == options

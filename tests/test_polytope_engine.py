@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -58,6 +59,19 @@ def test_poisson_numeric_path_matches_exact():
     for ell in range(3):
         assert fv_num.provenance(ell) == "numeric"
         assert abs(fv_num.value(ell) - fv_exact.value(ell).to_float()) < 1e-8
+
+
+@pytest.mark.parametrize("d", [12, 14, 16])
+@pytest.mark.parametrize("alpha", [3.0, 3.5])
+def test_euler_relation_on_numeric_vectors_is_relative(d, alpha):
+    # the entries reach 1e12 and cancel in the alternating sum, so a correct
+    # vector misses the relation by far more than 1e-8 in absolute terms
+    fv = poisson_polytope_fvector(d, alpha)
+    assert euler_relation_holds(fv)
+    ell = max(range(d), key=fv.value)
+    entries = list(fv.entries)
+    entries[ell] = (fv.value(ell) * (1 + 1e-6), fv.provenance(ell))
+    assert not euler_relation_holds(dataclasses.replace(fv, entries=tuple(entries)))
 
 
 def test_poisson_residue_cross_check():

@@ -34,7 +34,7 @@ Each digest is the sha256 of the stdout of one exact command.
   - ``verify --suite relations`` (Poincare and inversion relations, Euler
     and Dehn-Sommerville) and ``verify --suite crosscheck``, which also
     reads ``sin_cos_residue`` and, through ``ugly_coefficient``,
-    ``residue_rational(s, j, M)``.
+    ``series_kernel.residue_rational(s, j, M)``.
 
   The ``verify --suite relations`` digest was re-recorded once since, when
   the detail text of the two inversion checks changed from "identities" to

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from angleworks.angle_engine import (
     _tan_moment,
-    _tan_power,
     bJ_exact_case_iii,
     inner_tan_antiderivative,
+    integer_power,
     sin_cos_integral,
 )
 from angleworks.exact_scalars import DomainError, PiNumber, c_beta, c_tilde_beta
@@ -506,10 +506,13 @@ def _poly_power(p: dict[int, F], j: int) -> dict[int, F]:
 
 
 def _as_dict(alpha: int, j: int) -> dict[int, F]:
-    """``_tan_power(alpha, j)``, integer numerators over L^j, as
+    """T^j, T = inner_tan_antiderivative(alpha), as the tangent route reads
+    it: the power of L T / tan, a polynomial in tan^2 with integer
+    coefficients, L = lcm(1, 3, ..., alpha), over L^j, as
     {power of tan x: coefficient}."""
     L = math.lcm(*range(1, alpha + 1, 2))
-    return {j + 2 * i: F(c, L**j) for i, c in enumerate(_tan_power(alpha, j))}
+    base = tuple(int(c * L) for c in inner_tan_antiderivative(alpha).values())
+    return {j + 2 * i: F(c, L**j) for i, c in enumerate(integer_power(base, j))}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
