@@ -142,13 +142,18 @@ def voronoi_form_ok(d: int) -> bool:
 # -- relations suite -----------------------------------------------------------
 
 
+_RELATIONS_N_CAP = 10
+
+
 def relations_suite(max_n: int = 8) -> list[CheckResult]:
     """The relations every exact table must satisfy, on the angle rows and
-    f-vectors of size up to ``max_n``, 2 <= max_n <= 10."""
+    f-vectors of size up to ``max_n``, 2 <= max_n <= ``_RELATIONS_N_CAP``."""
     if max_n < 2:
         raise DomainError(f"--max-n must be at least 2, got {max_n}")
-    if max_n > 10:
-        raise DomainError(f"--max-n capped at 10 for the relations suite, got {max_n}")
+    if max_n > _RELATIONS_N_CAP:
+        raise DomainError(
+            f"--max-n capped at {_RELATIONS_N_CAP} for the relations suite, got {max_n}"
+        )
     out: list[CheckResult] = []
 
     ok, cases = True, 0

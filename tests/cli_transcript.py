@@ -8,16 +8,16 @@ argv in sorted order, the argv, the exit code and the stdout.  A change
 that keeps every CLI output byte-identical keeps the digest.
 
 Run it as a script to print the digest; it exits 1 unless the digest is
-``--expect`` (by default ``CLI_DIGEST``):
+the pinned ``CLI_DIGEST``, which a change to the CLI output made on purpose
+re-pins:
 
-    PYTHONPATH=src python tests/cli_transcript.py [--expect SHA256]
+    PYTHONPATH=src python tests/cli_transcript.py
 
 It takes about 2 s on a 2-core machine and stays out of the test suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -58,14 +58,11 @@ def transcript_digest(commands: list[tuple[str, ...]]) -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--expect", default=CLI_DIGEST, help="the sha256 to hold the digest to")
-    args = parser.parse_args()
     commands = argvs()
     digest = transcript_digest(commands)
     print(f"{digest}  {len(commands)} commands")
-    if digest != args.expect:
-        sys.exit(f"CLI transcript sha256 differs from {args.expect}")
+    if digest != CLI_DIGEST:
+        sys.exit(f"CLI transcript sha256 differs from CLI_DIGEST {CLI_DIGEST}")
 
 
 if __name__ == "__main__":
