@@ -211,9 +211,9 @@ def cmd_verify(args) -> int:
 
     suite = verify.SUITES[args.suite]
     reads = inspect.signature(suite).parameters
-    unread = [name for name, _, _, required, default, _ in _COMMANDS["verify"][2]
+    unread = [name for name, _, _, required, _, _ in _COMMANDS["verify"][2]
               if not required and name.replace("-", "_") not in reads
-              and getattr(args, name.replace("-", "_")) != default]
+              and name.replace("-", "_") in args.given]
     if unread:
         raise DomainError(f"--{unread[0]} does not apply to the {args.suite} suite")
     results = suite(**{name: getattr(args, name) for name in reads})
@@ -302,7 +302,8 @@ def _read_option(token: str, names) -> tuple[str | None, str | None] | None:
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The command of ``argv`` and every one of its options, read from
-    ``_COMMANDS`` as argparse would read them; a usage error raises
+    ``_COMMANDS`` as argparse would read them, and in ``given`` the names of
+    the options that ``argv`` gave, defaults or not; a usage error raises
     ``DomainError``.
 
     ``--opt value`` and ``--opt=value`` both work, the last of a repeated
@@ -333,6 +334,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     tokens = argv[at + 1:]
     reads = [_read_option(token, (*_HELP, *spec)) for token in tokens]
     values = {name.replace("-", "_"): default for name, _, _, _, default, _ in options}
+    given = set()
     i = 0
     while i < len(tokens):
         token, read = tokens[i], reads[i]
@@ -361,7 +363,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 raise DomainError(f"{option} expects an integer, got {value!r}") from None
         if choices and value not in choices:
             raise DomainError(f"{option} must be one of {', '.join(choices)}, got {value!r}")
-        values[name.replace("-", "_")] = value
+        key = name.replace("-", "_")
+        values[key] = value
+        given.add(key)
     # a required option has no default, and a value read is never None
     missing = [f"--{name}" for name, _, _, required, _, _ in options
                if required and values[name.replace("-", "_")] is None]
@@ -369,7 +373,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         raise DomainError(f"{command} needs " + ", ".join(missing))
     if stray:
         raise DomainError("unrecognized arguments: " + " ".join(stray))
-    return SimpleNamespace(command=command, func=func, **values)
+    return SimpleNamespace(command=command, func=func, given=frozenset(given), **values)
 
 
 def _metavar(name: str, choices) -> str:

@@ -4,15 +4,18 @@ Every exact value produced by this package (expected angle sums, expected
 face numbers, normalizing constants) lies in the ring of rational
 combinations of half-integer powers of pi.  ``PiNumber`` stores such a
 value as a sparse map from the doubled exponent ``e`` (meaning
-``pi^(e/2)``) to a nonzero ``Fraction`` coefficient.  Exponents are kept
-doubled so that ``sqrt(pi)`` is exactly representable.
+``pi^(e/2)``) to a nonzero coefficient, kept as a reduced pair of ints
+``(numerator, denominator)`` with a positive denominator.  Exponents are
+kept doubled so that ``sqrt(pi)`` is exactly representable.  A ``Fraction``
+is built only where a coefficient leaves the class: ``terms``,
+``coefficient`` and ``rational_value``.
 
-Every sum of terms goes through ``linear_combination``: ``+``, ``-`` and
-the product of two ``PiNumber``s, the parsers of the text and JSON forms,
-and the weighted sums of the engines.  Scaling by an int or ``Fraction``
-and negation are not sums and scale each coefficient directly: the
-kernel's final ``Fraction`` per exponent pays a full gcd, which
-``Fraction``'s own product skips by cross-cancelling.
+Every sum of terms goes through ``linear_combination``: ``+``, ``-``, the
+product of two ``PiNumber``s unless both are single terms, the parsers of
+the text and JSON forms, and the weighted sums of the engines.  The other
+products are not sums: scaling by an int or ``Fraction`` and a product of
+two single terms take one cross-cancelled pair product per term, so their
+results need no further gcd, and negation flips each numerator.
 
 All arithmetic here is exact; decimal output goes through ``to_decimal``,
 which evaluates with guard digits and refuses to print an ambiguously
@@ -41,6 +44,17 @@ class DomainError(ValueError):
     """A parameter lies outside the mathematical domain of an operation."""
 
 
+_Pair = tuple[int, int]
+
+
+def _pair_product(p: _Pair, q: _Pair) -> _Pair:
+    """The reduced product of two reduced pairs, cancelled crosswise as
+    ``Fraction`` multiplies: no common factor is left to find after it."""
+    (n1, d1), (n2, d2) = p, q
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
 class PiNumber:
     """An element of Q[pi^(1/2), pi^(-1/2)].
 
@@ -51,16 +65,18 @@ class PiNumber:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        self._terms: dict[int, Fraction] = {
-            int(e): c if isinstance(c, Fraction) else Fraction(c)
-            for e, c in (terms or {}).items() if c
-        }
+        self._terms: dict[int, _Pair] = {}
+        for e, c in (terms or {}).items():
+            if c:
+                q = Fraction(c)
+                self._terms[int(e)] = (q.numerator, q.denominator)
         self._hash: int | None = None
 
     @classmethod
-    def _wrap(cls, terms: dict[int, Fraction]) -> "PiNumber":
+    def _wrap(cls, terms: dict[int, _Pair]) -> "PiNumber":
         """A PiNumber that takes ``terms`` as it is: a new dict from int
-        exponents to nonzero ``Fraction``s, which nothing else holds."""
+        exponents to reduced pairs (numerator nonzero, denominator
+        positive), which nothing else holds."""
         x = object.__new__(cls)
         x._terms = terms
         x._hash = None
@@ -70,7 +86,7 @@ class PiNumber:
 
     @classmethod
     def from_rational(cls, q: Scalar) -> "PiNumber":
-        return cls({0: Fraction(q)})
+        return cls({0: q})
 
     @classmethod
     def zero(cls) -> "PiNumber":
@@ -83,20 +99,20 @@ class PiNumber:
     @classmethod
     def pi_power(cls, half_exp: int, coeff: Scalar = 1) -> "PiNumber":
         """``coeff * pi^(half_exp/2)``."""
-        return cls({half_exp: Fraction(coeff)})
+        return cls({half_exp: coeff})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(n, d) for e, (n, d) in self._terms.items()}
 
     def support(self) -> tuple[int, ...]:
         """Doubled exponents with nonzero coefficient, ascending."""
         return tuple(sorted(self._terms))
 
     def coefficient(self, half_exp: int) -> Fraction:
-        return self._terms.get(half_exp, Fraction(0))
+        return Fraction(*self._terms.get(half_exp, (0, 1)))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -107,7 +123,7 @@ class PiNumber:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DomainError(f"not a rational number: {self}")
-        return self._terms.get(0, Fraction(0))
+        return self.coefficient(0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -116,7 +132,7 @@ class PiNumber:
         if isinstance(other, PiNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return PiNumber._wrap({0: Fraction(other)} if other else {})
+            return PiNumber._wrap({0: (other.numerator, other.denominator)} if other else {})
         return None
 
     def __add__(self, other) -> "PiNumber":
@@ -128,7 +144,7 @@ class PiNumber:
     __radd__ = __add__
 
     def __neg__(self) -> "PiNumber":
-        return PiNumber._wrap({e: -c for e, c in self._terms.items()})
+        return PiNumber._wrap({e: (-n, d) for e, (n, d) in self._terms.items()})
 
     def __sub__(self, other) -> "PiNumber":
         o = self._coerce(other)
@@ -143,13 +159,18 @@ class PiNumber:
         return linear_combination(((o, 1), (self, -1)))
 
     def __mul__(self, other) -> "PiNumber":
+        if isinstance(other, PiNumber):
+            if len(self._terms) == 1 == len(other._terms):
+                ((e1, c1),) = self._terms.items()
+                ((e2, c2),) = other._terms.items()
+                return PiNumber._wrap({e1 + e2: _pair_product(c1, c2)})
+            return linear_combination(((self, other),))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return PiNumber._wrap({})
-            return PiNumber._wrap({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, PiNumber):
-            return NotImplemented
-        return linear_combination(((self, other),))
+            q = (other.numerator, other.denominator)
+            return PiNumber._wrap({e: _pair_product(c, q) for e, c in self._terms.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -157,8 +178,10 @@ class PiNumber:
         if not isinstance(p, int):
             return NotImplemented
         if len(self._terms) == 1:
-            ((e, c),) = self._terms.items()
-            return PiNumber._wrap({e * p: c**p})
+            ((e, (n, d)),) = self._terms.items()
+            if p < 0:
+                n, d = (d, n) if n > 0 else (-d, -n)
+            return PiNumber._wrap({e * p: (n ** abs(p), d ** abs(p))})
         if p < 0:
             return (self ** (-p)).inverse()
         result = PiNumber.one()
@@ -178,16 +201,15 @@ class PiNumber:
             raise DomainError(
                 "division is only defined for single-term PiNumbers"
             )
-        ((e, c),) = self._terms.items()
-        return PiNumber._wrap({-e: c**-1})
+        return self ** -1
 
     def __truediv__(self, other) -> "PiNumber":
+        if isinstance(other, PiNumber):
+            return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("PiNumber division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, PiNumber):
-            return self * other.inverse()
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -201,7 +223,7 @@ class PiNumber:
         like the int or ``Fraction`` it compares equal to."""
         if self._hash is None:
             if self.is_rational():
-                self._hash = hash(self._terms.get(0, 0))
+                self._hash = hash(self.rational_value())
             else:
                 self._hash = hash(frozenset(self._terms.items()))
         return self._hash
@@ -225,17 +247,17 @@ class PiNumber:
     def _top_exponent(self) -> float:
         """The decimal exponent of the largest term, to within a digit."""
         return max(
-            (c.numerator.bit_length() - c.denominator.bit_length()) * math.log10(2)
+            (n.bit_length() - d.bit_length()) * math.log10(2)
             + e / 2 * math.log10(math.pi)
-            for e, c in self._terms.items()
+            for e, (n, d) in self._terms.items()
         )
 
     def evaluate(self, dps: int = 30) -> mpmath.mpf:
         """Evaluate at ``dps`` decimal digits of working precision."""
         with mpmath.workdps(dps):
             total = mpmath.mpf(0)
-            for e, c in self._terms.items():
-                term = mpmath.mpf(c.numerator) / c.denominator
+            for e, (n, d) in self._terms.items():
+                term = mpmath.mpf(n) / d
                 if e:
                     term *= mpmath.power(mpmath.pi, mpmath.mpf(e) / 2)
                 total += term
@@ -256,19 +278,30 @@ def linear_combination(pairs: Iterable[tuple[PiNumber, Scalar | PiNumber]]) -> P
     values, behind ``PiNumber``'s own ``+``, ``-`` and ``*`` too.  An int or
     ``Fraction`` weight is the single term pi^0.  Each pi-exponent keeps one
     integer numerator over the lcm of its terms' denominators; products stay
-    unreduced, so a term costs one gcd and each exponent one ``Fraction``."""
-    acc: dict[int, tuple[int, int]] = {}
+    unreduced, so a term costs one gcd and each exponent one final gcd.  An
+    exponent reached by a single term whose weight is +-1 holds a
+    coefficient of ``x`` unchanged up to sign, already in lowest terms, and
+    skips that gcd."""
+    acc: dict[int, tuple[int, int, bool]] = {}  # exponent: (num, den, reduced)
     for x, w in pairs:
-        for e2, c2 in w._terms.items() if isinstance(w, PiNumber) else ((0, w),):
-            for e1, c1 in x._terms.items():
-                e, num, den = e1 + e2, c1.numerator * c2.numerator, c1.denominator * c2.denominator
+        for e2, (n2, d2) in (w._terms.items() if isinstance(w, PiNumber)
+                             else ((0, (w.numerator, w.denominator)),)):
+            unit = d2 == 1 and n2 in (1, -1)
+            for e1, (n1, d1) in x._terms.items():
+                e, num, den = e1 + e2, n1 * n2, d1 * d2
                 if e in acc:
-                    n0, d0 = acc[e]
+                    n0, d0, _ = acc[e]
                     g = math.gcd(d0, den)
                     q = den // g  # 1 when den divides d0: then d0 is the lcm
-                    num, den = n0 * q + num * (d0 // g), d0 * q
-                acc[e] = (num, den)
-    return PiNumber._wrap({e: Fraction(n, d) for e, (n, d) in acc.items() if n})
+                    acc[e] = (n0 * q + num * (d0 // g), d0 * q, False)
+                else:
+                    acc[e] = (num, den, unit)
+    terms = {}
+    for e, (num, den, reduced) in acc.items():
+        if num:
+            g = 1 if reduced else math.gcd(num, den)
+            terms[e] = (num // g, den // g)
+    return PiNumber._wrap(terms)
 
 
 def exact_scaled(x, scale: int = 2) -> int | None:
@@ -425,17 +458,16 @@ def format_pinumber(x: PiNumber) -> str:
         return "0"
     parts: list[str] = []
     for i, e in enumerate(x.support()):
-        c = x.coefficient(e)
-        mag = abs(c)
-        coeff = _int_text(mag.numerator)
-        if mag.denominator != 1:
-            coeff += "/" + _int_text(mag.denominator)
+        n, d = x._terms[e]
+        coeff = _int_text(abs(n))
+        if d != 1:
+            coeff += "/" + _int_text(d)
         pi_part = _pi_factor_str(e)
         body = f"{coeff} * {pi_part}" if pi_part else coeff
         if i == 0:
-            parts.append(f"-{body}" if c < 0 else body)
+            parts.append(f"-{body}" if n < 0 else body)
         else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+            parts.append(f"- {body}" if n < 0 else f"+ {body}")
     return " ".join(parts)
 
 
@@ -486,11 +518,8 @@ def parse_pinumber(text: str) -> PiNumber:
 
 def pinumber_to_json(x: PiNumber) -> list[dict[str, str | int]]:
     """JSON form: list of {half_exp, num, den}, ascending by exponent."""
-    out = []
-    for e in x.support():
-        c = x.coefficient(e)
-        out.append({"half_exp": e, "num": _int_text(c.numerator), "den": _int_text(c.denominator)})
-    return out
+    return [{"half_exp": e, "num": _int_text(x._terms[e][0]), "den": _int_text(x._terms[e][1])}
+            for e in x.support()]
 
 
 def pinumber_from_json(data: Iterable[Mapping]) -> PiNumber:

@@ -275,6 +275,19 @@ def test_verify_rejects_an_option_the_suite_does_not_read(capsys, suite, flag):
 
 
 @pytest.mark.parametrize(
+    "suite, flag, default",
+    [("crosscheck", "--seed", "42"), ("relations", "--seed", "42"),
+     ("crosscheck", "--trials", "20000"), ("relations", "--trials", "20000"),
+     ("crosscheck", "--max-n", "8"), ("montecarlo", "--max-n", "8")],
+)
+def test_verify_rejects_an_unread_option_given_at_its_default(capsys, suite, flag, default):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, default)
+    assert code == 2
+    assert err.startswith(f"error: {flag} does not apply to the {suite} suite")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["angles", "--family", "beta", "--n", "4", "--beta", "0"],
@@ -511,7 +524,10 @@ def _reference_parse(argv):
 def _check_against_reference(argv):
     expected = _reference_parse(argv)
     if not isinstance(expected, int):
-        assert vars(parse_args(argv)) == vars(expected)
+        got = vars(parse_args(argv))
+        given = got.pop("given")  # the one field argparse does not set
+        assert got == vars(expected)
+        assert given <= set(got) - {"command", "func"}
         return
     if expected == 0:  # help
         code, out, _ = _run_captured(argv)
@@ -543,6 +559,19 @@ def test_option_table_reads_argv_as_argparse_did(argv):
 ])
 def test_option_table_edge_cases_read_as_argparse_did(argv):
     _check_against_reference(argv)
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["verify", "--suite", "crosscheck"], {"suite"}),
+    (["verify", "--suite", "crosscheck", "--seed", "42"], {"suite", "seed"}),
+    (["verify", "--su=relations", "--max", "8", "--max-n", "8"], {"suite", "max_n"}),
+    (["angles", "--family", "beta", "--n", "4", "--beta", "0", "--format", "plain"],
+     {"family", "n", "beta", "format"}),
+    (["angles", "--family", "beta", "--n", "4", "--beta", "0", "--numeric"],
+     {"family", "n", "beta", "numeric"}),
+])
+def test_parse_args_reports_the_options_argv_gave(argv, given):
+    assert parse_args(argv).given == given
 
 
 def test_cold_process_skips_argparse_and_verify():

@@ -170,18 +170,15 @@ def _ref_product(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def _canonical(x):
-    """The terms of ``x`` after checking that they are stored canonically."""
-    terms = x.terms
-    assert all(type(e) is int and type(c) is F and c for e, c in terms.items())
-    return terms
-
-
-def _reduced(x):
-    """The terms of ``x``, canonical and each in lowest terms."""
-    terms = _canonical(x)
-    assert all(math.gcd(c.numerator, c.denominator) == 1 for c in terms.values())
-    return terms
+def _stored(x):
+    """The terms of ``x`` after checking how it stores them: int exponents
+    to pairs of ints, each a nonzero numerator over a positive denominator
+    in lowest terms.  ``terms`` builds ``Fraction``s, which would reduce a
+    pair that is not, so the check reads the pairs themselves."""
+    for e, (n, d) in x._terms.items():
+        assert type(e) is int and type(n) is int and type(d) is int
+        assert n and d > 0 and math.gcd(n, d) == 1
+    return x.terms
 
 
 _SMALL_COEFFICIENTS = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
@@ -199,16 +196,16 @@ _WEIGHTS = st.one_of(st.integers(-5, 5), _MIXED_COEFFICIENTS, _MIXED_VALUES)
 def test_ring_operations_match_a_fraction_reference(x, y, q):
     a, b = x.terms, y.terms
     rq = {0: F(q)} if q else {}
-    assert _reduced(x + y) == _ref_sum(a, b)
-    assert _reduced(x - y) == _ref_sum(a, b, -1)
-    assert _reduced(x * y) == _ref_product(a, b)
-    assert _reduced(-x) == _ref_sum({}, a, -1)
-    assert _reduced(x + q) == _reduced(q + x) == _ref_sum(a, rq)
-    assert _reduced(x - q) == _ref_sum(a, rq, -1)
-    assert _reduced(q - x) == _ref_sum(rq, a, -1)
-    assert _reduced(x * q) == _reduced(q * x) == _ref_product(a, rq)
+    assert _stored(x + y) == _ref_sum(a, b)
+    assert _stored(x - y) == _ref_sum(a, b, -1)
+    assert _stored(x * y) == _ref_product(a, b)
+    assert _stored(-x) == _ref_sum({}, a, -1)
+    assert _stored(x + q) == _stored(q + x) == _ref_sum(a, rq)
+    assert _stored(x - q) == _ref_sum(a, rq, -1)
+    assert _stored(q - x) == _ref_sum(rq, a, -1)
+    assert _stored(x * q) == _stored(q * x) == _ref_product(a, rq)
     if q:
-        assert _reduced(x / q) == _ref_product(a, {0: 1 / F(q)})
+        assert _stored(x / q) == _ref_product(a, {0: 1 / F(q)})
     if x.is_rational():
         assert hash(x) == hash(x.rational_value())
 
@@ -221,9 +218,9 @@ def test_single_term_powers_match_repeated_products(e, c, p):
     want = {0: F(1)}
     for _ in range(abs(p)):
         want = _ref_product(want, factor)
-    assert _canonical(x**p) == want
+    assert _stored(x**p) == want
     if p < 0:
-        assert _canonical(x.inverse()) == factor
+        assert _stored(x.inverse()) == factor
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -233,7 +230,49 @@ def test_powers_of_other_values_match_repeated_products(terms, p):
     want = {0: F(1)}
     for _ in range(p):
         want = _ref_product(want, x.terms)
-    assert _canonical(x**p) == want
+    assert _stored(x**p) == want
+
+
+_NONZERO = _MIXED_COEFFICIENTS.filter(bool)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_MIXED_VALUES, _MIXED_VALUES, st.one_of(st.integers(-6, 6), _MIXED_COEFFICIENTS),
+       st.tuples(st.integers(-6, 6), _NONZERO), st.tuples(st.integers(-6, 6), _NONZERO))
+def test_every_ring_operation_stores_reduced_pairs(x, y, q, m1, m2):
+    # with the tests above and below, which check the stored pairs through
+    # ``_stored`` too, this covers every ring operation; q takes zero and
+    # negative weights, and 2 over the even denominators of x, where a
+    # skipped gcd would leave a pair unreduced
+    a, b, rq = x.terms, y.terms, ({0: F(q)} if q else {})
+    t1, t2 = dict([m1]), dict([m2])
+    u, v = PiNumber(t1), PiNumber(t2)  # single terms
+    one_over_v = {-m2[0]: 1 / m2[1]}
+    zero = PiNumber.zero()
+    cases = [
+        (x * F(q), _ref_product(a, rq)), (x * zero, {}), (x * u, _ref_product(a, t1)),
+        (u * v, _ref_product(t1, t2)), (u * -v, _ref_sum({}, _ref_product(t1, t2), -1)),
+        (u * q, _ref_product(t1, rq)), (x / v, _ref_product(a, one_over_v)),
+        (u / v, _ref_product(t1, one_over_v)),
+        (linear_combination([(x, 1), (y, -1), (u, F(-1))]), _fold([(x, 1), (y, -1), (u, -1)])),
+        (linear_combination([(x, q)]), _ref_product(a, rq)),
+        (linear_combination([(x, q), (y, v), (u, -q)]), _fold([(x, q), (y, v), (u, -q)])),
+        (linear_combination([(x, zero), (u, y)]), _ref_product(t1, b)),
+        (parse_pinumber(format_pinumber(x)), a), (pinumber_from_json(pinumber_to_json(x)), a),
+    ]
+    for got, want in cases:
+        assert _stored(got) == want
+    assert hash(PiNumber.from_rational(q)) == hash(q) == hash(F(q))
+
+
+@pytest.mark.parametrize("w", [2, -2, F(2), F(-4, 3), PiNumber.from_rational(2),
+                               PiNumber.pi_power(2, -2)])
+def test_a_single_term_of_a_non_unit_weight_is_reduced(w):
+    # the one term of pi^0 that reaches its exponent is 3/4 * w: reduced only
+    # by the kernel's final gcd
+    got = linear_combination([(PiNumber.from_rational(F(3, 4)), w)])
+    want = _fold([(PiNumber.from_rational(F(3, 4)), w)])
+    assert _stored(got) == want
 
 
 def _fold(pairs):
@@ -249,12 +288,12 @@ def _fold(pairs):
 @given(st.lists(st.tuples(_MIXED_VALUES, _WEIGHTS), max_size=6))
 def test_linear_combination_matches_a_fold_of_ring_operations(pairs):
     want = _fold(pairs)
-    assert _reduced(linear_combination(pair for pair in pairs)) == want
+    assert _stored(linear_combination(pair for pair in pairs)) == want
     # cancellation: of every term, and of one pi-exponent at a time
-    assert _reduced(linear_combination(pairs + [(x, -w) for x, w in pairs])) == {}
+    assert _stored(linear_combination(pairs + [(x, -w) for x, w in pairs])) == {}
     for e, c in want.items():
         rest = linear_combination(pairs + [(PiNumber({e: c}), -1)])
-        assert _reduced(rest) == {f: d for f, d in want.items() if f != e}
+        assert _stored(rest) == {f: d for f, d in want.items() if f != e}
 
 
 def test_linear_combination_of_nothing_is_zero():

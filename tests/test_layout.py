@@ -1,8 +1,8 @@
-"""Module boundaries: no module reaches into another's private names, no
-module, ``PiNumber``'s own ring operations included, sums exact values in a
-loop of its own instead of the one kernel, no file of the package or its
-tests imports a name it never reads, and every public name of the package is
-read somewhere in it."""
+"""Module boundaries: no module reaches into another's private names or a
+``PiNumber``'s stored terms, no module, ``PiNumber``'s own ring operations
+included, sums exact values in a loop of its own instead of the one kernel,
+no file of the package or its tests imports a name it never reads, and every
+public name of the package is read somewhere in it."""
 
 import ast
 import inspect
@@ -183,6 +183,35 @@ def test_checker_flags_ring_accumulations(tmp_path):
         "            other -= 1\n"
     )
     assert _ring_accumulations(bad) == ["line 4: __add__", "line 8: __sub__", "line 12: __mul__"]
+
+
+def _stored_terms_reads(paths: list[Path]) -> list[str]:
+    """``file:line`` of each ``._terms`` attribute outside ``exact_scalars``:
+    how a ``PiNumber`` stores its coefficients is its own business, and
+    every other module reads them through ``terms`` or ``coefficient``."""
+    found = []
+    for path in paths:
+        if path.stem == "exact_scalars":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_terms":
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_exact_scalars_reads_stored_terms():
+    assert _stored_terms_reads(MODULES) == []
+
+
+def test_checker_flags_stored_terms_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y):\n"
+        "    t = x.terms\n"
+        "    return len(x._terms) + y.value._terms[0][1]\n"
+        "getattr(object(), '_terms', None)\n"
+    )
+    (tmp_path / "exact_scalars.py").write_text("def g(x):\n    return x._terms\n")
+    assert _stored_terms_reads(sorted(tmp_path.glob("*.py"))) == ["a.py:3", "a.py:3"]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -473,7 +502,7 @@ def test_checker_flags_angle_table_calls(tmp_path):
 
 def test_verify_options_are_the_suite_parameters():
     # ``cmd_verify`` passes each suite the options its parameters name and
-    # refuses any other option away from its default, so the optional
+    # refuses any other option the argv gives, so the optional
     # options of ``verify`` are the suites' parameters, defaults included
     from angleworks.cli import _COMMANDS
     from angleworks.verify import SUITES
