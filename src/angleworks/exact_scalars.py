@@ -68,7 +68,7 @@ class PiNumber:
         self._terms: dict[int, _Pair] = {}
         for e, c in (terms or {}).items():
             if c:
-                q = Fraction(c)
+                q = c if isinstance(c, (int, Fraction)) else Fraction(c)
                 self._terms[int(e)] = (q.numerator, q.denominator)
         self._hash: int | None = None
 

@@ -201,23 +201,14 @@ def _hull_fvector(model: str, n: int, d: int, beta, alpha) -> FVector:
     if alpha <= -1:
         raise DomainError("the d=1 sphere case (beta=-1) is atomic; no f-vector formula")
     s = 0 if model == "beta" else 1
+    ms = range(d, 0, -2)
     if isinstance(alpha, int):
-        entries = _exact_hull_entries(s, n, d, alpha)
+        bI = trig_algebra.external_bI_tilde if s else trig_algebra.external_bI
+        external = {m: bI(n, m, alpha) for m in ms}
     else:
-        ms = range(d, 0, -2)
         external = dict(zip(ms, quadrature.I_row(n, ms, alpha, s)))
-        entries = _parity_sum(d, external.__getitem__, alpha, s)
+    entries = _parity_sum(d, external.__getitem__, alpha, s)
     return FVector(d, model, {"n": n, "beta": beta}, entries)
-
-
-@lru_cache(maxsize=None)
-def _exact_hull_entries(s: int, n: int, d: int, alpha: int) -> tuple:
-    """The exact entries of the beta (s = 0) or beta' (s = 1) hull at an
-    int alpha, kept per hull: the parity sum costs a large share of a first
-    call even when every row it reads is cached.  The entries are immutable;
-    each ``FVector`` around them gets its own ``params``."""
-    bI = trig_algebra.external_bI_tilde if s else trig_algebra.external_bI
-    return _parity_sum(d, lambda m: bI(n, m, alpha), alpha, s)
 
 
 # -- Reitzner constants -----------------------------------------------------------

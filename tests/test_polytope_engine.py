@@ -213,31 +213,14 @@ def test_betaprime_polytope_examples():
 def test_many_point_hull_keeps_the_fourier_route():
     # alpha = 3 for each hull: the inversion row would build every internal
     # row up to n, so only n <= alpha + 3 reads it
-    from angleworks.polytope_engine import _exact_hull_entries
     from angleworks.trig_algebra import _inversion_row
 
-    _exact_hull_entries.cache_clear()  # a cached hull reads no row
     _inversion_row.cache_clear()
     betaprime_polytope_fvector(110, 2, F(5, 2))
     betaprime_polytope_fvector(7, 2, F(5, 2))
     assert _inversion_row.cache_info().currsize == 0
     betaprime_polytope_fvector(6, 2, F(5, 2))
     assert _inversion_row.cache_info().currsize == 1
-
-
-@pytest.mark.parametrize("fn, n, d, beta", [
-    (beta_polytope_fvector, 9, 3, 0), (beta_polytope_fvector, 7, 4, F(-1, 2)),
-    (betaprime_polytope_fvector, 8, 3, F(5, 2)), (betaprime_polytope_fvector, 6, 2, 3),
-])
-def test_repeated_exact_hull_is_equal_and_owns_its_params(fn, n, d, beta):
-    first = fn(n, d, beta)
-    first.params["n"] = -1
-    first.params["extra"] = True
-    second = fn(n, d, beta)
-    assert second.params == {"n": n, "beta": beta}
-    assert second.entries == first.entries and second.d == d
-    assert second is not first and second.params is not first.params
-    assert euler_relation_holds(second)
 
 
 def test_betaprime_numeric_path():
