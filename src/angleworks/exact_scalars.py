@@ -67,6 +67,8 @@ class PiNumber:
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
         self._terms: dict[int, _Pair] = {}
         for e, c in (terms or {}).items():
+            if isinstance(c, float):
+                raise TypeError(f"a PiNumber coefficient must be exact, not the float {c!r}")
             if c:
                 q = c if isinstance(c, (int, Fraction)) else Fraction(c)
                 self._terms[int(e)] = (q.numerator, q.denominator)
@@ -231,17 +233,22 @@ class PiNumber:
     # -- evaluation and text -----------------------------------------------
 
     def to_float(self) -> float:
-        """The value as a float.  Terms of opposite sign can cancel many
-        leading digits, so the working precision of ``evaluate`` grows until
-        the digits that survive the cancellation exceed float precision."""
+        """The value as a float: ``to_mpf`` with 20 surviving digits."""
+        return float(self.to_mpf(20))
+
+    def to_mpf(self, digits: int) -> mpmath.mpf:
+        """The value with at least ``digits`` significant digits.  Terms of
+        opposite sign can cancel many leading digits, so the working
+        precision of ``evaluate`` grows until the digits that survive the
+        cancellation reach ``digits``."""
         if not self._terms:
-            return 0.0
+            return mpmath.mpf(0)
         top = self._top_exponent()
-        dps = 30
+        dps = digits + 10
         while True:
             value = self.evaluate(dps)
-            if value and dps - (top - mpmath.mag(value) * math.log10(2)) >= 20:
-                return float(value)
+            if value and dps - (top - mpmath.mag(value) * math.log10(2)) >= digits:
+                return value
             dps *= 2
 
     def _top_exponent(self) -> float:

@@ -235,7 +235,7 @@ def reitzner_ball(d: int, k: int) -> ReitznerConstant:
         raise DomainError("need 0 <= k <= d-1")
     J = bJ_exact(d, k + 1, 1)
     with mpmath.workdps(_MP_DPS):
-        value = float(_reitzner_ball_prefactor(d) * J.evaluate(_MP_DPS))
+        value = float(_reitzner_ball_prefactor(d) * J.to_mpf(_MP_DPS))
     return ReitznerConstant(value, J)
 
 
@@ -272,4 +272,4 @@ def reitzner_sphere(d: int, k: int) -> ReitznerConstant:
         * (gamma_half(d + 1) / gamma_half(d)) ** (d - 1)
     )
     exact = pref * J
-    return ReitznerConstant(float(exact.evaluate(_MP_DPS)), J, exact)
+    return ReitznerConstant(float(exact.to_mpf(_MP_DPS)), J, exact)

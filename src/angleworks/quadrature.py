@@ -140,11 +140,16 @@ def cosh_kernel(pairs, E: float, c0: float, w: complex) -> QuadRow:
     P = np.array([p for p, _ in pairs], dtype=float)
     r = np.array([r for _, r in pairs], dtype=int)
     width = min(0.6, 3.0 / math.sqrt(P.max() + 1.0))
-    v1, _, e1 = _kernel_once(P, r, E, c0.real, w, U, width, 24)
-    v2, mag, e2 = _kernel_once(P, r, E, c0.real, w, U, width, 40)
-    err = np.abs(v2 - v1) + 128 * np.finfo(float).eps * mag + math.exp(-40.0)
+    # cosh^E and the sums over it overflow where the integral leaves the
+    # float range; the check below turns that into one DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        v1, _, e1 = _kernel_once(P, r, E, c0.real, w, U, width, 24)
+        v2, mag, e2 = _kernel_once(P, r, E, c0.real, w, U, width, 40)
+        err = np.abs(v2 - v1) + 128 * np.finfo(float).eps * mag + math.exp(-40.0)
     if not (np.isfinite(v2).all() and np.isfinite(err).all()):
-        raise DomainError(f"integral out of float range (pairs={pairs}, E={E})")
+        raise DomainError(
+            f"integral out of float range (largest P={P.max():g} of {len(pairs)} pairs, E={E:g})"
+        )
     return QuadRow(tuple(v2.tolist()), tuple(err.tolist()), e1 + e2)
 
 

@@ -18,22 +18,31 @@ when that is not a nonnegative integer).  The series are held in z = y / 4,
 where [z^j] h_a(4z) = C(2j, j) / (a + 1 + 2j) and
 (1 - 4z)^(-1/2) = sum C(2j, j) z^j, so [y^N] = 4^-N [z^N].
 
-Each power is grown from the one below it by a two-term recurrence.  Pair
-A_j = h_a(4z)^j with B_j = (1 - 4z)^(-1/2) A_j.  Differentiating H gives
-(a + 1) h_a + 2y h_a' = (1 - y)^(-1/2), and from it, with c = 2k + j(a+1)
-and primes marking the coefficients of A_(j-1) and B_(j-1),
+Each power is grown from the one two below it by a two-term recurrence.
+Differentiating H gives (a + 1) h_a + 2y h_a' = (1 - y)^(-1/2), so with
+A_j = h_a(4z)^j and B_j = (1 - 4z)^(-1/2) A_j, in z,
 
-    a_k = j b'_k / c,    b_k = (j a'_k + 4 (c - 1) b_(k-1)) / c,
+    2z A_j' + j(a + 1) A_j = j B_(j-1),
+    (1 - 4z) (2z B_j' + j(a + 1) B_j) = 4z B_j + j A_(j-1).
 
-from the seeds A_0 = 1 and B_0 = sum C(2k, k) z^k.  So each coefficient
-costs a few products, whatever its index, and h_a itself is A_1.  One
-cache keeps the prefixes of the pair per (a, j), grown on demand: the
-residues of a Voronoi or Poisson f-vector, which share one a, build each
-h_a^j once.  A pair is two lists of integer numerators over one common
-denominator, the least that holds its A prefix, so the recurrence runs on
-Python ints and a ``Fraction`` is formed once per coefficient returned.
-``residue_rational`` is the only entry point; the representation stays
-inside this module.
+Coefficient k of the first reads c a_k = j b_k with c = 2k + j(a + 1),
+where b marks B_(j-1); coefficient k of the second, for B_(j-1), reads
+c' b_k = (j - 1) a''_k + 4 (c' - 1) b_(k-1) with c' = c - (a + 1), where
+a'' marks A_(j-2).  Putting b_k = c a_k / j and b_(k-1) = (c - 2) a_(k-1) / j
+into the second eliminates B:
+
+    a_k = (4 (c' - 1)(c - 2) a_(k-1) + j (j - 1) a''_k) / (c c'),
+
+from the seeds A_0 = 1 and a_0 = 1 / (a + 1) for A_1 = h_a, whose later
+coefficients C(2k, k) / (a + 1 + 2k) the recurrence gives at j = 1.  So each
+coefficient costs a few products, whatever its index, and A_P reads only
+the powers P - 2, P - 4, ... of its own parity.  One cache keeps a prefix
+of each A_j per (a, j), grown on demand: the residues of a Voronoi or
+Poisson f-vector, which share one a, build each h_a^j once.  A prefix is a
+list of integer numerators over one common denominator, a multiple of that
+of A_(j-2), so the recurrence runs on Python ints and a ``Fraction`` is
+formed once per coefficient returned.  ``residue_rational`` is the only
+entry point; the representation stays inside this module.
 
 Every coefficient returned is a ``Fraction``; pi-factors never enter a
 series, they are multiplied in by the callers.  The module also holds the
@@ -53,12 +62,11 @@ from .exact_scalars import DomainError
 
 
 class _Pair:
-    """Prefixes of A_j = h_a(4z)^j and B_j = (1 - 4z)^(-1/2) A_j over one
-    denominator: a_k = A[k] / den and b_k = B[k] / den."""
+    """A prefix of A_j = h_a(4z)^j as integer numerators over one
+    denominator: a_k = A[k] / den."""
 
     def __init__(self) -> None:
         self.A: list[int] = []
-        self.B: list[int] = []
         self.den = 1
 
 
@@ -68,39 +76,63 @@ def _pair(a: int, j: int) -> _Pair:
 
 
 def _power(a: int, P: int, n: int) -> _Pair:
-    """A pair whose A holds at least the first n coefficients in z of
+    """A pair that holds at least the first n coefficients in z of
     h_a(4z)^P, P >= 1, where int_0^s t^a (1 - t^2)^(-1/2) dt = s^(a+1) h_a(s^2).
 
-    Coefficient k of A_j needs coefficient k of B_(j-1), and coefficient k
-    of B_j needs coefficient k of A_(j-1) and coefficient k - 1 of B_j, so
-    the pairs j < P and A_P grow to n in turn.  Each growth of A_j moves the
-    pair to the least denominator that holds the new coefficients, with
-    one rescale; that denominator also holds B_j = B_0 A_j, whose
-    coefficients are integer combinations of those of A_j, so B_j grows by
-    exact integer division.  The pairs are shared by every caller with this
-    a and grow in place; read them, never modify them.
+    Coefficient k of A_j reads coefficient k of A_(j-2) and coefficient
+    k - 1 of A_j, so only the chain P, P - 2, ... grows: the loop walks down
+    from P to the first power whose lower neighbour already holds n
+    coefficients, or to a seed, and then grows each power of the chain in
+    turn.  A growth first moves A_j's denominator D to a multiple of
+    A_(j-2)'s.  Coefficient k is then x / (D c c') for an integer x; with
+    g = gcd(x, c c'), the numerator x / g is prime to m = c c' / g, so the
+    least common multiple of D and the coefficient's denominator is D m.
+    The prefix is rescaled by the product of these m once per growth, not
+    once per coefficient, which leaves the same integers.  The pairs are
+    shared by every caller with this a and grow in place; read them, never
+    modify them.
     """
     out = _pair(a, P)
     if len(out.A) >= n:
         return out
-    lo = _pair(a, 0)
-    lo.A.extend(int(k == 0) for k in range(len(lo.A), n))
-    lo.B.extend(math.comb(2 * k, k) for k in range(len(lo.B), n))
-    for j in range(1, P + 1):
+    j = P
+    while j > 1 and len(_pair(a, j - 2).A) < n:
+        j -= 2
+    if j < 2:  # the seed A_0 = 1, which A_1 reads with weight j (j - 1) = 0
+        one = _pair(a, 0)
+        one.A.extend(int(k == 0) for k in range(len(one.A), n))
+    for j in range(j or 2, P + 1, 2):
         hi = _pair(a, j)
-        new = [(j * lo.B[k], (2 * k + j * (a + 1)) * lo.den) for k in range(len(hi.A), n)]
-        den = math.lcm(hi.den, *(d // math.gcd(x, d) for x, d in new))
-        if den != hi.den:
-            f = den // hi.den
-            hi.A[:] = [x * f for x in hi.A]
-            hi.B[:] = [x * f for x in hi.B]
-            hi.den = den
-        hi.A.extend(x * den // d for x, d in new)
-        for k in range(len(hi.B), n if j < P else 0):
+        lo = _pair(a, max(j - 2, 0))
+        A, k0 = hi.A, len(hi.A)
+        den = hi.den * (lo.den // math.gcd(hi.den, lo.den))
+        r = j * (j - 1) * (den // lo.den)
+        prev = A[-1] * (den // hi.den) if A else 0
+        steps = []  # m of each new coefficient, stored over D as it stood then
+        for k in range(k0, n):
             c = 2 * k + j * (a + 1)
-            x = j * lo.A[k] * den + (4 * (c - 1) * hi.B[k - 1] * lo.den if k else 0)
-            hi.B.append(x // (c * lo.den))
-        lo = hi
+            c1 = c - (a + 1)
+            x = r * lo.A[k] + 4 * (c1 - 1) * (c - 2) * prev
+            cc = c * c1
+            if not cc:  # the seed [z^0] h_a = 1 / (a + 1)
+                x, cc = den, a + 1
+            g = math.gcd(x, cc)
+            m = cc // g
+            if m > 1:
+                den *= m
+                r *= m
+            prev = x // g
+            A.append(prev)
+            steps.append(m)
+        f = 1
+        for k in range(n - 1, k0 - 1, -1):
+            if f > 1:
+                A[k] *= f
+            f *= steps[k - k0]
+        f = den // hi.den
+        if f > 1:
+            A[:k0] = [y * f for y in A[:k0]]
+        hi.den = den
     return out
 
 

@@ -593,3 +593,18 @@ def test_cold_process_skips_argparse_and_verify():
               "--bogus")
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr == "error: unrecognized arguments: --bogus\n"
+
+
+def test_numeric_overflow_exits_two_without_warnings():
+    # cosh^E overflows on the nodes of this row: the run refuses it with one
+    # message, no NumPy warning and no list of every (P, r) pair
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "angleworks.cli", "angles", "--family", "beta", "--n", "17",
+         "--beta", "20", "--numeric"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: integral out of float range (largest P=954 ")
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+    assert run.stderr.count("\n") == 1

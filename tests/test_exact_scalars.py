@@ -435,6 +435,31 @@ def test_to_float_survives_cancellation():
     assert PiNumber.pi_power(2).to_float() == math.pi
 
 
+def test_to_mpf_keeps_the_digits_asked_for_past_cancellation():
+    # pi^2 - (pi^2 rounded to 40 digits) cancels about 40 leading digits
+    with mpmath.workdps(80):
+        head = F(int(mpmath.nint(mpmath.pi**2 * mpmath.mpf(10) ** 39)), 10**39)
+        x = PiNumber({4: 1, 0: -head})
+        ref = mpmath.pi**2 - mpmath.mpf(head.numerator) / head.denominator
+        for digits in (20, 30):
+            assert abs(x.to_mpf(digits) - ref) <= mpmath.mpf(10) ** -digits * abs(ref)
+        # a working precision of 30 digits alone keeps none of them
+        assert abs(x.evaluate(30) - ref) > mpmath.mpf(10) ** -20 * abs(ref)
+    assert PiNumber.zero().to_mpf(60) == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: PiNumber({0: 0.1}), lambda: PiNumber({2: 0.0}), lambda: PiNumber.from_rational(0.5),
+     lambda: PiNumber.pi_power(1, 2.0)],
+    ids=["0.1", "0.0", "from_rational", "pi_power"],
+)
+def test_a_float_coefficient_is_refused(make):
+    # a float is not exact: 0.1 is 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        make()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "call",

@@ -1,8 +1,9 @@
 """Module boundaries: no module reaches into another's private names or a
 ``PiNumber``'s stored terms, no module, ``PiNumber``'s own ring operations
 included, sums exact values in a loop of its own instead of the one kernel,
-no file of the package or its tests imports a name it never reads, and every
-public name of the package is read somewhere in it."""
+no module but ``exact_scalars`` calls ``PiNumber.evaluate``, no file of the
+package or its tests imports a name it never reads, and every public name of
+the package is read somewhere in it."""
 
 import ast
 import inspect
@@ -212,6 +213,36 @@ def test_checker_flags_stored_terms_reads(tmp_path):
     )
     (tmp_path / "exact_scalars.py").write_text("def g(x):\n    return x._terms\n")
     assert _stored_terms_reads(sorted(tmp_path.glob("*.py"))) == ["a.py:3", "a.py:3"]
+
+
+def _evaluate_calls(paths: list[Path]) -> list[str]:
+    """``file:line`` of each ``.evaluate(...)`` call outside ``exact_scalars``:
+    ``evaluate(dps)`` sets a working precision, not the accuracy of the
+    result, which cancellation can eat, so every other module takes a value
+    through ``to_float``, ``to_mpf`` or ``to_decimal``."""
+    found = []
+    for path in paths:
+        if path.stem == "exact_scalars":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "evaluate"):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_exact_scalars_calls_evaluate():
+    assert _evaluate_calls(MODULES) == []
+
+
+def test_checker_flags_evaluate_calls(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y):\n"
+        "    v = x.to_mpf(60) + x.evaluate\n"
+        "    return float(y.angle_factor.evaluate(60)) + x.evaluate(dps=30)\n"
+    )
+    (tmp_path / "exact_scalars.py").write_text("def g(x):\n    return x.evaluate(30)\n")
+    assert _evaluate_calls(sorted(tmp_path.glob("*.py"))) == ["a.py:3", "a.py:3"]
 
 
 def _unused_imports(path: Path) -> list[str]:

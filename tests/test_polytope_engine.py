@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from angleworks import polytope_engine
 from angleworks.exact_scalars import DomainError, PiNumber
 from angleworks.polytope_engine import (
     beta_polytope_fvector,
@@ -319,6 +320,15 @@ def test_reitzner_sphere_examples():
     assert reitzner_sphere(2, 1).exact == PiNumber.one()  # polygon: f_1 = f_0
     assert reitzner_sphere(3, 2).exact == _rat(2)  # 2n - 4 facets
     assert reitzner_sphere(3, 1).exact == _rat(3)  # 3n - 6 edges
+
+
+def test_reitzner_constants_keep_their_digits_past_cancellation():
+    # J_{40,2}(1/2) and J_{40,2}(-1/2) are sums whose terms cancel about 49
+    # leading digits, more than the 60-digit working precision had to spare
+    ball, sphere = reitzner_ball(40, 1), reitzner_sphere(40, 1)
+    want = float(polytope_engine._reitzner_ball_prefactor(40)) * ball.angle_factor.to_float()
+    assert ball.value == pytest.approx(want, rel=1e-15, abs=0)
+    assert sphere.value == pytest.approx(sphere.exact.to_float(), rel=1e-15, abs=0)
 
 
 def test_reitzner_ratios():

@@ -410,12 +410,11 @@ def test_sin_cos_residue_matches_fraction_reference():
 
 
 def test_prefixes_grown_in_steps_match_reference():
-    # one cache holds the pair A_j = h_a^j, B_j = (1 - y)^(-1/2) h_a^j per
-    # (a, j) over one denominator, and coefficient k of a pair reads
-    # coefficient k of the pair below it.  Growing a pair can move it to a
-    # larger denominator, which rescales both of its lists, so the pairs
-    # above it must stay valid, and a pair grown later must read the
-    # current denominator of the one below
+    # one cache holds a prefix of A_j = h_a^j per (a, j) over one
+    # denominator, and coefficient k of A_j reads coefficient k of A_(j-2).
+    # Growing a prefix can move it to a larger denominator, which rescales
+    # it, so the powers above it must stay valid, and a power grown later
+    # must read the current denominator of the one below
     def check(a, p, Ns):
         # the residues that read [y^N] h_a^(p+1), past the cache of
         # residue_rational, which would hide the kernel
@@ -435,16 +434,31 @@ def test_prefixes_grown_in_steps_match_reference():
         for a, p in ((3, 5), (3, 2), (3, 1), (0, 2)):
             check(a, p, [n - 1])
         h3_dens.add(series_kernel._pair(3, 1).den)
-    # h_3 itself was rescaled between the steps that extended h_3^2 .. h_3^6
+    # h_3 itself was rescaled between the steps that extended it
     assert len(h3_dens) > 1
 
     # for odd a the denominators stay small; for even a they grow with n
     series_kernel._pair.cache_clear()
-    check(4, 7, range(10))  # high powers first: h_4^8, and every pair below
-    den = series_kernel._pair(4, 1).den
+    check(4, 7, range(10))  # high powers first: h_4^8, and the even powers below
+    den = series_kernel._pair(4, 2).den
     check(4, 0, range(30))  # then a low one: h_4 alone to 30 coefficients
-    check(4, 1, range(30))  # and h_4^2, from B_1, which was still at 10
-    assert series_kernel._pair(4, 1).den != den
-    check(4, 7, range(10, 40))  # then the high ones again, over the rescaled pairs
-    assert len(series_kernel._pair(4, 8).A) == 40
-    assert len(series_kernel._pair(4, 7).B) == 40
+    check(4, 1, range(30))  # and h_4^2, which was still at 10
+    assert series_kernel._pair(4, 2).den != den
+    check(4, 7, range(10, 40))  # then the high ones again, over the rescaled powers
+    lengths = [len(series_kernel._pair(4, j).A) for j in range(9)]
+    # only the chain of each request's parity grew: h_4 alone, none of h_4^3 .. h_4^7
+    assert lengths == [40, 30, 40, 0, 40, 0, 40, 0, 40]
+
+
+# requests (a, P, N) for [y^N] h_a^P with a few a, both parities of P and
+# of a, interleaved in any order, so that every power grows in steps from
+# whatever the requests before it left
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9), st.integers(0, 30)),
+                min_size=2, max_size=14))
+def test_interleaved_growth_of_both_parities_matches_reference(requests):
+    series_kernel._pair.cache_clear()
+    for a, P, N in requests:
+        p = P - 1
+        q = p * (a + 1) + 2 * N + 1
+        assert residue_rational.__wrapped__(a, p, q) == _residue_rational_reference(a, p, q), (a, P, N)
